@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import __version__
 from .conversions import RateSpec, count_bound_check, lc_to_roc, roc_to_skt
@@ -67,7 +67,7 @@ from .machines import (
     omega_s_bounds,
 )
 from .names import regular_sum, strongly_lc
-from .randomness import covers, skt_from_rate, validate_family
+from .randomness import TestFamily, covers, skt_from_rate, validate_family
 from .spectra import ComplexityProfile, dim_window, profile, square_interleave
 
 REGISTRY_ENV = "LEFTREAL_MACHINE_REGISTRY"
@@ -99,7 +99,7 @@ def _computation_argv(argv: list[str]) -> list[str]:
 
 class _Output:
     def __init__(self, args: argparse.Namespace, argv: list[str]):
-        self.out: Optional[str] = getattr(args, "out", None)
+        self.out: Optional[str] = args.out
         self.manifest: dict = {
             "tool": f"leftreal {__version__}",
             "command": _computation_argv(argv),
@@ -155,20 +155,15 @@ def _load_machine(out: _Output, arg: str):
     return machine_from_json(_load_json(out, arg), resolver)
 
 
+def _load_family(out: _Output, path: str) -> TestFamily:
+    doc = _load_json(out, path)
+    return family_from_json(doc.get("family") if isinstance(doc, dict) else None)
+
+
 def _budget(out: _Output, args: argparse.Namespace) -> Budget:
-    b = Budget(args.budget_l, args.budget_t, allow_large=getattr(args, "force", False))
+    b = Budget(args.budget_l, args.budget_t, allow_large=args.force)
     out.record_budget(L=b.L, t=b.t)
     return b
-
-
-def _add_budget_flags(p: argparse.ArgumentParser, l_default: int = 16, t_default: int = 10**4):
-    p.add_argument("--budget-l", type=int, default=l_default, metavar="L")
-    p.add_argument("--budget-t", type=int, default=t_default, metavar="T")
-    p.add_argument("--force", action="store_true", help="override the length guard")
-
-
-def _add_out_flag(p: argparse.ArgumentParser):
-    p.add_argument("--out", help="write the artifact to this path instead of stdout")
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +220,7 @@ def _cmd_skt_from_rate(out: _Output, args) -> int:
 
 
 def _cmd_skt_validate(out: _Output, args) -> int:
-    fam = family_from_json(_load_json(out, args.family)["family"])
+    fam = _load_family(out, args.family)
     verdict = validate_family(fam, args.nmax, args.stage)
     out.emit_json(
         {
@@ -238,7 +233,7 @@ def _cmd_skt_validate(out: _Output, args) -> int:
 
 
 def _cmd_skt_covers(out: _Output, args) -> int:
-    fam = family_from_json(_load_json(out, args.family)["family"])
+    fam = _load_family(out, args.family)
     x = parse_stream(args.stream)
     reports = [covers(fam, x, n, args.stage) for n in range(args.nmax + 1)]
     out.emit_json(
@@ -336,198 +331,199 @@ def _cmd_omega_s(out: _Output, args) -> int:
     return 0
 
 
-def _cmd_immunity(out: _Output, args) -> int:
-    a = parse_view(args.set)
-    prop = args.property
-    if prop == "immune":
-        v = check_immune(a, parse_view(args.witness), args.horizon, args.threshold)
-    elif prop == "hyperimmune":
-        v = check_hyperimmune(a, parse_rate(args.rate), args.horizon)
-    elif prop == "hhi":
-        blocks = [[int(x) for x in b.split(",")] for b in args.block]
-        v = check_hhi(a, blocks, args.horizon)
-    elif prop == "shhi":
-        v = check_shhi(a, [parse_view(s) for s in args.block], args.horizon)
-    elif prop == "cohesive":
-        v = check_cohesive(a, parse_view(args.witness), args.horizon, args.threshold)
-    elif prop == "bi-immune":
-        v = check_bi_immune(
-            a,
-            parse_view(args.witness),
-            parse_view(args.witness_complement),
-            args.horizon,
-            args.threshold,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise SpecError(prop)
-    out.emit_json({"verdict": verdict_to_json(v)})
-    return 2 if v.refuted else 0
+def _verdict(check: Callable[..., Any]) -> Callable[..., int]:
+    """The handler of an immunity leaf: run its falsifier on the ``--set``
+    view and the other arguments, and emit the verdict."""
+
+    def run(out: _Output, args) -> int:
+        v = check(parse_view(args.set), args)
+        out.emit_json({"verdict": verdict_to_json(v)})
+        return 2 if v.refuted else 0
+
+    return run
 
 
-def _cmd_construct(out: _Output, args) -> int:
-    if args.what == "interleave":
-        stream = square_interleave(parse_stream(args.source))
-        out.emit_json({"bits": stream.prefix(args.prefix)})
-        return 0
-    if args.what == "join":
-        j = join(parse_view(args.a), parse_view(args.b))
-        out.emit_json({"join": view_to_json(j), "bits": charseq(j).prefix(j.horizon)})
-        return 0
-    if args.what == "regular":
-        components = [strongly_lc(parse_view(s)) for s in args.component]
-        xs = regular_sum(components)
-        out.emit_json(
-            {"values": [dyadic_to_json(xs.at(t)) for t in range(args.steps + 1)]}
-        )
-        return 0
-    raise SpecError(args.what)  # pragma: no cover
+def _cmd_construct_interleave(out: _Output, args) -> int:
+    stream = square_interleave(parse_stream(args.source))
+    out.emit_json({"bits": stream.prefix(args.prefix)})
+    return 0
+
+
+def _cmd_construct_join(out: _Output, args) -> int:
+    j = join(parse_view(args.a), parse_view(args.b))
+    out.emit_json({"join": view_to_json(j), "bits": charseq(j).prefix(j.horizon)})
+    return 0
+
+
+def _cmd_construct_regular(out: _Output, args) -> int:
+    xs = regular_sum([strongly_lc(parse_view(s)) for s in args.component])
+    out.emit_json({"values": [dyadic_to_json(xs.at(t)) for t in range(args.steps + 1)]})
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table: each leaf command, its handler and its arguments
 # ---------------------------------------------------------------------------
+
+
+def natural(text: str) -> int:
+    """argparse type of every count flag: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
+
+
+def _arg(name: str, **kw) -> tuple[str, dict]:
+    return name, kw
+
+
+def _budget_flags(l_default: int = 16) -> list[tuple[str, dict]]:
+    return [
+        _arg("--budget-l", type=natural, default=l_default, metavar="L"),
+        _arg("--budget-t", type=natural, default=10**4, metavar="T"),
+        _arg("--force", action="store_true", help="override the length guard"),
+    ]
+
+
+MACHINE = _arg("machine")
+MACHINE_FLAG = _arg("--machine", default="ref")
+FAMILY = _arg("family")
+RATE = _arg("--rate", required=True)
+STREAM = _arg("--stream", required=True)
+NMAX = _arg("--nmax", type=natural, required=True)
+STAGE = _arg("--stage", type=natural, default=None)
+STAGES = _arg("--stages", type=natural, required=True)
+LEVELS = _arg("--nmax", type=natural, default=3)
+SET = _arg("--set", required=True)
+WITNESS = _arg("--witness", required=True)
+HORIZON = _arg("--horizon", type=natural, required=True)
+THRESHOLD = _arg("--threshold", type=natural, default=None)
+BLOCKS = _arg("--block", action="append", default=[])
+
+# path -> (handler returning the exit code, add_argument (name, kwargs) pairs)
+COMMANDS: dict[str, tuple[Callable[..., int], list[tuple[str, dict]]]] = {
+    "machine validate": (_cmd_machine_validate, [MACHINE]),
+    "machine enumerate": (_cmd_machine_enumerate, [MACHINE, *_budget_flags()]),
+    "machine k": (
+        _cmd_machine_k,
+        [MACHINE, _arg("--target", required=True), *_budget_flags()],
+    ),
+    "kc alloc": (_cmd_kc_alloc, [_arg("requests")]),
+    "kc build": (_cmd_kc_build, [_arg("requests")]),
+    "skt from-rate": (_cmd_skt_from_rate, [MACHINE, RATE, NMAX, *_budget_flags()]),
+    "skt validate": (_cmd_skt_validate, [FAMILY, NMAX, STAGE]),
+    "skt covers": (_cmd_skt_covers, [FAMILY, STREAM, NMAX, STAGE]),
+    "convert roc-to-skt": (
+        _cmd_convert_roc_to_skt,
+        [_arg("--name", required=True), RATE, STAGES, LEVELS],
+    ),
+    "convert lc-to-roc": (
+        _cmd_convert_lc_to_roc,
+        [STREAM, RATE, MACHINE_FLAG, STAGES, LEVELS, *_budget_flags(22)],
+    ),
+    "profile": (_cmd_profile, [MACHINE_FLAG, STREAM, NMAX, *_budget_flags(24)]),
+    "dim": (
+        _cmd_dim,
+        [
+            _arg("profile"),
+            _arg("--n0", type=natural, required=True),
+            _arg("--n1", type=natural, required=True),
+        ],
+    ),
+    "omega": (_cmd_omega, [MACHINE, *_budget_flags()]),
+    "omega-s": (
+        _cmd_omega_s,
+        [
+            MACHINE,
+            _arg("--s", required=True, help="rational in (0,1), e.g. 2/3"),
+            _arg("--precision", type=natural, default=40),
+            *_budget_flags(),
+        ],
+    ),
+    "immunity immune": (
+        _verdict(lambda s, a: check_immune(
+            s, parse_view(a.witness), a.horizon, a.threshold)),
+        [SET, WITNESS, HORIZON, THRESHOLD],
+    ),
+    "immunity hyperimmune": (
+        _verdict(lambda s, a: check_hyperimmune(s, parse_rate(a.rate), a.horizon)),
+        [SET, RATE, HORIZON],
+    ),
+    "immunity hhi": (
+        _verdict(lambda s, a: check_hhi(
+            s, [[int(x) for x in b.split(",")] for b in a.block], a.horizon)),
+        [SET, BLOCKS, HORIZON],
+    ),
+    "immunity shhi": (
+        _verdict(lambda s, a: check_shhi(
+            s, [parse_view(b) for b in a.block], a.horizon)),
+        [SET, BLOCKS, HORIZON],
+    ),
+    "immunity cohesive": (
+        _verdict(lambda s, a: check_cohesive(
+            s, parse_view(a.witness), a.horizon, a.threshold)),
+        [SET, WITNESS, HORIZON, THRESHOLD],
+    ),
+    "immunity bi-immune": (
+        _verdict(lambda s, a: check_bi_immune(
+            s, parse_view(a.witness), parse_view(a.witness_complement), a.horizon,
+            a.threshold)),
+        [SET, WITNESS, _arg("--witness-complement", required=True), HORIZON, THRESHOLD],
+    ),
+    "construct interleave": (
+        _cmd_construct_interleave,
+        [_arg("--source", required=True), _arg("--prefix", type=natural, default=64)],
+    ),
+    "construct join": (
+        _cmd_construct_join,
+        [_arg("--a", required=True), _arg("--b", required=True)],
+    ),
+    "construct regular": (
+        _cmd_construct_regular,
+        [
+            _arg("--component", action="append", default=[]),
+            _arg("--steps", type=natural, default=16),
+        ],
+    ),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ``SpecError``, so ``main`` reports them like
+    every other input error: one line, exit 1."""
+
+    def error(self, message: str):
+        raise SpecError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="leftreal",
         description="exact-arithmetic workbench for left-computable reals",
     )
-    sub = top.add_subparsers(dest="group", required=True)
-
-    machine = sub.add_parser("machine").add_subparsers(dest="cmd", required=True)
-    p = machine.add_parser("validate")
-    p.add_argument("machine")
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_machine_validate)
-    p = machine.add_parser("enumerate")
-    p.add_argument("machine")
-    _add_budget_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_machine_enumerate)
-    p = machine.add_parser("k")
-    p.add_argument("machine")
-    p.add_argument("--target", required=True)
-    _add_budget_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_machine_k)
-
-    kc = sub.add_parser("kc").add_subparsers(dest="cmd", required=True)
-    p = kc.add_parser("alloc")
-    p.add_argument("requests")
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_kc_alloc)
-    p = kc.add_parser("build")
-    p.add_argument("requests")
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_kc_build)
-
-    skt = sub.add_parser("skt").add_subparsers(dest="cmd", required=True)
-    p = skt.add_parser("from-rate")
-    p.add_argument("machine")
-    p.add_argument("--rate", required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    _add_budget_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_skt_from_rate)
-    p = skt.add_parser("validate")
-    p.add_argument("family")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--stage", type=int, default=None)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_skt_validate)
-    p = skt.add_parser("covers")
-    p.add_argument("family")
-    p.add_argument("--stream", required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--stage", type=int, default=None)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_skt_covers)
-
-    convert = sub.add_parser("convert").add_subparsers(dest="cmd", required=True)
-    p = convert.add_parser("roc-to-skt")
-    p.add_argument("--name", required=True)
-    p.add_argument("--rate", required=True)
-    p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=3)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_convert_roc_to_skt)
-    p = convert.add_parser("lc-to-roc")
-    p.add_argument("--stream", required=True)
-    p.add_argument("--rate", required=True)
-    p.add_argument("--machine", default="ref")
-    p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=3)
-    _add_budget_flags(p, l_default=22)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_convert_lc_to_roc)
-
-    p = sub.add_parser("profile")
-    p.add_argument("--machine", default="ref")
-    p.add_argument("--stream", required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    _add_budget_flags(p, l_default=24)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_profile)
-
-    p = sub.add_parser("dim")
-    p.add_argument("profile")
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_dim)
-
-    p = sub.add_parser("omega")
-    p.add_argument("machine")
-    _add_budget_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_omega)
-
-    p = sub.add_parser("omega-s")
-    p.add_argument("machine")
-    p.add_argument("--s", required=True, help="rational in (0,1), e.g. 2/3")
-    p.add_argument("--precision", type=int, default=40)
-    _add_budget_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_omega_s)
-
-    p = sub.add_parser("immunity")
-    p.add_argument(
-        "property",
-        choices=["immune", "hyperimmune", "hhi", "shhi", "cohesive", "bi-immune"],
-    )
-    p.add_argument("--set", required=True)
-    p.add_argument("--witness")
-    p.add_argument("--witness-complement", dest="witness_complement")
-    p.add_argument("--rate")
-    p.add_argument("--block", action="append", default=[])
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--threshold", type=int, default=None)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_immunity)
-
-    p = sub.add_parser("construct")
-    p.add_argument("what", choices=["interleave", "join", "regular"])
-    p.add_argument("--source")
-    p.add_argument("--prefix", type=int, default=64)
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--component", action="append", default=[])
-    p.add_argument("--steps", type=int, default=16)
-    _add_out_flag(p)
-    p.set_defaults(run=_cmd_construct)
-
+    groups = top.add_subparsers(dest="group", required=True)
+    subs = {}
+    for path, (run, specs) in COMMANDS.items():
+        group, _, leaf = path.partition(" ")
+        if leaf and group not in subs:
+            sub = groups.add_parser(group)
+            subs[group] = sub.add_subparsers(dest="cmd", required=True)
+        p = subs[group].add_parser(leaf) if leaf else groups.add_parser(group)
+        for name, kw in specs:
+            p.add_argument(name, **kw)
+        p.add_argument("--out", help="write the artifact to this path instead of stdout")
+        p.set_defaults(run=run)
     return top
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = _Output(args, argv)
     try:
+        args = build_parser().parse_args(argv)
+        out = _Output(args, argv)
         return args.run(out, args)
-    except _REFUTATION_ERRORS as e:
+    except _REFUTATION_ERRORS as e:  # raised by handlers only, so ``out`` is set
         out.emit_json({"refuted": True, "error": type(e).__name__, "detail": str(e)})
         return 2
     except (SpecError, LeftrealError, OSError, ValueError, KeyError) as e:

@@ -26,6 +26,7 @@ from .names import (
     Modulus,
     NameStream,
     name_from_increasing,
+    partial_sum,
     roc_certificate_check,
     tail_weight,
 )
@@ -126,6 +127,7 @@ def roc_to_skt(
             reason="finite name denotes a dyadic value; open intervals "
             "cannot contain it",
         )
+    partial_sum(f, stages - 1)  # InvalidName if some x_t > 1: the sums increase
     r = rate.r
     if r.at(0) <= f.at(0):
         raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")

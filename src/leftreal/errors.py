@@ -63,15 +63,6 @@ class LevelEmpty(LeftrealError):
         super().__init__(f"level {level} is empty; rate undefined there")
 
 
-class SearchExhausted(LeftrealError):
-    """A staged search ran out of budget before finding a witness."""
-
-    def __init__(self, index: int, budget: int):
-        self.index = index
-        self.budget = budget
-        super().__init__(f"search for stage {index} exhausted budget {budget}")
-
-
 class DisjointnessViolation(LeftrealError):
     """Blocks that must be pairwise disjoint overlap."""
 

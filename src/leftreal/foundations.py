@@ -147,6 +147,15 @@ def half_power(e: int) -> Dyadic:
     return Dyadic.of(1, e)
 
 
+def dyadic_weight(exps: Iterable[int]) -> Dyadic:
+    """Exact ``sum(2**-e for e in exps)``; ``ZERO`` for no terms."""
+    exps = list(exps)
+    if not exps:
+        return ZERO
+    top = max(exps)
+    return Dyadic.of(sum(1 << (top - e) for e in exps), top)
+
+
 def floor_scale(y: Dyadic, r: int) -> int:
     """Exact ``floor(y * 2**r)`` for ``y >= 0``."""
     if y.num < 0:
@@ -172,9 +181,6 @@ class DyadicInterval:
 
     def contains(self, x: Dyadic) -> bool:
         return self.lo <= x <= self.hi
-
-    def intersects(self, other: "DyadicInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
 
 def interval_of(tau: str) -> DyadicInterval:
@@ -370,12 +376,6 @@ class NatSetView:
             members.__contains__, horizon, enumerator=lambda: iter(seq), label=label
         )
 
-    @staticmethod
-    def from_predicate(
-        fn: Callable[[int], bool], horizon: int, label: str = ""
-    ) -> "NatSetView":
-        return NatSetView(fn, horizon, label=label)
-
 
 def evens(horizon: int) -> NatSetView:
     return NatSetView(lambda n: n % 2 == 0, horizon, label="evens")
@@ -386,6 +386,8 @@ def odds(horizon: int) -> NatSetView:
 
 
 def multiples(k: int, horizon: int) -> NatSetView:
+    if k < 1:
+        raise ValueError(f"multiples need k >= 1, got {k}")
     return NatSetView(lambda n: n % k == 0, horizon, label=f"multiples-of-{k}")
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import foundations as fd
-from .conversions import StageInterval, StageTrace
+from .conversions import StageTrace
 from .foundations import BitStream, Dyadic, NatSetView
 from .immunity import ImmunityVerdict
 from .machines import (
@@ -50,10 +50,6 @@ def dyadic_to_json(d: Dyadic) -> dict:
     return {"num": str(d.num), "exp": d.exp}
 
 
-def dyadic_from_json(obj: dict) -> Dyadic:
-    return Dyadic.of(int(obj["num"]), int(obj["exp"]))
-
-
 _DYADIC_RE = re.compile(r"^(-?\d+)(?:/2\^(\d+))?$")
 
 
@@ -67,6 +63,8 @@ def parse_dyadic(text: str) -> Dyadic:
 def parse_fraction(text: str) -> Fraction:
     if "/" in text:
         a, b = text.split("/", 1)
+        if int(b) == 0:
+            raise SpecError(f"zero denominator in {text!r}")
         return Fraction(int(a), int(b))
     return Fraction(int(text))
 
@@ -178,33 +176,26 @@ def parse_increasing(text: str) -> IncreasingDyadicStream:
 def parse_view(text: str) -> NatSetView:
     parts = text.split(":")
     kind = parts[0]
-    if kind == "evens":
-        return fd.evens(int(parts[1]))
-    if kind == "odds":
-        return fd.odds(int(parts[1]))
-    if kind == "multiples":
-        return fd.multiples(int(parts[1]), int(parts[2]))
-    if kind == "column":
-        return fd.column(int(parts[1]), int(parts[2]))
-    if kind == "squares-1":
-        return fd.squares_shifted(int(parts[1]))
-    if kind == "elements":
-        return NatSetView.from_elements(_ints(parts[1]), int(parts[2]), label=text)
+    try:
+        if kind == "evens":
+            return fd.evens(int(parts[1]))
+        if kind == "odds":
+            return fd.odds(int(parts[1]))
+        if kind == "multiples":
+            return fd.multiples(int(parts[1]), int(parts[2]))
+        if kind == "column":
+            return fd.column(int(parts[1]), int(parts[2]))
+        if kind == "squares-1":
+            return fd.squares_shifted(int(parts[1]))
+        if kind == "elements":
+            return NatSetView.from_elements(_ints(parts[1]), int(parts[2]), label=text)
+    except IndexError:
+        raise SpecError(f"set spec {text!r} is missing a ':'-separated field") from None
     raise SpecError(f"unknown set spec {text!r}")
 
 
 def view_to_json(v: NatSetView) -> dict:
     return {"elements": v.elements(), "horizon": v.horizon, "label": v.label}
-
-
-def view_from_json(obj: dict) -> NatSetView:
-    if "elements" in obj:
-        return NatSetView.from_elements(
-            obj["elements"], int(obj["horizon"]), label=obj.get("label", "")
-        )
-    if "enumerator" in obj:
-        return parse_view(f"{obj['enumerator']}:{obj['horizon']}")
-    raise SpecError("set document needs 'elements' or 'enumerator'")
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +213,10 @@ def family_to_json(fam: TestFamily, n_max: int) -> dict:
 
 def family_from_json(obj: dict) -> TestFamily:
     kinds = {k.value: k for k in TestKind}
-    if obj.get("kind") not in kinds:
-        raise SpecError(f"unknown family kind {obj.get('kind')!r}")
-    return TestFamily.explicit(obj["levels"], kinds[obj["kind"]])
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in kinds:
+        raise SpecError(f"unknown family kind {kind!r}")
+    return TestFamily.explicit(obj["levels"], kinds[kind])
 
 
 def trace_to_json(trace: StageTrace) -> dict:
@@ -243,24 +235,6 @@ def trace_to_json(trace: StageTrace) -> dict:
         ],
         "p_events": [list(e) for e in trace.p_events],
     }
-
-
-def trace_from_json(obj: dict) -> StageTrace:
-    return StageTrace(
-        intervals=[
-            StageInterval(
-                t=iv["t"],
-                lo=dyadic_from_json(iv["lo"]),
-                length_exp=iv["length_exp"],
-                m=iv["m"],
-            )
-            for iv in obj["intervals"]
-        ],
-        p_events=[tuple(e) for e in obj["p_events"]],
-        stages=obj["stages"],
-        name_label=obj.get("name", ""),
-        rate_label=obj.get("rate", ""),
-    )
 
 
 def complexity_to_json(v: ComplexityValue) -> dict:

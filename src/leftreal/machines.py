@@ -39,6 +39,7 @@ from .foundations import (
     DyadicInterval,
     ZERO,
     check_bits,
+    dyadic_weight,
     half_power,
     strings_of_length,
 )
@@ -457,11 +458,7 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
 
 def omega_lower(machine: PrefixMachine, budget: Budget) -> Dyadic:
     """Stage weight ``sum(2**-len(p))`` over the budgeted domain."""
-    enum = enumerate_domain(machine, budget)
-    if not enum.pairs:
-        return ZERO
-    e = max(len(p) for p, _ in enum.pairs)
-    return Dyadic.of(sum(1 << (e - len(p)) for p, _ in enum.pairs), e)
+    return dyadic_weight(len(p) for p, _ in enumerate_domain(machine, budget).pairs)
 
 
 def floor_nth_root(x: int, n: int) -> int:

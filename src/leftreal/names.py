@@ -21,7 +21,7 @@ from .errors import (
     NotASet,
     RangeViolation,
 )
-from .foundations import Dyadic, NatSetView, ONE, ZERO, half_power
+from .foundations import Dyadic, NatSetView, ONE, ZERO, dyadic_weight, half_power
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +230,7 @@ class IncreasingDyadicStream:
 
 def partial_sum(f: NameStream, upto: int) -> Dyadic:
     """Exact ``sum(2**-f(k) for k <= upto)``; rejects sums above 1."""
-    if upto < 0:
-        return ZERO
-    vals = f.values(upto + 1)
-    e = max(vals)
-    acc = sum(1 << (e - v) for v in vals)
-    total = Dyadic.of(acc, e)
+    total = dyadic_weight(f.values(upto + 1))
     if total > ONE:
         raise InvalidName(
             f"partial sum of {f.label or '?'} exceeds 1 at stage {upto}: {total}"
@@ -271,13 +266,7 @@ def tail_weight(f: NameStream, m0: int, upto: int) -> Dyadic:
 
     This is the stage-``upto`` lower bound of the true tail beyond ``m0``.
     """
-    if upto < 0:
-        return ZERO
-    vals = [v for v in f.values(upto + 1) if v >= m0]
-    if not vals:
-        return ZERO
-    e = max(vals)
-    return Dyadic.of(sum(1 << (e - v) for v in vals), e)
+    return dyadic_weight(v for v in f.values(upto + 1) if v >= m0)
 
 
 class CheckStatus(enum.Enum):

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionRefuted,
     RateError,
 )
-from .foundations import BitStream, Dyadic, ONE, ZERO, half_power
+from .foundations import BitStream, Dyadic, ONE, dyadic_weight, half_power
 from .kraft_chaitin import KCAllocator
 from .machines import Budget, PrefixMachine, TableMachine, enumerate_domain
 from .names import Modulus
@@ -85,11 +85,7 @@ class TestFamily:
 
 def weight_of(strings: Iterable[str]) -> Dyadic:
     """Exact ``sum(2**-len(s))`` (caller is responsible for deduplication)."""
-    lens = [len(s) for s in strings]
-    if not lens:
-        return ZERO
-    e = max(lens)
-    return Dyadic.of(sum(1 << (e - l) for l in lens), e)
+    return dyadic_weight(len(s) for s in strings)
 
 
 def level_weight(family: TestFamily, n: int, stage: Optional[int] = None) -> Dyadic:

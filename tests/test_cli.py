@@ -1,9 +1,15 @@
 """CLI: subcommand smoke tests, exit-code contract, byte determinism."""
 
+import contextlib
+import io
 import json
+import shlex
 from pathlib import Path
 
-from leftreal.cli import main
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from leftreal.cli import COMMANDS, build_parser, main, natural
 from leftreal.jsonio import canonical_dumps
 
 
@@ -49,6 +55,30 @@ def test_machine_validate_prefix_violation_exits_two(tmp_path, capsys):
 def test_usage_error_exits_one(tmp_path, capsys):
     code, _ = run(capsys, "machine", "validate", str(tmp_path / "missing.json"))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "construct join --a elements:0,1:4",
+        "immunity hyperimmune --set evens:10 --horizon 10",
+        "immunity immune --set evens:10 --horizon 10",
+        "machine k ref",
+        "omega-s ref --s 1/0",
+        "construct join --a evens --b odds:4",
+        "skt from-rate ref --rate shift:2 --nmax -1",
+        "convert roc-to-skt --name ap:0,1 --rate shift:2 --stages 50",
+        "immunity immune --set multiples:0:8 --witness evens:8 --horizon 8",
+        "skt validate {requests} --nmax 1",
+    ],
+)
+def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
+    requests = write(tmp_path, "req.json", [[1, "0"]])  # not a family artifact
+    code = main(argv.format(requests=requests).split())
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_kc_alloc_weight_exceeded_exits_two(tmp_path, capsys):
@@ -235,3 +265,53 @@ def test_profile_golden_bytes(tmp_path, capsys):
     assert main(argv + ["--out", b]) == 0
     assert Path(a).read_bytes() == Path(b).read_bytes()
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+COUNTS = ["-1", "0", "3", "abc"]
+TOKENS = COUNTS + [
+    "1/0", "1/2", "01", "evens", "evens:8", "multiples:0:8", "ref",
+    "no-such-dir/input.json", "shift:2", "periodic:01", "ap:2,1", "prefix-sums:01:2",
+]
+
+
+@st.composite
+def table_argv(draw):
+    """A leaf of ``COMMANDS`` with a random subset of its declared args."""
+    path = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = path.split()
+    for name, kw in COMMANDS[path][1]:
+        if name in ("--budget-l", "--budget-t"):
+            argv += [name, str(draw(st.integers(0, 12)))]
+        elif draw(st.integers(0, 3)) == 0:  # keep three args in four
+            continue
+        elif kw.get("action") == "store_true":
+            argv.append(name)
+        else:
+            pool = COUNTS if kw.get("type") is natural else TOKENS
+            argv += [name] * name.startswith("--") + [draw(st.sampled_from(pool))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_argv())
+def test_any_table_argv_exits_0_1_or_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")  # continuation lines
+    lines = [ln for ln in joined.splitlines() if ln.startswith("leftreal ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -16,7 +16,7 @@ from leftreal.conversions import (
     roc_to_skt,
     tail_bound_check,
 )
-from leftreal.errors import PreconditionRefuted, RateError
+from leftreal.errors import InvalidName, PreconditionRefuted, RateError
 from leftreal.foundations import BitStream, Dyadic, ZERO
 from leftreal.machines import Budget, Interpreter
 from leftreal.names import (
@@ -137,6 +137,13 @@ def test_roc_to_skt_rejects_bad_rate_start():
     f = NameStream.affine(2, 1)  # f(0) = 1
     with pytest.raises(RateError):
         roc_to_skt(f, RateSpec(Modulus.shift(0)), 50)
+
+
+def test_roc_to_skt_rejects_names_summing_past_one():
+    f = NameStream.affine(0, 1)  # every term is 2^-1, so x_2 = 3/2
+    with pytest.raises(InvalidName):
+        roc_to_skt(f, RateSpec(Modulus.shift(2)), 50)
+    roc_to_skt(f, RateSpec(Modulus.shift(2)), 2)  # x_1 = 1 is still a valid sum
 
 
 def test_roc_to_skt_refuted_certificate():

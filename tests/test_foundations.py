@@ -14,6 +14,7 @@ from leftreal.foundations import (
     ONE,
     ZERO,
     charseq,
+    dyadic_weight,
     evens,
     floor_scale,
     half_power,
@@ -131,6 +132,13 @@ def test_floor_scale_examples():
     assert floor_scale(Dyadic.of(5, 3), 3) == 5
     assert floor_scale(Dyadic.of(85, 8), 4) == 5  # 85/256 * 16 = 5.3125
     assert floor_scale(ZERO, 10) == 0
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=70), max_size=12))
+def test_dyadic_weight_matches_fraction_sum(exps):
+    w = dyadic_weight(exps)
+    assert frac(w) == sum((Fraction(1, 2) ** e for e in exps), Fraction(0))
+    assert w == Dyadic.of(w.num, w.exp)  # canonical, so ZERO when exps is empty
 
 
 @given(
