@@ -44,6 +44,7 @@ from .jsonio import (
     family_to_json,
     machine_from_json,
     machine_to_json,
+    pairs_from_json,
     parse_fraction,
     parse_increasing,
     parse_name,
@@ -197,8 +198,16 @@ def _cmd_machine_k(out: _Output, args) -> int:
     return 0
 
 
+def _load_requests(out: _Output, path: str) -> list:
+    """A KC request file: a JSON list of ``[length, payload]`` pairs."""
+    requests = pairs_from_json(_load_json(out, path), "KC requests")
+    if not all(isinstance(l, (int, str)) for l, _ in requests):
+        raise SpecError("KC request lengths must be integers")
+    return requests
+
+
 def _cmd_kc_alloc(out: _Output, args) -> int:
-    requests = _load_json(out, args.requests)
+    requests = _load_requests(out, args.requests)
     alloc = KCAllocator()
     result = [[alloc.request(int(l)), payload] for l, payload in requests]
     out.emit_json({"codewords": result})
@@ -206,7 +215,7 @@ def _cmd_kc_alloc(out: _Output, args) -> int:
 
 
 def _cmd_kc_build(out: _Output, args) -> int:
-    requests = _load_json(out, args.requests)
+    requests = _load_requests(out, args.requests)
     m = kc_build_machine([(int(l), payload) for l, payload in requests])
     out.emit_json({"machine": machine_to_json(m), "id": m.id})
     return 0

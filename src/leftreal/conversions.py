@@ -14,11 +14,12 @@ intervals could never contain the limit.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionRefuted, RateError
-from .foundations import Dyadic, ZERO, floor_scale, half_power
+from .foundations import Dyadic, ZERO, floor_scale
 from .machines import Budget, PrefixMachine, complexity
 from .names import (
     CheckStatus,
@@ -118,6 +119,14 @@ def roc_to_skt(
     The returned family's level ``n`` collects all strings of length
     ``s(n)`` whose closed interval meets some emitted interval of length
     ``2**-s(n)``.
+
+    No stage rescans the indices.  Since ``x_t`` only grows, a reset index
+    qualifies from the first stage where ``x_t`` passes its threshold
+    ``x_{p(m)} + 2**-s(m)`` until its next reset: a heap of thresholds hands
+    it to a heap of qualified indices.  An index never reset has window
+    ``x_t >= x_0 > 2**-s(0) >= 2**-s(m)`` (as ``r(0) > f(0)``), so it always
+    qualifies, and the indices reset so far are exactly those below a cursor;
+    the least qualified index is the top of the second heap, else the cursor.
     """
     if f.finite:
         return RocToSktResult(
@@ -139,27 +148,31 @@ def roc_to_skt(
                 f"tail {chk.tail.num}/2^{chk.tail.exp} > 2^-{n}"
             )
 
-    sums = [ZERO]  # sums[i] = x_{i-1} = sum of the first i name terms
-    pointers: dict[int, int] = {}
+    # x_t = x / 2**scale exactly, and for integers x - x_p > 2**(scale - s)
+    # iff x - x_p > (1 << scale) >> s.  Indices below ``fresh`` have been
+    # reset: ``pending`` holds (threshold, m) until x passes the threshold,
+    # then ``active`` holds m until its next reset.
+    values = f.values(stages)
+    scale = max(values, default=0)
+    one = 1 << scale
+    x = 0
+    fresh = 0
+    pending: list[tuple[int, int]] = []
+    active: list[int] = []
     events: list[tuple[int, int, int]] = []
     intervals: list[StageInterval] = []
-    for t in range(stages):
-        sums.append(sums[-1] + half_power(f.at(t)))
-        x_t = sums[-1]
-        m = 0
-        while True:
-            window = x_t - sums[pointers.get(m, 0)]
-            if window > half_power(rate.s(m)):
-                break
-            m += 1
-            if m > t:
-                raise AssertionError(
-                    f"no pointer index qualified at stage {t + 1}; "
-                    "the certified preconditions exclude this"
-                )
-        pointers[m] = t + 1
+    for t, v in enumerate(values):
+        x += one >> v
+        while pending and pending[0][0] < x:
+            heapq.heappush(active, heapq.heappop(pending)[1])
+        if active:
+            m = heapq.heappop(active)
+        else:
+            m, fresh = fresh, fresh + 1
+        exp = rate.s(m)
+        heapq.heappush(pending, (x + (one >> exp), m))
         events.append((m, t + 1, t + 1))
-        intervals.append(StageInterval(t=t, lo=x_t, length_exp=rate.s(m), m=m))
+        intervals.append(StageInterval(t=t, lo=Dyadic.of(x, scale), length_exp=exp, m=m))
 
     trace = StageTrace(
         intervals=intervals,
@@ -168,13 +181,18 @@ def roc_to_skt(
         name_label=f.label,
         rate_label=r.label,
     )
+    lows: dict[int, list[Dyadic]] = {}  # length_exp -> interval left ends
+    levels: dict[int, list[str]] = {}
 
     def level_fn(n: int):
         exp = rate.s(n)
-        cells: set[int] = set()
-        for iv in trace.intervals_of_exp(exp):
-            cells.update(_cells_touching(iv.lo, exp))
-        return [format(j, f"0{exp}b") for j in sorted(cells)]
+        if exp not in levels:
+            if not lows:
+                for iv in intervals:
+                    lows.setdefault(iv.length_exp, []).append(iv.lo)
+            cells = {j for lo in lows.get(exp, ()) for j in _cells_touching(lo, exp)}
+            levels[exp] = [format(j, f"0{exp}b") for j in sorted(cells)]
+        return levels[exp]
 
     family = TestFamily(
         level_fn,

@@ -17,7 +17,7 @@ from .errors import HorizonExceeded, NotASet, RangeViolation
 
 def check_bits(s: str) -> str:
     """Validate that ``s`` consists only of '0'/'1' characters."""
-    if s.strip("01"):
+    if not isinstance(s, str) or s.strip("01"):
         raise ValueError(f"not a bit string: {s!r}")
     return s
 

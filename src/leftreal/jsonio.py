@@ -74,6 +74,15 @@ def parse_fraction(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def pairs_from_json(obj: Any, what: str) -> list:
+    """``obj`` if it is a list of two-element lists, else a ``SpecError``."""
+    if not isinstance(obj, list) or not all(
+        isinstance(p, list) and len(p) == 2 for p in obj
+    ):
+        raise SpecError(f"{what} must be a list of two-element lists")
+    return obj
+
+
 def machine_to_json(m: PrefixMachine) -> dict:
     if isinstance(m, TableMachine):
         return {"kind": "table", "entries": [[k, v] for k, v in m.entries]}
@@ -90,10 +99,14 @@ def machine_from_json(obj: Any, resolver=None) -> PrefixMachine:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError("machine document needs a 'kind' field")
     if obj["kind"] == "table":
-        return TableMachine(tuple((k, v) for k, v in obj.get("entries", [])))
+        entries = pairs_from_json(obj.get("entries", []), "table entries")
+        return TableMachine(tuple((k, v) for k, v in entries))
     if obj["kind"] == "interpreter":
         aux = []
-        for sub in obj.get("aux", []):
+        subs = obj.get("aux", [])
+        if not isinstance(subs, list):
+            raise SpecError("interpreter 'aux' must be a list of machines")
+        for sub in subs:
             sub_m = machine_from_json(sub, resolver)
             if not isinstance(sub_m, TableMachine):
                 raise SpecError("interpreter auxiliaries must be table machines")
@@ -216,7 +229,12 @@ def family_from_json(obj: dict) -> TestFamily:
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind not in kinds:
         raise SpecError(f"unknown family kind {kind!r}")
-    return TestFamily.explicit(obj["levels"], kinds[kind])
+    levels = obj.get("levels")
+    if not isinstance(levels, list) or not all(
+        isinstance(lv, list) and all(isinstance(w, str) for w in lv) for lv in levels
+    ):
+        raise SpecError("family 'levels' must be a list of lists of strings")
+    return TestFamily.explicit(levels, kinds[kind])
 
 
 def trace_to_json(trace: StageTrace) -> dict:

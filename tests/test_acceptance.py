@@ -173,7 +173,7 @@ def test_rate_from_skt_synthesis():
 
 
 def test_main_theorem_forward():
-    with criterion("roc-to-skt-two-thirds", limit_seconds=30):
+    with criterion("roc-to-skt-two-thirds", limit_seconds=5):
         from leftreal.names import NameStream
 
         f = NameStream.affine(2, 1)  # sums to 2/3

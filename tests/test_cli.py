@@ -70,11 +70,25 @@ def test_usage_error_exits_one(tmp_path, capsys):
         "convert roc-to-skt --name ap:0,1 --rate shift:2 --stages 50",
         "immunity immune --set multiples:0:8 --witness evens:8 --horizon 8",
         "skt validate {requests} --nmax 1",
+        "kc alloc {flat}",
+        "kc build {flat}",
+        "machine validate {bad_table}",
+        "machine validate {bad_aux}",
+        "kc build {int_payload}",
+        "skt validate {bad_levels} --nmax 1",
     ],
 )
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
-    requests = write(tmp_path, "req.json", [[1, "0"]])  # not a family artifact
-    code = main(argv.format(requests=requests).split())
+    docs = {
+        "requests": [[1, "0"]],  # not a family artifact
+        "flat": [1, 2],  # requests that are not [length, payload] pairs
+        "bad_table": {"kind": "table", "entries": [1]},
+        "bad_aux": {"kind": "interpreter", "aux": 5},
+        "int_payload": [[5, 7]],  # a payload must be a bit string
+        "bad_levels": {"family": {"kind": "strong-kurtz", "levels": 5}},
+    }
+    paths = {key: write(tmp_path, key + ".json", doc) for key, doc in docs.items()}
+    code = main(argv.format(**paths).split())
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1

@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from leftreal import conversions
 from leftreal.conversions import (
     RateSpec,
     StageInterval,
@@ -17,14 +19,17 @@ from leftreal.conversions import (
     tail_bound_check,
 )
 from leftreal.errors import InvalidName, PreconditionRefuted, RateError
-from leftreal.foundations import BitStream, Dyadic, ZERO
+from leftreal.foundations import BitStream, Dyadic, ZERO, half_power
+from leftreal.jsonio import parse_name, parse_rate
 from leftreal.machines import Budget, Interpreter
 from leftreal.names import (
+    CheckStatus,
     IncreasingDyadicStream,
     Modulus,
     NameStream,
     name_from_increasing,
     partial_sum,
+    roc_certificate_check,
 )
 from leftreal.randomness import TestKind, covers, level_weight, validate_family
 
@@ -156,6 +161,108 @@ def test_roc_to_skt_refuted_certificate():
 def test_roc_to_skt_dyadic_shortcut_for_finite_names():
     res = roc_to_skt(NameStream.from_list([2, 3]), RateSpec(Modulus.shift(2)), 50)
     assert res.dyadic_shortcut and res.trace is None and res.family is None
+
+
+def test_roc_to_skt_level_cells_computed_once(monkeypatch):
+    _, rate, res = two_thirds_pipeline(stages=120)
+    expected = []
+    for n in range(125):  # s(n) for n >= 118 is past every interval: empty levels
+        exp = rate.s(n)
+        cells = set()
+        for iv in res.trace.intervals_of_exp(exp):
+            cells.update(conversions._cells_touching(iv.lo, exp))
+        expected.append([format(j, f"0{exp}b") for j in sorted(cells)])
+    assert expected[-1] == [] and expected[0]
+    touched = []
+    real = conversions._cells_touching
+    monkeypatch.setattr(
+        conversions, "_cells_touching", lambda lo, exp: touched.append(lo) or real(lo, exp)
+    )
+    for _ in range(2):
+        assert [res.family.level_list(n) for n in range(125)] == expected
+    assert len(touched) == len(res.trace.intervals)  # each interval's cells once
+
+
+def _reference_stage_loop(f, rate, stages):
+    """The quadratic stage loop ``roc_to_skt`` replaced, with its checks.
+
+    Each stage rescans pointer indices from 0 in ``Dyadic`` arithmetic.
+    """
+    partial_sum(f, stages - 1)
+    r = rate.r
+    if r.at(0) <= f.at(0):
+        raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
+    for n in range(9):
+        chk = roc_certificate_check(f, r, n, stages)
+        if chk.status is CheckStatus.REFUTED:
+            raise PreconditionRefuted(
+                f"tail certificate refuted at level {n}: "
+                f"tail {chk.tail.num}/2^{chk.tail.exp} > 2^-{n}"
+            )
+    sums = [ZERO]
+    pointers = {}
+    events = []
+    intervals = []
+    for t in range(stages):
+        sums.append(sums[-1] + half_power(f.at(t)))
+        x_t = sums[-1]
+        m = 0
+        while True:
+            window = x_t - sums[pointers.get(m, 0)]
+            if window > half_power(rate.s(m)):
+                break
+            m += 1
+            if m > t:
+                raise AssertionError(
+                    f"no pointer index qualified at stage {t + 1}; "
+                    "the certified preconditions exclude this"
+                )
+        pointers[m] = t + 1
+        events.append((m, t + 1, t + 1))
+        intervals.append(StageInterval(t=t, lo=x_t, length_exp=rate.s(m), m=m))
+    return intervals, events
+
+
+def _swapped_name():
+    # 3, 2, 5, 4, 7, 6, ...: not monotone, sums to 1/2
+    return NameStream.from_function(lambda k: (k ^ 1) + 2, label="swapped")
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.one_of(
+        st.builds("ap:{},{}".format, st.integers(1, 4), st.integers(1, 3)),
+        st.just("swapped"),
+    ),
+    rate=st.one_of(
+        st.builds("shift:{}".format, st.integers(0, 4)),
+        st.builds("affine:{},{}".format, st.integers(1, 3), st.integers(0, 4)),
+        st.builds("pow2:{}".format, st.integers(0, 2)),
+        st.builds("gap:{}>>{}".format, st.integers(0, 2), st.integers(0, 2)),
+        st.builds(
+            lambda vs: "values:" + ",".join(map(str, vs)),
+            st.lists(st.integers(2, 40), min_size=9, max_size=14).map(sorted),
+        ),
+    ),
+    stages=st.integers(1, 300),
+)
+def test_roc_to_skt_matches_quadratic_reference(name, rate, stages):
+    def fresh():
+        f = _swapped_name() if name == "swapped" else parse_name(name)
+        return f, RateSpec(parse_rate(rate))
+
+    def new():
+        res = roc_to_skt(*fresh(), stages)
+        return res.trace.intervals, res.trace.p_events
+
+    assert _outcome(new) == _outcome(lambda: _reference_stage_loop(*fresh(), stages))
 
 
 # ---------------------------------------------------------------------------
