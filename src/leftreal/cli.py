@@ -127,10 +127,21 @@ class _Output:
         self._write(header + text)
 
     def _write(self, text: str) -> None:
-        if self.out:
-            Path(self.out).write_text(text, encoding="utf-8")
-        else:
+        if not self.out:
             sys.stdout.write(text)
+            return
+        # write beside the target, then rename: a reader of ``--out`` sees
+        # the old artifact or the new one, never a part-written file
+        target = Path(self.out)
+        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink()
+            raise
 
 
 def _load_json(out: _Output, path: str) -> Any:

@@ -33,6 +33,8 @@ from .names import (
 )
 from .randomness import TestFamily, TestKind
 
+CERTIFY_LEVELS = 8  # roc_to_skt checks the tail certificate at levels 0..8
+
 
 @dataclass
 class RateSpec:
@@ -105,12 +107,7 @@ class RocToSktResult:
     reason: str = ""
 
 
-def roc_to_skt(
-    f: NameStream,
-    rate: RateSpec,
-    stages: int,
-    certify_levels: int = 8,
-) -> RocToSktResult:
+def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     """Run the staged interval enumeration for a certified name.
 
     At stage ``t+1`` the smallest pointer index ``m`` whose window weight
@@ -140,7 +137,7 @@ def roc_to_skt(
     r = rate.r
     if r.at(0) <= f.at(0):
         raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
-    for n in range(certify_levels + 1):
+    for n in range(CERTIFY_LEVELS + 1):
         chk = roc_certificate_check(f, r, n, stages)
         if chk.status is CheckStatus.REFUTED:
             raise PreconditionRefuted(

@@ -1,5 +1,6 @@
-"""Exact dyadic arithmetic, bit strings and streams, set views, and the
-standard combinatorial bijections (pairing, length-lex enumeration).
+"""Exact dyadic arithmetic, bit strings, replayable sequences and bit
+streams, set views, and the standard combinatorial bijections (pairing,
+length-lex enumeration).
 
 Bit strings are plain ``str`` objects over ``"0"``/``"1"``; the empty
 string is a valid bit string.  All arithmetic is exact big-integer
@@ -10,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .errors import HorizonExceeded, NotASet, RangeViolation
+from .errors import HorizonExceeded, RangeViolation
 
 
 def check_bits(s: str) -> str:
@@ -227,46 +228,63 @@ def strings_of_length(n: int) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
-# Bit streams
+# Replayable sequences and bit streams
 # ---------------------------------------------------------------------------
 
 
-class BitStream:
-    """Replayable, deterministic producer of bits.
+class Replayable:
+    """A computable sequence read by index: ``at(k)`` is ``fn(k)``.
 
-    ``bit(i)`` is a pure function of ``i``; memoization is internal and
-    invisible to callers.  Streams backed by finite data carry a horizon
-    and fail loudly beyond it.
+    Values are computed once each and in index order, so ``fn`` is called
+    for k = 0, 1, 2, ... and may read earlier values through ``at``.  Each
+    new value passes ``_check`` before it is stored.  Sequences backed by
+    finite data carry a horizon and fail loudly beyond it.
     """
 
     def __init__(
-        self,
-        fn: Callable[[int], int],
-        horizon: Optional[int] = None,
-        label: str = "",
+        self, fn: Callable[[int], Any], horizon: Optional[int] = None, label: str = ""
     ):
         self._fn = fn
         self.horizon = horizon
         self.label = label
-        self._cache: dict[int, int] = {}
+        self._memo: list = []
 
-    def bit(self, i: int) -> int:
-        if i < 0:
-            raise ValueError("bit index must be a natural number")
-        if self.horizon is not None and i >= self.horizon:
+    def at(self, k: int) -> Any:
+        if k < 0:
+            raise ValueError("sequence index must be a natural number")
+        if self.horizon is not None and k >= self.horizon:
             raise HorizonExceeded(
-                f"stream {self.label or '?'} queried at {i} beyond horizon {self.horizon}"
+                f"{self.label or 'sequence'} queried at {k} "
+                f"beyond horizon {self.horizon}"
             )
-        b = self._cache.get(i)
-        if b is None:
-            b = self._fn(i)
-            if b not in (0, 1):
-                raise ValueError(f"stream produced non-bit {b!r} at index {i}")
-            self._cache[i] = b
-        return b
+        memo = self._memo
+        while len(memo) <= k:
+            v = self._fn(len(memo))
+            self._check(len(memo), v)
+            memo.append(v)
+        return memo[k]
+
+    def values(self, count: int) -> list:
+        """The first ``count`` values."""
+        if count > 0:
+            self.at(count - 1)
+        return self._memo[: max(count, 0)]
+
+    def _check(self, k: int, v: Any) -> None:
+        """Reject a bad value ``v`` at index ``k``."""
+
+
+class BitStream(Replayable):
+    """Replayable, deterministic producer of bits."""
+
+    bit = Replayable.at
+
+    def _check(self, k: int, v: int) -> None:
+        if v not in (0, 1):
+            raise ValueError(f"stream produced non-bit {v!r} at index {k}")
 
     def prefix(self, n: int) -> str:
-        return "".join(str(self.bit(i)) for i in range(n))
+        return "".join(map(str, self.values(n)))
 
     def prefix_value(self, n: int) -> Dyadic:
         """Exact value of the length-``n`` prefix read as ``0.bits``."""
@@ -357,14 +375,6 @@ class NatSetView:
             self.horizon,
             label=f"~{self.label}" if self.label else "",
         )
-
-    def check_consistency(self) -> None:
-        """Verify enumerator outputs agree with membership below the horizon."""
-        for n in self.enumerate():
-            if n < self.horizon and not self._member(n):
-                raise NotASet(
-                    f"enumerator of {self.label or '?'} emitted non-member {n}"
-                )
 
     @staticmethod
     def from_elements(

@@ -30,7 +30,7 @@ import enum
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Union
 
 from .errors import BudgetGuard, PrefixViolation
@@ -142,7 +142,7 @@ class TableMachine:
                 raise ValueError(f"duplicate program {a!r} in table")
         _check_prefix_free(keys)
 
-    @property
+    @cached_property
     def mapping(self) -> dict[str, str]:
         return dict(self.entries)
 
@@ -390,15 +390,11 @@ def _enumerate_interpreter(m: Interpreter, b: Budget) -> DomainEnumeration:
 
 
 @lru_cache(maxsize=256)
-def _enumerate_cached(machine: PrefixMachine, budget: Budget) -> DomainEnumeration:
+def enumerate_domain(machine: PrefixMachine, budget: Budget) -> DomainEnumeration:
+    """Deterministic (length-lex) listing of the budgeted domain."""
     if isinstance(machine, TableMachine):
         return _enumerate_table(machine, budget)
     return _enumerate_interpreter(machine, budget)
-
-
-def enumerate_domain(machine: PrefixMachine, budget: Budget) -> DomainEnumeration:
-    """Deterministic (length-lex) listing of the budgeted domain."""
-    return _enumerate_cached(machine, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,20 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import (
-    HorizonExceeded,
     InvalidName,
     MonotonicityViolation,
     NotASet,
     RangeViolation,
 )
-from .foundations import Dyadic, NatSetView, ONE, ZERO, dyadic_weight, half_power
+from .foundations import (
+    Dyadic,
+    NatSetView,
+    ONE,
+    Replayable,
+    ZERO,
+    dyadic_weight,
+    half_power,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +36,7 @@ from .foundations import Dyadic, NatSetView, ONE, ZERO, dyadic_weight, half_powe
 # ---------------------------------------------------------------------------
 
 
-class NameStream:
+class NameStream(Replayable):
     """Replayable name ``f : N -> N``; may be finite at desk scale."""
 
     def __init__(
@@ -39,35 +46,22 @@ class NameStream:
         label: str = "",
         block_boundaries: Optional[list[int]] = None,
     ):
-        self._fn = fn
-        self.length = length
-        self.label = label
+        super().__init__(fn, length, label)
         # for names built block-wise: boundaries[t] = number of values
         # emitted by the first t blocks
         self.block_boundaries = block_boundaries
-        self._cache: dict[int, int] = {}
+
+    @property
+    def length(self) -> Optional[int]:
+        return self.horizon
 
     @property
     def finite(self) -> bool:
-        return self.length is not None
+        return self.horizon is not None
 
-    def at(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("name index must be a natural number")
-        if self.length is not None and k >= self.length:
-            raise HorizonExceeded(
-                f"name {self.label or '?'} queried at {k} beyond length {self.length}"
-            )
-        v = self._cache.get(k)
-        if v is None:
-            v = self._fn(k)
-            if v < 0:
-                raise ValueError(f"name value must be natural, got {v} at {k}")
-            self._cache[k] = v
-        return v
-
-    def values(self, count: int) -> list[int]:
-        return [self.at(k) for k in range(count)]
+    def _check(self, k: int, v: int) -> None:
+        if v < 0:
+            raise ValueError(f"name value must be natural, got {v} at {k}")
 
     @staticmethod
     def from_list(values: Sequence[int], label: str = "") -> "NameStream":
@@ -79,34 +73,17 @@ class NameStream:
         """The name ``f(k) = a*k + b``."""
         return NameStream(lambda k: a * k + b, label=f"{a}k+{b}")
 
-    @staticmethod
-    def from_function(fn: Callable[[int], int], label: str = "") -> "NameStream":
-        return NameStream(fn, label=label)
 
-
-class Modulus:
+class Modulus(Replayable):
     """Replayable monotone rate ``n -> r(n)``; monotonicity is enforced."""
 
-    def __init__(self, fn: Callable[[int], int], label: str = ""):
-        self._fn = fn
-        self.label = label
-        self._values: list[int] = []
-
-    def at(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("rate index must be a natural number")
-        while len(self._values) <= n:
-            k = len(self._values)
-            v = self._fn(k)
-            if v < 0:
-                raise ValueError(f"rate value must be natural, got {v} at {k}")
-            if self._values and v < self._values[-1]:
-                raise MonotonicityViolation(
-                    f"rate {self.label or '?'} decreases at {k}: "
-                    f"{self._values[-1]} -> {v}"
-                )
-            self._values.append(v)
-        return self._values[n]
+    def _check(self, k: int, v: int) -> None:
+        if v < 0:
+            raise ValueError(f"rate value must be natural, got {v} at {k}")
+        if k and v < self._memo[-1]:
+            raise MonotonicityViolation(
+                f"rate {self.label or '?'} decreases at {k}: {self._memo[-1]} -> {v}"
+            )
 
     def strictly_increasing_on(self, n_max: int) -> bool:
         return all(self.at(n) < self.at(n + 1) for n in range(n_max))
@@ -132,78 +109,44 @@ class Modulus:
     @staticmethod
     def from_values(values: Sequence[int], label: str = "") -> "Modulus":
         vals = list(values)
-
-        def fn(n: int) -> int:
-            if n >= len(vals):
-                raise HorizonExceeded(
-                    f"rate {label or '?'} defined only up to {len(vals) - 1}"
-                )
-            return vals[n]
-
-        return Modulus(fn, label=label)
-
-    @staticmethod
-    def from_function(fn: Callable[[int], int], label: str = "") -> "Modulus":
-        return Modulus(fn, label=label)
+        return Modulus(vals.__getitem__, len(vals), label)
 
 
-class IncreasingDyadicStream:
+class IncreasingDyadicStream(Replayable):
     """Replayable increasing sequence of dyadics in [0, 1]."""
 
     def __init__(
         self,
         fn: Callable[[int], Dyadic],
-        strict: bool = False,
-        eventually_constant: bool = False,
+        horizon: Optional[int] = None,
         label: str = "",
+        eventually_constant: bool = False,
     ):
-        self._fn = fn
-        self.strict = strict
+        super().__init__(fn, horizon, label)
         self.eventually_constant = eventually_constant
-        self.label = label
-        self._values: list[Dyadic] = []
 
-    def at(self, t: int) -> Dyadic:
-        if t < 0:
-            raise ValueError("stream index must be a natural number")
-        while len(self._values) <= t:
-            k = len(self._values)
-            v = self._fn(k)
-            if v < ZERO or v > ONE:
-                raise RangeViolation(
-                    f"stream {self.label or '?'} left [0,1] at {k}: {v}"
-                )
-            if self._values:
-                prev = self._values[-1]
-                if v < prev or (self.strict and v <= prev):
-                    raise MonotonicityViolation(
-                        f"stream {self.label or '?'} not "
-                        f"{'strictly ' if self.strict else ''}increasing at {k}"
-                    )
-            self._values.append(v)
-        return self._values[t]
+    def _check(self, k: int, v: Dyadic) -> None:
+        if v < ZERO or v > ONE:
+            raise RangeViolation(f"stream {self.label or '?'} left [0,1] at {k}: {v}")
+        if k and v < self._memo[-1]:
+            raise MonotonicityViolation(
+                f"stream {self.label or '?'} not increasing at {k}"
+            )
 
     @staticmethod
     def from_list(
-        values: Sequence[Dyadic],
-        strict: bool = False,
-        extend: bool = False,
-        label: str = "",
+        values: Sequence[Dyadic], extend: bool = False, label: str = ""
     ) -> "IncreasingDyadicStream":
         vals = list(values)
         if not vals:
             raise ValueError("need at least one value")
-
-        def fn(t: int) -> Dyadic:
-            if t < len(vals):
-                return vals[t]
-            if extend:
-                return vals[-1]
-            raise HorizonExceeded(f"stream defined only up to {len(vals) - 1}")
-
-        return IncreasingDyadicStream(
-            fn, strict=strict and not extend, eventually_constant=extend, label=label
-        )
+        if extend:
+            return IncreasingDyadicStream(
+                lambda t: vals[min(t, len(vals) - 1)],
+                label=label,
+                eventually_constant=True,
+            )
+        return IncreasingDyadicStream(vals.__getitem__, len(vals), label)
 
     @staticmethod
     def from_prefix_sums(
@@ -215,12 +158,6 @@ class IncreasingDyadicStream:
             return stream.prefix_value(bits_per_step * t)
 
         return IncreasingDyadicStream(fn, label=label or f"sums({stream.label})")
-
-    @staticmethod
-    def from_function(
-        fn: Callable[[int], Dyadic], strict: bool = False, label: str = ""
-    ) -> "IncreasingDyadicStream":
-        return IncreasingDyadicStream(fn, strict=strict, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +294,22 @@ def strongly_lc(view: NatSetView) -> IncreasingDyadicStream:
     if not view.has_enumerator:
         raise ValueError("strongly_lc needs an enumerator-backed view")
     seen: set[int] = set()
-    sums: list[Dyadic] = [ZERO]
     it = view.enumerate()
-    exhausted = [False]
 
     def at(t: int) -> Dyadic:
-        while len(sums) <= t and not exhausted[0]:
-            try:
-                j = next(it)
-            except StopIteration:
-                exhausted[0] = True
-                break
-            if j in seen:
-                raise NotASet(f"enumerator of {view.label or '?'} repeated {j}")
-            seen.add(j)
-            sums.append(sums[-1] + half_power(j + 1))
-        return sums[min(t, len(sums) - 1)]
+        if t == 0:
+            return ZERO
+        prev = xs.at(t - 1)
+        j = next(it, None)
+        if j is None:
+            return prev
+        if j in seen:
+            raise NotASet(f"enumerator of {view.label or '?'} repeated {j}")
+        seen.add(j)
+        return prev + half_power(j + 1)
 
-    return IncreasingDyadicStream(at, label=f"x({view.label})" if view.label else "")
+    xs = IncreasingDyadicStream(at, label=f"x({view.label})" if view.label else "")
+    return xs
 
 
 def regular_sum(

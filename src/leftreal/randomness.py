@@ -36,7 +36,7 @@ class TestKind(enum.Enum):
 
 
 class TestFamily:
-    """Replayable level enumerators plus kind and optional cardinalities."""
+    """Replayable level enumerators plus kind."""
 
     __test__ = False  # keep pytest from collecting the Test* name
 
@@ -44,13 +44,11 @@ class TestFamily:
         self,
         level_fn: Callable[[int], Iterable[str]],
         kind: TestKind,
-        card_fn: Optional[Callable[[int], int]] = None,
         label: str = "",
         meta: Optional[dict] = None,
     ):
         self._level_fn = level_fn
         self.kind = kind
-        self.card_fn = card_fn
         self.label = label
         self.meta = meta or {}
 
@@ -77,10 +75,7 @@ class TestFamily:
         def level_fn(n: int) -> Iterable[str]:
             return frozen[n] if n < len(frozen) else []
 
-        def card_fn(n: int) -> int:
-            return len(dict.fromkeys(frozen[n])) if n < len(frozen) else 0
-
-        return TestFamily(level_fn, kind, card_fn=card_fn, label=label)
+        return TestFamily(level_fn, kind, label=label)
 
 
 def weight_of(strings: Iterable[str]) -> Dyadic:
@@ -116,7 +111,7 @@ class FamilyVerdict:
 def validate_family(
     family: TestFamily, n_max: int, stage: Optional[int] = None
 ) -> FamilyVerdict:
-    """Budgeted weight / uniform-length / cardinality validation.
+    """Budgeted weight / uniform-length validation.
 
     Refutation is sound and final (weights only grow with more
     enumeration); consistency is relative to the stage budget.
@@ -134,14 +129,6 @@ def validate_family(
                 n,
                 reason=f"level {n} weight {w.num}/2^{w.exp} exceeds 2^-{n}",
             )
-        if family.card_fn is not None and stage is None:
-            declared = family.card_fn(n)
-            if declared != len(strings):
-                return FamilyVerdict(
-                    FamilyStatus.REFUTED,
-                    n,
-                    reason=f"level {n} emitted {len(strings)} strings, declared {declared}",
-                )
     return FamilyVerdict(FamilyStatus.CONSISTENT)
 
 
@@ -194,7 +181,7 @@ def skt_from_rate(
         raise RateError("rate must be strictly increasing on the level range")
     need_l = max(r.at(n) - n for n in range(n_max + 1))
     if need_l > budget.L:
-        budget = Budget(need_l, budget.t, allow_large=budget.allow_large)
+        budget = Budget(need_l, budget.t)
     enum = enumerate_domain(machine, budget)
     levels: list[list[str]] = []
     for n in range(n_max + 1):

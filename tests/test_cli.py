@@ -76,6 +76,7 @@ def test_usage_error_exits_one(tmp_path, capsys):
         "machine validate {bad_aux}",
         "kc build {int_payload}",
         "skt validate {bad_levels} --nmax 1",
+        "skt from-rate ref --rate pow2:4 --nmax 5 --force",
     ],
 )
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
@@ -270,6 +271,18 @@ def test_identical_manifests_give_identical_bytes(tmp_path, capsys):
     b1, b2 = Path(out1).read_bytes(), Path(out2).read_bytes()
     assert b1 == b2
     capsys.readouterr()
+
+
+def test_out_replaces_an_existing_file_atomically(tmp_path, capsys):
+    req = write(tmp_path, "req.json", [[1, "0"], [2, "01"], [2, "10"]])
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "a.json"
+    target.write_text("old artifact, longer than the new one " * 100)
+    assert main(["kc", "alloc", req, "--out", str(target)]) == 0
+    assert main(["kc", "alloc", req]) == 0
+    assert target.read_text() == capsys.readouterr().out
+    assert [p.name for p in out_dir.iterdir()] == ["a.json"]
 
 
 def test_profile_golden_bytes(tmp_path, capsys):

@@ -153,7 +153,7 @@ def test_roc_to_skt_rejects_names_summing_past_one():
 
 def test_roc_to_skt_refuted_certificate():
     # six terms of weight 2^-4 put 3/8 beyond position r(2) = 4, over 2^-2
-    f = NameStream.from_function(lambda k: 1 if k == 0 else (4 if k <= 6 else 2 * k + 1))
+    f = NameStream(lambda k: 1 if k == 0 else (4 if k <= 6 else 2 * k + 1))
     with pytest.raises(PreconditionRefuted):
         roc_to_skt(f, RateSpec(Modulus.shift(2)), 100)
 
@@ -225,7 +225,7 @@ def _reference_stage_loop(f, rate, stages):
 
 def _swapped_name():
     # 3, 2, 5, 4, 7, 6, ...: not monotone, sums to 1/2
-    return NameStream.from_function(lambda k: (k ^ 1) + 2, label="swapped")
+    return NameStream(lambda k: (k ^ 1) + 2, label="swapped")
 
 
 def _outcome(run):

@@ -4,9 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leftreal.errors import InvalidName, MonotonicityViolation, NotASet
-from leftreal.foundations import Dyadic, NatSetView, ZERO
+from leftreal.errors import (
+    HorizonExceeded,
+    InvalidName,
+    MonotonicityViolation,
+    NotASet,
+    RangeViolation,
+)
+from leftreal.foundations import BitStream, Dyadic, NatSetView, ONE, ZERO, half_power
 from leftreal.names import (
     CheckStatus,
     IncreasingDyadicStream,
@@ -65,7 +72,7 @@ def test_multiplicities_direct_count():
 
 
 def test_multiplicities_identity_name():
-    t = multiplicities(NameStream.from_function(lambda k: k), 10)
+    t = multiplicities(NameStream(lambda k: k), 10)
     assert all(t.count(m) == 1 for m in range(11))
     assert sum(t.counts.values()) == 11
 
@@ -120,7 +127,7 @@ def test_roc_certificate_refuted_by_adversarial_name():
 
 def test_roc_certificate_vacuous_beyond_emitted_values():
     f = NameStream.from_list([2, 3, 9])
-    r = Modulus.from_function(lambda n: 50 + n)
+    r = Modulus(lambda n: 50 + n)
     chk = roc_certificate_check(f, r, 0, 2)
     assert chk.status is CheckStatus.CONSISTENT
     assert chk.tail == ZERO
@@ -159,9 +166,7 @@ def test_name_from_increasing_three_eighths():
 
 
 def test_name_from_increasing_rejects_decrease():
-    xs = IncreasingDyadicStream.from_list(
-        [ZERO, Dyadic.of(1, 1), Dyadic.of(1, 2)], strict=False
-    )
+    xs = IncreasingDyadicStream.from_list([ZERO, Dyadic.of(1, 1), Dyadic.of(1, 2)])
     with pytest.raises(MonotonicityViolation):
         name_from_increasing(xs, 2)
 
@@ -232,3 +237,80 @@ def test_strongly_lc_monotone_bounded():
             cur = xs.at(t)
             assert prev <= cur <= Dyadic.of(1, 0)
             prev = cur
+
+
+# ---------------------------------------------------------------------------
+# the four replayable sequence classes
+# ---------------------------------------------------------------------------
+
+# class -> (constructor from fn, constructor from finite data, good value at k,
+# [(bad value, least index where it is bad, the error it raises)])
+SEQUENCES = {
+    "bits": (
+        BitStream,
+        lambda vals: BitStream.from_bits("".join(map(str, vals))),
+        lambda k: k * k // 3 % 2,
+        [(2, 0, ValueError)],
+    ),
+    "name": (
+        NameStream,
+        NameStream.from_list,
+        lambda k: 3 * k % 7,
+        [(-1, 0, ValueError)],
+    ),
+    "rate": (
+        Modulus,
+        Modulus.from_values,
+        lambda k: k + 1,
+        [(-1, 0, ValueError), (0, 1, MonotonicityViolation)],
+    ),
+    "increasing": (
+        IncreasingDyadicStream,
+        IncreasingDyadicStream.from_list,
+        lambda k: ONE - half_power(k + 1),
+        [
+            (ONE + ONE, 0, RangeViolation),
+            (-half_power(1), 0, RangeViolation),
+            (ZERO, 1, MonotonicityViolation),
+        ],
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SEQUENCES)),
+    queries=st.lists(st.integers(0, 60), min_size=1, max_size=20),
+)
+def test_sequences_compute_each_index_once_in_order(kind, queries):
+    make, _, good, _ = SEQUENCES[kind]
+    calls = []
+
+    def fn(k):
+        calls.append(k)
+        return good(k)
+
+    seq = make(fn)
+    for k in queries:
+        assert seq.at(k) == good(k)
+    top = max(queries) + 1
+    assert seq.values(top) == [good(k) for k in range(top)]
+    assert calls == list(range(top))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(SEQUENCES)), data=st.data())
+def test_sequences_reject_bad_indices_and_values(kind, data):
+    make, finite, good, bads = SEQUENCES[kind]
+    with pytest.raises(ValueError):
+        make(good).at(data.draw(st.integers(-50, -1)))
+    horizon = data.draw(st.integers(1, 20))
+    with pytest.raises(HorizonExceeded):
+        finite([good(k) for k in range(horizon)]).at(
+            horizon + data.draw(st.integers(0, 20))
+        )
+    bad, first, error = data.draw(st.sampled_from(bads))
+    j = data.draw(st.integers(first, 30))
+    seq = make(lambda k: bad if k == j else good(k))
+    with pytest.raises(error):
+        seq.at(j + data.draw(st.integers(0, 10)))

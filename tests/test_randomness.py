@@ -55,7 +55,7 @@ def random_machine_and_rate(rng: random.Random):
     offsets = [rng.randint(2, 4)]
     for _ in range(6):
         offsets.append(offsets[-1] + rng.randint(1, 3))
-    r = Modulus.from_function(lambda n, off=tuple(offsets): n + off[n])
+    r = Modulus(lambda n, off=tuple(offsets): n + off[n])
     return validate_table(entries), r
 
 
@@ -142,7 +142,7 @@ def test_skt_from_rate_rejects_slow_rates():
         skt_from_rate(THREE_ENTRY, Modulus.affine(1, 0), 2, Budget(12, 10**3))
     with pytest.raises(RateError):
         skt_from_rate(
-            THREE_ENTRY, Modulus.from_function(lambda n: 5), 2, Budget(12, 10**3)
+            THREE_ENTRY, Modulus(lambda n: 5), 2, Budget(12, 10**3)
         )
 
 
