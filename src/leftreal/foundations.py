@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .errors import HorizonExceeded, RangeViolation
+from .errors import HorizonExceeded, PrefixViolation, RangeViolation
 
 
 def check_bits(s: str) -> str:
@@ -21,6 +21,14 @@ def check_bits(s: str) -> str:
     if not isinstance(s, str) or s.strip("01"):
         raise ValueError(f"not a bit string: {s!r}")
     return s
+
+
+def check_prefix_free(strings: Iterable[str]) -> None:
+    """Raise :class:`PrefixViolation` naming a string and its extension."""
+    srt = sorted(strings)
+    for a, b in zip(srt, srt[1:]):
+        if b.startswith(a):
+            raise PrefixViolation(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +59,6 @@ class Dyadic:
             return Dyadic(0, 0)
         shift = min(exp, (num & -num).bit_length() - 1)
         return Dyadic(num >> shift, exp - shift)
-
-    @staticmethod
-    def from_int(n: int) -> "Dyadic":
-        return Dyadic.of(n, 0)
 
     @staticmethod
     def from_bits(bits: str) -> "Dyadic":
@@ -102,10 +106,6 @@ class Dyadic:
 
     def __ge__(self, other: "Dyadic") -> bool:
         return self._cmp(other) >= 0
-
-    @property
-    def sign(self) -> int:
-        return (self.num > 0) - (self.num < 0)
 
     def is_zero(self) -> bool:
         return self.num == 0
@@ -180,9 +180,6 @@ class DyadicInterval:
     def width(self) -> Dyadic:
         return self.hi - self.lo
 
-    def contains(self, x: Dyadic) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def interval_of(tau: str) -> DyadicInterval:
     """Interval of reals in [0,1] whose expansion can start with ``tau``."""
@@ -221,10 +218,12 @@ def lenlex_inv(tau: str) -> int:
     return int("1" + tau, 2) - 1
 
 
-def strings_of_length(n: int) -> Iterator[str]:
+def strings_of_length(n: int) -> list[str]:
     """All bit strings of length ``n`` in lexicographic order."""
-    for v in range(1 << n):
-        yield format(v, f"0{n}b") if n else ""
+    if not n:
+        return [""]
+    spec = f"0{n}b"
+    return [format(v, spec) for v in range(1 << n)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +285,13 @@ class BitStream(Replayable):
     def prefix(self, n: int) -> str:
         return "".join(map(str, self.values(n)))
 
-    def prefix_value(self, n: int) -> Dyadic:
-        """Exact value of the length-``n`` prefix read as ``0.bits``."""
-        return Dyadic.from_bits(self.prefix(n))
-
     @staticmethod
-    def from_bits(bits: str, pad_zeros: bool = False) -> "BitStream":
+    def from_bits(bits: str) -> "BitStream":
+        """The stream ``bits`` followed by zeros."""
         check_bits(bits)
-        if pad_zeros:
-            return BitStream(
-                lambda i: int(bits[i]) if i < len(bits) else 0, label=f"{bits}0*"
-            )
-        return BitStream(lambda i: int(bits[i]), horizon=len(bits), label=bits)
+        return BitStream(
+            lambda i: int(bits[i]) if i < len(bits) else 0, label=f"{bits}0*"
+        )
 
     @staticmethod
     def periodic(pattern: str) -> "BitStream":

@@ -167,7 +167,7 @@ def parse_stream(text: str) -> BitStream:
     if kind == "periodic":
         return BitStream.periodic(rest)
     if kind == "bits":
-        return BitStream.from_bits(rest, pad_zeros=True)
+        return BitStream.from_bits(rest)
     if kind == "const":
         return BitStream.constant(int(rest))
     raise SpecError(f"unknown stream spec {text!r}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import WeightExceeded
-from .foundations import Dyadic, ONE, ZERO, half_power
+from .foundations import Dyadic, ONE, ZERO, dyadic_weight, half_power
 from .machines import TableMachine, validate_table
 
 
@@ -63,10 +63,7 @@ class KCAllocator:
         return codeword
 
     def free_weight(self) -> Dyadic:
-        acc = ZERO
-        for level, _ in self._free:
-            acc = acc + half_power(level)
-        return acc
+        return dyadic_weight(level for level, _ in self._free)
 
     def check_invariants(self) -> None:
         """Assert the interval-discipline invariants (used by tests)."""

@@ -31,14 +31,15 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .errors import BudgetGuard, PrefixViolation
+from .errors import BudgetGuard
 from .foundations import (
     Dyadic,
     DyadicInterval,
     ZERO,
     check_bits,
+    check_prefix_free,
     dyadic_weight,
     half_power,
     strings_of_length,
@@ -76,6 +77,44 @@ def gamma_parse(s: str, pos: int) -> Optional[tuple[int, int]]:
     if end > len(s):
         return None
     return int(s[pos + z : end], 2), end
+
+
+# ---------------------------------------------------------------------------
+# The interpreter's instruction set
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Opcode:
+    """One instruction: ``tag``, a gamma-coded number per header field, a body.
+
+    For a literal or a repeat, ``lengths(*nums)`` is the body length and the
+    output length that the header numbers fix, and ``outputs(bodies, *nums)``
+    lists the output of each body.  A table call's body is a program of the
+    table its header names, so it has neither.
+    """
+
+    tag: str
+    fields: tuple[str, ...]
+    lengths: Optional[Callable[..., tuple[int, int]]] = None
+    outputs: Optional[Callable[..., list[str]]] = None
+
+    def header(self, *nums: int) -> str:
+        return self.tag + "".join(map(gamma_encode, nums))
+
+    def header_length(self, *nums: int) -> int:
+        return len(self.tag) + sum(map(gamma_length, nums))
+
+
+def _repeat(patterns: list[str], count: int, plen: int) -> list[str]:
+    reps = -(-count // plen)
+    return [(pattern * reps)[:count] for pattern in patterns]
+
+
+LITERAL = Opcode("0", ("len(payload) + 1",), lambda n: (n - 1, n - 1), lambda ps, n: ps)
+REPEAT = Opcode("10", ("output length", "pattern length"), lambda c, p: (p, c), _repeat)
+CALL = Opcode("11", ("auxiliary table index",))
+OPCODES = (LITERAL, REPEAT, CALL)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +159,6 @@ class RunOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _check_prefix_free(keys: list[str]) -> None:
-    for a, b in zip(keys, keys[1:]):
-        if b.startswith(a):
-            raise PrefixViolation(a, b)
-
-
 @dataclass(frozen=True)
 class TableMachine:
     """Finite prefix-free machine given by an explicit program table."""
@@ -140,7 +173,7 @@ class TableMachine:
         for a, b in zip(keys, keys[1:]):
             if a == b:
                 raise ValueError(f"duplicate program {a!r} in table")
-        _check_prefix_free(keys)
+        check_prefix_free(keys)
 
     @cached_property
     def mapping(self) -> dict[str, str]:
@@ -183,23 +216,23 @@ class Interpreter:
     @staticmethod
     def literal_encode(payload: str) -> str:
         check_bits(payload)
-        return "0" + gamma_encode(len(payload) + 1) + payload
+        return LITERAL.header(len(payload) + 1) + payload
 
     @staticmethod
     def repeat_encode(out_len: int, pattern: str) -> str:
         check_bits(pattern)
         if out_len < 1 or not pattern:
             raise ValueError("repeat needs out_len >= 1 and a nonempty pattern")
-        return "10" + gamma_encode(out_len) + gamma_encode(len(pattern)) + pattern
+        return REPEAT.header(out_len, len(pattern)) + pattern
 
     def call_encode(self, index: int, program: str) -> str:
         if not 1 <= index <= len(self.aux):
             raise ValueError(f"auxiliary index {index} out of range")
-        return "11" + gamma_encode(index) + program
+        return CALL.header(index) + program
 
     def call_overhead(self, index: int) -> int:
         """Extra bits a table call adds on top of the auxiliary program."""
-        return 2 + gamma_length(index)
+        return CALL.header_length(index)
 
     # -- running ------------------------------------------------------------
 
@@ -210,37 +243,25 @@ class Interpreter:
         ``"incomplete"`` (a longer input could halt) or ``"undefined"``
         (no extension halts).
         """
-        if not s:
+        # the tags form a complete prefix code, so no match means s is a
+        # proper prefix of a tag
+        op = next((op for op in OPCODES if s.startswith(op.tag)), None)
+        if op is None:
             return "incomplete", None, 0
-        if s[0] == "0":
-            g = gamma_parse(s, 1)
-            if g is None:
-                return "incomplete", None, 0
-            n, pos = g
-            plen = n - 1
-            if len(s) < pos + plen:
-                return "incomplete", None, 0
-            return "ok", s[pos : pos + plen], pos + plen
-        if len(s) < 2:
-            return "incomplete", None, 0
-        if s[1] == "0":
-            g = gamma_parse(s, 2)
-            if g is None:
-                return "incomplete", None, 0
-            count, pos = g
+        nums = []
+        pos = len(op.tag)
+        for _ in op.fields:
             g = gamma_parse(s, pos)
             if g is None:
                 return "incomplete", None, 0
-            plen, pos = g
-            if len(s) < pos + plen:
+            n, pos = g
+            nums.append(n)
+        if op is not CALL:
+            end = pos + op.lengths(*nums)[0]
+            if len(s) < end:
                 return "incomplete", None, 0
-            pattern = s[pos : pos + plen]
-            reps = -(-count // plen)
-            return "ok", (pattern * reps)[:count], pos + plen
-        g = gamma_parse(s, 2)
-        if g is None:
-            return "incomplete", None, 0
-        idx, pos = g
+            return "ok", op.outputs([s[pos:end]], *nums)[0], end
+        (idx,) = nums
         if not 1 <= idx <= len(self.aux):
             return "undefined", None, 0
         rest = s[pos:]
@@ -284,8 +305,8 @@ class DomainEnumeration:
     """All programs of length <= L halting within t steps, with outputs.
 
     ``truncated_lengths`` records program lengths at which the step
-    budget excluded programs that would halt with more steps; queries at
-    or above the smallest such length cannot claim exactness.
+    budget excluded programs that would halt with more steps; values above
+    the smallest such length cannot claim exactness.
     """
 
     def __init__(
@@ -293,31 +314,21 @@ class DomainEnumeration:
         pairs: list[tuple[str, str]],
         truncated_lengths: frozenset[int],
         covers_whole_domain: bool,
-        budget: Budget,
     ):
         self.pairs = sorted(pairs, key=lambda kv: (len(kv[0]), kv[0]))
         self.truncated_lengths = truncated_lengths
+        # lengths strictly below this were enumerated completely
+        self.scan_complete_below = min(truncated_lengths, default=INFINITE)
         self.covers_whole_domain = covers_whole_domain
-        self.budget = budget
-        self._index: Optional[dict[str, tuple[int, str]]] = None
 
-    @property
+    @cached_property
     def index(self) -> dict[str, tuple[int, str]]:
         """Map output -> (shortest program length, that program)."""
-        if self._index is None:
-            idx: dict[str, tuple[int, str]] = {}
-            for prog, out in self.pairs:
-                if out not in idx:
-                    idx[out] = (len(prog), prog)
-            self._index = idx
-        return self._index
-
-    @property
-    def scan_complete_below(self) -> Union[int, float]:
-        """Lengths strictly below this were enumerated completely."""
-        if self.truncated_lengths:
-            return min(self.truncated_lengths)
-        return INFINITE
+        idx: dict[str, tuple[int, str]] = {}
+        for prog, out in self.pairs:
+            if out not in idx:
+                idx[out] = (len(prog), prog)
+        return idx
 
 
 def _enumerate_table(m: TableMachine, b: Budget) -> DomainEnumeration:
@@ -326,52 +337,41 @@ def _enumerate_table(m: TableMachine, b: Budget) -> DomainEnumeration:
         pairs,
         truncated_lengths=frozenset(),
         covers_whole_domain=m.max_program_length <= b.L,
-        budget=b,
     )
+
+
+def _headers(op: Opcode, L: int, nums: tuple = ()) -> Iterator[tuple[int, ...]]:
+    """Header numbers of every ``op`` program of at most ``L`` bits.
+
+    Program length grows with each header number, so each number counts up
+    from 1 until the program, with the later numbers at 1, stops fitting.
+    """
+    if len(nums) == len(op.fields):
+        yield nums
+        return
+    ones = (1,) * (len(op.fields) - len(nums) - 1)
+    n = 1
+    while op.header_length(*nums, n, *ones) + op.lengths(*nums, n, *ones)[0] <= L:
+        yield from _headers(op, L, nums + (n,))
+        n += 1
 
 
 def _enumerate_interpreter(m: Interpreter, b: Budget) -> DomainEnumeration:
     pairs: list[tuple[str, str]] = []
     truncated: set[int] = set()
 
-    # literals
-    plen = 0
-    while True:
-        enc_len = 1 + gamma_length(plen + 1) + plen
-        if enc_len > b.L:
-            break
-        if enc_len + plen > b.t:
-            truncated.add(enc_len)
-        else:
-            head = "0" + gamma_encode(plen + 1)
-            for payload in strings_of_length(plen):
-                pairs.append((head + payload, payload))
-        plen += 1
-
-    # repeats
-    plen = 1
-    while True:
-        base = 2 + gamma_length(plen) + plen
-        if base + 1 > b.L:
-            break
-        count = 1
-        while True:
-            enc_len = base + gamma_length(count)
-            if enc_len > b.L:
-                break
-            if enc_len + count > b.t:
-                truncated.add(enc_len)
+    for op in (LITERAL, REPEAT):
+        for nums in _headers(op, b.L):
+            head = op.header(*nums)
+            blen, olen = op.lengths(*nums)
+            if len(head) + blen + olen > b.t:  # run steps: program + output length
+                truncated.add(len(head) + blen)
             else:
-                head = "10" + gamma_encode(count) + gamma_encode(plen)
-                reps = -(-count // plen)
-                for pattern in strings_of_length(plen):
-                    pairs.append((head + pattern, (pattern * reps)[:count]))
-            count += 1
-        plen += 1
+                bodies = strings_of_length(blen)
+                pairs += zip([head + p for p in bodies], op.outputs(bodies, *nums))
 
-    # table calls
     for i, aux in enumerate(m.aux, start=1):
-        head = "11" + gamma_encode(i)
+        head = CALL.header(i)
         for key, val in aux.entries:
             enc_len = len(head) + len(key)
             if enc_len > b.L:
@@ -385,7 +385,6 @@ def _enumerate_interpreter(m: Interpreter, b: Budget) -> DomainEnumeration:
         pairs,
         truncated_lengths=frozenset(truncated),
         covers_whole_domain=False,
-        budget=b,
     )
 
 

@@ -155,9 +155,13 @@ class IncreasingDyadicStream(Replayable):
         """Partial values of a bit stream: ``x_t = 0.(first bits_per_step*t bits)``."""
 
         def fn(t: int) -> Dyadic:
-            return stream.prefix_value(bits_per_step * t)
+            if t == 0:
+                return ZERO
+            new = range(bits_per_step * (t - 1), bits_per_step * t)
+            return xs.at(t - 1) + dyadic_weight(i + 1 for i in new if stream.bit(i))
 
-        return IncreasingDyadicStream(fn, label=label or f"sums({stream.label})")
+        xs = IncreasingDyadicStream(fn, label=label or f"sums({stream.label})")
+        return xs
 
 
 # ---------------------------------------------------------------------------

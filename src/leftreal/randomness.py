@@ -18,11 +18,17 @@ from .errors import (
     DegenerateMachine,
     HorizonExceeded,
     LevelEmpty,
-    PrefixViolation,
     PreconditionRefuted,
     RateError,
 )
-from .foundations import BitStream, Dyadic, ONE, dyadic_weight, half_power
+from .foundations import (
+    BitStream,
+    Dyadic,
+    ONE,
+    check_prefix_free,
+    dyadic_weight,
+    half_power,
+)
 from .kraft_chaitin import KCAllocator
 from .machines import Budget, PrefixMachine, TableMachine, enumerate_domain
 from .names import Modulus
@@ -327,10 +333,7 @@ def kurtz_witness_check(
         except StopIteration:
             pass
     collected = list(dict.fromkeys(collected))
-    srt = sorted(collected)
-    for a, b in zip(srt, srt[1:]):
-        if b.startswith(a):
-            raise PrefixViolation(a, b)
+    check_prefix_free(collected)
     total = weight_of(collected)
     if total != ONE:
         raise PreconditionRefuted(

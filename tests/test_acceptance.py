@@ -153,7 +153,7 @@ def test_rate_from_skt_synthesis():
         budget = Budget(40, 10**5)
         for _ in range(20):
             bits = "".join(rng.choice("01") for _ in range(64))
-            x = BitStream.from_bits(bits, pad_zeros=True)
+            x = BitStream.from_bits(bits)
             levels = []
             for k in range(14):
                 length = k + 1 + rng.randint(0, 3)

@@ -333,7 +333,7 @@ def test_lc_to_roc_dyadic_shortcut():
 def test_lc_to_roc_search_exhausted_on_incompressible_stream():
     rng = random.Random(99)
     bits = "".join(rng.choice("01") for _ in range(64))
-    xs = IncreasingDyadicStream.from_prefix_sums(BitStream.from_bits(bits, pad_zeros=True))
+    xs = IncreasingDyadicStream.from_prefix_sums(BitStream.from_bits(bits))
     res = lc_to_roc(xs, Modulus.shift(2), Interpreter(), Budget(14, 10**4), 30, 3)
     assert res.exhausted_at == 1
     assert res.s_values == [0]

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from leftreal.errors import BudgetGuard, PrefixViolation
 from leftreal.foundations import Dyadic, ZERO, strings_of_length
@@ -169,18 +170,31 @@ def test_enumeration_is_prefix_free_and_sorted():
             assert not b.startswith(a) and not a.startswith(b)
 
 
-def test_enumeration_matches_brute_force_runs():
-    # independent oracle: run every string of length <= 10 and compare
-    interp = Interpreter(aux=(THREE_ENTRY,))
-    budget = Budget(10, 10**4)
-    expected = {}
-    for n in range(11):
+KC_TABLES = st.integers(0, 2**16).map(lambda seed: random_table(random.Random(seed)))
+STEP_BUDGETS = st.sampled_from([0, 10**4]) | st.integers(1, 40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    aux=st.lists(KC_TABLES, max_size=2),
+    budget=st.builds(Budget, st.integers(0, 11), STEP_BUDGETS),
+)
+@example(aux=[THREE_ENTRY], budget=Budget(10, 10**4))
+@example(aux=[THREE_ENTRY], budget=Budget(10, 6))  # "1110" runs in exactly 6 steps
+def test_enumeration_matches_brute_force_runs(aux, budget):
+    # independent oracle: run every string of length <= L and compare
+    interp = Interpreter(aux=tuple(aux))
+    expected, cut = {}, set()
+    for n in range(budget.L + 1):
         for s in strings_of_length(n):
             out = interp.run(s, step_budget=budget.t)
             if out.status is RunStatus.HALTED:
                 expected[s] = out.output
+            elif out.status is RunStatus.NOT_HALTING_AT_BUDGET:
+                cut.add(n)
     enum = enumerate_domain(interp, budget)
     assert dict(enum.pairs) == expected
+    assert enum.truncated_lengths == cut
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,23 @@ def test_strongly_lc_monotone_bounded():
             prev = cur
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.text("01", max_size=40),
+    bits_per_step=st.integers(0, 4),
+    queries=st.lists(st.integers(0, 15), min_size=1, max_size=10),
+)
+def test_prefix_sums_add_the_next_bits_at_each_step(bits, bits_per_step, queries):
+    stream = BitStream(lambda i: int(bits[i]), len(bits))
+    xs = IncreasingDyadicStream.from_prefix_sums(stream, bits_per_step)
+    for t in queries:
+        if bits_per_step * t > len(bits):
+            with pytest.raises(HorizonExceeded):
+                xs.at(t)
+        else:
+            assert xs.at(t) == Dyadic.from_bits(stream.prefix(bits_per_step * t))
+
+
 # ---------------------------------------------------------------------------
 # the four replayable sequence classes
 # ---------------------------------------------------------------------------
@@ -248,7 +265,7 @@ def test_strongly_lc_monotone_bounded():
 SEQUENCES = {
     "bits": (
         BitStream,
-        lambda vals: BitStream.from_bits("".join(map(str, vals))),
+        lambda vals: BitStream(vals.__getitem__, len(vals)),
         lambda k: k * k // 3 % 2,
         [(2, 0, ValueError)],
     ),

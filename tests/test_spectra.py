@@ -56,7 +56,7 @@ def test_profile_values_antitone_in_budget():
     small, big = Budget(12, 10**3), Budget(18, 10**4)
     for _ in range(20):
         bits = "".join(rng.choice("01") for _ in range(24))
-        x = BitStream.from_bits(bits, pad_zeros=True)
+        x = BitStream.from_bits(bits)
         ps = profile(INTERP, x, 10, small)
         pb = profile(INTERP, x, 10, big)
         for (n, vs), (_, vb) in zip(ps.entries, pb.entries):
@@ -101,7 +101,7 @@ def test_dim_window_inside_literal_envelope():
     rng = random.Random(71)
     for _ in range(5):
         bits = "".join(rng.choice("01") for _ in range(12))
-        p = profile(INTERP, BitStream.from_bits(bits, pad_zeros=True), 12, Budget(24, 10**4))
+        p = profile(INTERP, BitStream.from_bits(bits), 12, Budget(24, 10**4))
         est = dim_window(p, 4, 12)
         envelope = max(
             Fraction(n + 2 * ((n + 1).bit_length() - 1) + 2, n) for n in range(4, 13)
@@ -110,7 +110,7 @@ def test_dim_window_inside_literal_envelope():
 
 
 def test_dim_window_excludes_unknown_entries():
-    x = BitStream.from_bits("11010011" * 4, pad_zeros=True)
+    x = BitStream.from_bits("11010011" * 4)
     p = profile(INTERP, x, 20, Budget(10, 10**3))
     est = dim_window(p, 1, 20)
     assert est.excluded  # long prefixes are unreachable at L = 10
