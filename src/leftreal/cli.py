@@ -402,7 +402,7 @@ def _budget_flags(l_default: int = 16) -> list[tuple[str, dict]]:
     return [
         _arg("--budget-l", type=natural, default=l_default, metavar="L"),
         _arg("--budget-t", type=natural, default=10**4, metavar="T"),
-        _arg("--force", action="store_true", help="override the length guard"),
+        _arg("--force", action="store_true", help="override the length and listing-size guards"),
     ]
 
 

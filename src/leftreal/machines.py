@@ -19,19 +19,22 @@ Two machine flavors:
   composite program self-delimiting.
 
 Complexity values are machine-relative and budget-stamped.  A value is
-*exact* only when the enumeration below it was provably complete; an
-enumeration cut short by the step budget downgrades affected queries to
-upper bounds, never silently.
+*exact* only when no program of its length or shorter was cut by the step
+budget; a cut downgrades affected queries to upper bounds, never silently.
+``complexity`` and the halting-probability sums read the instruction set
+directly; only ``enumerate_domain`` lists programs.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import BudgetGuard
 from .foundations import (
@@ -40,14 +43,14 @@ from .foundations import (
     ZERO,
     check_bits,
     check_prefix_free,
-    dyadic_weight,
-    half_power,
     strings_of_length,
 )
 
 INFINITE = float("inf")  # order sentinel for "no program"; never used in arithmetic
 
 MAX_GUARDED_LENGTH = 40
+
+MAX_LISTED_PAIRS = 1 << 20  # a listing holds every pair in memory
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +87,7 @@ def gamma_parse(s: str, pos: int) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # each opcode is its own singleton
 class Opcode:
     """One instruction: ``tag``, a gamma-coded number per header field, a body.
 
@@ -99,6 +102,7 @@ class Opcode:
     lengths: Optional[Callable[..., tuple[int, int]]] = None
     outputs: Optional[Callable[..., list[str]]] = None
 
+    @lru_cache(maxsize=4096)  # short headers recur: witnesses and listings rebuild them
     def header(self, *nums: int) -> str:
         return self.tag + "".join(map(gamma_encode, nums))
 
@@ -179,9 +183,27 @@ class TableMachine:
     def mapping(self) -> dict[str, str]:
         return dict(self.entries)
 
-    @property
+    @cached_property
     def max_program_length(self) -> int:
         return max((len(k) for k, _ in self.entries), default=0)
+
+    @cached_property
+    def shortest(self) -> dict[str, str]:
+        """Map output -> its shortest program, the lexicographically least."""
+        best: dict[str, str] = {}
+        for key, val in self.entries:
+            cur = best.get(val)
+            if cur is None or (len(key), key) < (len(cur), cur):
+                best[val] = key
+        return best
+
+    @cached_property
+    def output_lengths(self) -> dict[int, list[int]]:
+        """Map program length -> the sorted output lengths of its entries."""
+        by_length = defaultdict(list)
+        for key, val in self.entries:
+            by_length[len(key)].append(len(val))
+        return {l: sorted(outs) for l, outs in by_length.items()}
 
     @property
     def id(self) -> str:
@@ -210,6 +232,16 @@ class Interpreter:
     def id(self) -> str:
         blob = "|".join(m.id for m in self.aux)
         return "interp-" + hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+    @cached_property
+    def _calls(self) -> tuple[tuple[str, dict[str, str]], ...]:
+        """Per auxiliary table: its call header and its output -> shortest key map."""
+        return tuple((CALL.header(i), aux.shortest) for i, aux in enumerate(self.aux, 1))
+
+    @cached_property
+    def _first_cut(self) -> dict[tuple[int, int], Union[int, float]]:
+        """Map (L, t) -> the shortest program length t cuts, filled on demand."""
+        return {}
 
     # -- encoding helpers ---------------------------------------------------
 
@@ -297,47 +329,8 @@ PrefixMachine = Union[TableMachine, Interpreter]
 
 
 # ---------------------------------------------------------------------------
-# Domain enumeration
+# The budgeted domain, counted and listed
 # ---------------------------------------------------------------------------
-
-
-class DomainEnumeration:
-    """All programs of length <= L halting within t steps, with outputs.
-
-    ``truncated_lengths`` records program lengths at which the step
-    budget excluded programs that would halt with more steps; values above
-    the smallest such length cannot claim exactness.
-    """
-
-    def __init__(
-        self,
-        pairs: list[tuple[str, str]],
-        truncated_lengths: frozenset[int],
-        covers_whole_domain: bool,
-    ):
-        self.pairs = sorted(pairs, key=lambda kv: (len(kv[0]), kv[0]))
-        self.truncated_lengths = truncated_lengths
-        # lengths strictly below this were enumerated completely
-        self.scan_complete_below = min(truncated_lengths, default=INFINITE)
-        self.covers_whole_domain = covers_whole_domain
-
-    @cached_property
-    def index(self) -> dict[str, tuple[int, str]]:
-        """Map output -> (shortest program length, that program)."""
-        idx: dict[str, tuple[int, str]] = {}
-        for prog, out in self.pairs:
-            if out not in idx:
-                idx[out] = (len(prog), prog)
-        return idx
-
-
-def _enumerate_table(m: TableMachine, b: Budget) -> DomainEnumeration:
-    pairs = [(k, v) for k, v in m.entries if len(k) <= b.L]
-    return DomainEnumeration(
-        pairs,
-        truncated_lengths=frozenset(),
-        covers_whole_domain=m.max_program_length <= b.L,
-    )
 
 
 def _headers(op: Opcode, L: int, nums: tuple = ()) -> Iterator[tuple[int, ...]]:
@@ -356,44 +349,131 @@ def _headers(op: Opcode, L: int, nums: tuple = ()) -> Iterator[tuple[int, ...]]:
         n += 1
 
 
-def _enumerate_interpreter(m: Interpreter, b: Budget) -> DomainEnumeration:
-    pairs: list[tuple[str, str]] = []
-    truncated: set[int] = set()
+def _classes(m: Interpreter, L: int) -> Iterator[tuple[int, int, Sequence[int]]]:
+    """Every program of at most ``L`` bits, in classes of headers that share
+    a program length and a body length.
 
+    Yields ``(program length, body length, sorted output lengths)`` with one
+    header per output length, so a class stands for ``2**body length``
+    programs per header.  A repeat's output length is its count, which sets
+    nothing else, so the counts with one gamma length form one class; a
+    table call is a class per auxiliary table and key length.
+    """
+    for nums in _headers(LITERAL, L):
+        blen, olen = LITERAL.lengths(*nums)
+        yield LITERAL.header_length(*nums) + blen, blen, (olen,)
+    plen = 1
+    while REPEAT.header_length(1, plen) + plen <= L:
+        low = 1
+        while (length := REPEAT.header_length(low, plen) + plen) <= L:
+            yield length, plen, range(low, 2 * low)
+            low *= 2
+        plen += 1
+    for i, aux in enumerate(m.aux, start=1):
+        head = CALL.header_length(i)
+        for klen, olens in aux.output_lengths.items():
+            if head + klen <= L:
+                yield head + klen, 0, olens
+
+
+def domain_census(
+    machine: PrefixMachine, budget: Budget
+) -> tuple[dict[int, int], frozenset[int]]:
+    """Count the budgeted domain without listing it.
+
+    Returns the number of programs of each length that halt within the
+    budget, and the lengths at which the step budget cut a program.  A run
+    takes one step per program bit and per output bit, so every body of a
+    header halts in the same number of steps.
+    """
+    if isinstance(machine, TableMachine):
+        lengths = machine.output_lengths.items()
+        return {l: len(olens) for l, olens in lengths if l <= budget.L}, frozenset()
+    counts: dict[int, int] = defaultdict(int)
+    cut = set()
+    for length, blen, olens in _classes(machine, budget.L):
+        halting = bisect_right(olens, budget.t - length)
+        if halting:
+            counts[length] += halting << blen
+        if halting < len(olens):
+            cut.add(length)
+    return dict(counts), frozenset(cut)
+
+
+@dataclass(frozen=True)
+class DomainEnumeration:
+    """All programs of length <= L halting within t steps, with outputs,
+    in length-lex order.
+
+    ``truncated_lengths`` records program lengths at which the step
+    budget excluded programs that would halt with more steps; values above
+    the smallest such length cannot claim exactness.
+    """
+
+    pairs: list[tuple[str, str]]
+    truncated_lengths: frozenset[int]
+    covers_whole_domain: bool
+
+
+def _list_table(m: TableMachine, b: Budget) -> list[tuple[str, str]]:
+    by_length = defaultdict(list)
+    for key, val in m.entries:
+        if len(key) <= b.L:
+            by_length[len(key)].append((key, val))
+    return [kv for l in sorted(by_length) for kv in sorted(by_length[l])]
+
+
+def _list_interpreter(m: Interpreter, b: Budget) -> list[tuple[str, str]]:
+    # Headers are prefix-free, so at one program length the order of the
+    # headers is the order of their programs, and a header's bodies come
+    # out in lexicographic order: only the headers need sorting.
+    by_length: dict[int, list] = defaultdict(list)
     for op in (LITERAL, REPEAT):
         for nums in _headers(op, b.L):
             head = op.header(*nums)
             blen, olen = op.lengths(*nums)
-            if len(head) + blen + olen > b.t:  # run steps: program + output length
-                truncated.add(len(head) + blen)
-            else:
-                bodies = strings_of_length(blen)
-                pairs += zip([head + p for p in bodies], op.outputs(bodies, *nums))
-
+            if len(head) + blen + olen <= b.t:
+                by_length[len(head) + blen].append((head, op, nums))
     for i, aux in enumerate(m.aux, start=1):
         head = CALL.header(i)
         for key, val in aux.entries:
-            enc_len = len(head) + len(key)
-            if enc_len > b.L:
-                continue
-            if enc_len + len(val) > b.t:
-                truncated.add(enc_len)
+            length = len(head) + len(key)
+            if length <= b.L and length + len(val) <= b.t:
+                by_length[length].append((head + key, None, val))
+
+    pairs: list[tuple[str, str]] = []
+    for length in sorted(by_length):
+        for head, op, x in sorted(by_length[length]):  # headers are distinct
+            if op is None:
+                pairs.append((head, x))
             else:
-                pairs.append((head + key, val))
-
-    return DomainEnumeration(
-        pairs,
-        truncated_lengths=frozenset(truncated),
-        covers_whole_domain=False,
-    )
+                bodies = strings_of_length(op.lengths(*x)[0])
+                pairs += zip([head + p for p in bodies], op.outputs(bodies, *x))
+    return pairs
 
 
-@lru_cache(maxsize=256)
 def enumerate_domain(machine: PrefixMachine, budget: Budget) -> DomainEnumeration:
-    """Deterministic (length-lex) listing of the budgeted domain."""
+    """Deterministic (length-lex) listing of the budgeted domain.
+
+    The pair count is known before any pair is built; a listing of more
+    than ``MAX_LISTED_PAIRS`` raises ``BudgetGuard`` unless the budget
+    allows large runs.
+    """
+    counts, truncated = domain_census(machine, budget)
+    size = sum(counts.values())
+    if size > MAX_LISTED_PAIRS and not budget.allow_large:
+        raise BudgetGuard(
+            f"listing the domain at L={budget.L}, t={budget.t} would hold {size} "
+            f"pairs, above the {MAX_LISTED_PAIRS}-pair guard; pass allow_large=True "
+            "(--force) to override"
+        )
     if isinstance(machine, TableMachine):
-        return _enumerate_table(machine, budget)
-    return _enumerate_interpreter(machine, budget)
+        pairs = _list_table(machine, budget)
+        covers = machine.max_program_length <= budget.L
+    else:
+        pairs = _list_interpreter(machine, budget)
+        covers = False
+    return DomainEnumeration(pairs, truncated, covers)
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +487,13 @@ class KStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class ComplexityValue:
+class ComplexityValue(NamedTuple):
     """A program-size value with its budget and confidence status.
 
     ``value`` is an int, or ``INFINITE`` when no producing program was
     found; exact infinity is only claimed for fully scanned finite
-    machines.
+    machines.  A named tuple, since every query builds one and a frozen
+    dataclass takes three times as long to build.
     """
 
     value: Union[int, float]
@@ -430,20 +510,70 @@ class ComplexityValue:
         return self.is_finite and self.value <= bound
 
 
-def complexity(machine: PrefixMachine, target: str, budget: Budget) -> ComplexityValue:
-    """Shortest-program length for ``target`` under the given budget."""
-    check_bits(target)
-    enum = enumerate_domain(machine, budget)
-    hit = enum.index.get(target)
-    if hit is not None:
-        length, prog = hit
-        status = (
-            KStatus.EXACT if length <= enum.scan_complete_below else KStatus.UPPER_BOUND
-        )
-        return ComplexityValue(length, status, budget, witness=prog)
-    if enum.covers_whole_domain and not enum.truncated_lengths:
+def _table_complexity(m: TableMachine, target: str, budget: Budget) -> ComplexityValue:
+    key = m.shortest.get(target)
+    if key is not None and len(key) <= budget.L:
+        return ComplexityValue(len(key), KStatus.EXACT, budget, witness=key)
+    if m.max_program_length <= budget.L:
         return ComplexityValue(INFINITE, KStatus.EXACT, budget)
     return ComplexityValue(INFINITE, KStatus.UNKNOWN, budget)
+
+
+def complexity(machine: PrefixMachine, target: str, budget: Budget) -> ComplexityValue:
+    """Shortest-program length for ``target`` under the given budget.
+
+    The witness is the length-lex least shortest program of the budgeted
+    domain, the first ``enumerate_domain`` would list with that output.  On
+    the interpreter only three programs can be shortest: the literal, the
+    repeat of the target's shortest period (a repeat grows with its
+    pattern), and the shortest table call whose entry outputs the target.
+    The tags order 0 < 10 < 11, so a later candidate must be strictly
+    shorter to win, except that two calls compare as strings.
+    """
+    check_bits(target)
+    if isinstance(machine, TableMachine):
+        return _table_complexity(machine, target, budget)
+    # A program fits when it has at most L bits and runs within t steps, one
+    # per program bit and per output bit; ``best`` is the length to beat.
+    # Gamma lengths are |gamma(k)| = 2 * k.bit_length() - 1.
+    n = len(target)
+    best = budget.t - n
+    if budget.L < best:
+        best = budget.L
+    best += 1
+    op = None  # the winner: opcode, header numbers and body
+    length = n + 2 * (n + 1).bit_length()  # the literal, 1 + |gamma(n + 1)| + n bits
+    if length < best:
+        best, op, nums, body = length, LITERAL, (n + 1,), target
+    # the repeat of period q has 2 + |gamma(n)| + |gamma(q)| + q bits
+    qmax = best - 3 - 2 * n.bit_length()  # |gamma(q)| >= 1 bounds the period that fits
+    if qmax >= n:
+        qmax = n - 1
+    if qmax > 0:
+        start = target[: n - qmax]  # each period q <= qmax starts a copy of it
+        q = target.find(start, 1)
+        while q != -1 and not target.startswith(target[q:]):
+            q = target.find(start, q + 1)
+        if q != -1 and (length := 2 * (n.bit_length() + q.bit_length()) + q) < best:
+            best, op, nums, body = length, REPEAT, (n, q), target[:q]
+    if machine._calls:
+        for i, (head, shortest) in enumerate(machine._calls, start=1):
+            key = shortest.get(target)
+            if key is None:
+                continue
+            length = len(head) + len(key)
+            if length < best or (
+                length == best and op is CALL and head + key < op.header(*nums) + body
+            ):
+                best, op, nums, body = length, CALL, (i,), key
+    if op is None:
+        return ComplexityValue(INFINITE, KStatus.UNKNOWN, budget)
+    L_t = (budget.L, budget.t)
+    cut = machine._first_cut.get(L_t)
+    if cut is None:
+        cut = machine._first_cut[L_t] = min(domain_census(machine, budget)[1], default=INFINITE)
+    status = KStatus.EXACT if best <= cut else KStatus.UPPER_BOUND
+    return ComplexityValue(best, status, budget, op.header(*nums) + body)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +583,9 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
 
 def omega_lower(machine: PrefixMachine, budget: Budget) -> Dyadic:
     """Stage weight ``sum(2**-len(p))`` over the budgeted domain."""
-    return dyadic_weight(len(p) for p, _ in enumerate_domain(machine, budget).pairs)
+    counts, _ = domain_census(machine, budget)
+    top = max(counts, default=0)
+    return Dyadic.of(sum(c << (top - l) for l, c in counts.items()), top)
 
 
 def floor_nth_root(x: int, n: int) -> int:
@@ -486,19 +618,19 @@ def omega_s_bounds(
     """
     if not 0 < s < 1:
         raise ValueError("s must lie strictly between 0 and 1")
-    enum = enumerate_domain(machine, budget)
+    counts, _ = domain_census(machine, budget)
     lo = ZERO
     hi = ZERO
     num, den = s.numerator, s.denominator
-    for prog, _ in enum.pairs:
-        scaled = len(prog) * den  # term = 2 ** -(scaled / num)
+    for length, count in counts.items():
+        scaled = length * den  # term = 2 ** -(scaled / num)
         if scaled % num == 0:
-            term = half_power(scaled // num)
-            lo = lo + term
-            hi = hi + term
+            terms = Dyadic.of(count, scaled // num)
+            lo = lo + terms
+            hi = hi + terms
             continue
         shifted = precision * num - scaled  # floor(2^precision * term)
         low_int = 0 if shifted < 0 else floor_nth_root(1 << shifted, num)
-        lo = lo + Dyadic.of(low_int, precision)
-        hi = hi + Dyadic.of(low_int + 1, precision)
+        lo = lo + Dyadic.of(count * low_int, precision)
+        hi = hi + Dyadic.of(count * (low_int + 1), precision)
     return DyadicInterval(lo, hi)

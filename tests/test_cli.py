@@ -77,6 +77,7 @@ def test_usage_error_exits_one(tmp_path, capsys):
         "kc build {int_payload}",
         "skt validate {bad_levels} --nmax 1",
         "skt from-rate ref --rate pow2:4 --nmax 5 --force",
+        "machine enumerate ref --budget-l 30",  # 3,751,937 pairs, refused before listing
     ],
 )
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):

@@ -1,6 +1,7 @@
 """Machines: table validation, interpreter semantics, domain enumeration,
 budgeted-exact complexity, halting-probability sums."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -8,8 +9,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from leftreal import machines
 from leftreal.errors import BudgetGuard, PrefixViolation
-from leftreal.foundations import Dyadic, ZERO, strings_of_length
+from leftreal.foundations import (
+    Dyadic,
+    DyadicInterval,
+    ZERO,
+    dyadic_weight,
+    half_power,
+    strings_of_length,
+)
 from leftreal.kraft_chaitin import kc_allocate
 from leftreal.machines import (
     Budget,
@@ -19,6 +28,7 @@ from leftreal.machines import (
     RunStatus,
     TableMachine,
     complexity,
+    domain_census,
     enumerate_domain,
     floor_nth_root,
     gamma_encode,
@@ -197,9 +207,112 @@ def test_enumeration_matches_brute_force_runs(aux, budget):
     assert enum.truncated_lengths == cut
 
 
+MACHINE_KINDS = st.builds(
+    lambda aux, table: aux[0] if table and aux else Interpreter(aux=tuple(aux)),
+    st.lists(KC_TABLES, max_size=2),
+    st.booleans(),
+)
+BUDGETS = st.builds(Budget, st.integers(0, 14), STEP_BUDGETS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(machine=MACHINE_KINDS, budget=BUDGETS)
+def test_listing_comes_out_length_lex(machine, budget):
+    # the listing sorts headers only; the pair sort it replaced is the oracle
+    pairs = enumerate_domain(machine, budget).pairs
+    assert pairs == sorted(pairs, key=lambda kv: (len(kv[0]), kv[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(machine=MACHINE_KINDS, budget=BUDGETS)
+def test_census_counts_the_listing(machine, budget):
+    counts, truncated = domain_census(machine, budget)
+    enum = enumerate_domain(machine, budget)
+    assert sum(counts.values()) == len(enum.pairs)
+    assert counts == dict(collections.Counter(len(p) for p, _ in enum.pairs))
+    assert truncated == enum.truncated_lengths
+
+
+def test_listing_guard_trips_before_building_pairs(monkeypatch):
+    budget = Budget(12, 10**4)
+    size = len(enumerate_domain(Interpreter(), budget).pairs)
+    monkeypatch.setattr(machines, "MAX_LISTED_PAIRS", size - 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(machines, "_list_interpreter", None)  # the guard trips first
+        with pytest.raises(BudgetGuard, match=f"{size} pairs"):
+            enumerate_domain(Interpreter(), budget)
+    forced = Budget(12, 10**4, allow_large=True)
+    assert len(enumerate_domain(Interpreter(), forced).pairs) == size
+
+
 # ---------------------------------------------------------------------------
 # complexity
 # ---------------------------------------------------------------------------
+
+
+def _complexity_by_enumeration(enum, target):
+    """(value, status, witness) read off a listing: its first program with
+    the target's output, exact unless the step budget cut a shorter length."""
+    first_cut = min(enum.truncated_lengths, default=INFINITE)
+    for prog, out in enum.pairs:
+        if out == target:
+            status = KStatus.EXACT if len(prog) <= first_cut else KStatus.UPPER_BOUND
+            return len(prog), status, prog
+    if enum.covers_whole_domain and not enum.truncated_lengths:
+        return INFINITE, KStatus.EXACT, None
+    return INFINITE, KStatus.UNKNOWN, None
+
+
+PERIODIC = st.builds(
+    lambda pattern, n: (pattern * n)[:n],
+    st.text("01", min_size=1, max_size=4),
+    st.integers(1, 60),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine=MACHINE_KINDS, budget=BUDGETS, data=st.data())
+@example(machine=Interpreter(aux=(THREE_ENTRY,)), budget=Budget(10, 6), data=None)
+def test_complexity_matches_enumeration(machine, budget, data):
+    enum = enumerate_domain(machine, budget)
+    targets = ["", "0", "111", "0101010101"]
+    if data is not None:
+        outputs = sorted({out for _, out in enum.pairs})
+        if outputs:
+            targets += data.draw(st.lists(st.sampled_from(outputs), max_size=8))
+        targets += data.draw(st.lists(PERIODIC | st.text("01", max_size=16), max_size=8))
+        longer = st.text("01", min_size=budget.L + 1, max_size=budget.L + 20)
+        targets += data.draw(st.lists(longer, max_size=2))
+    for target in targets:
+        v = complexity(machine, target, budget)
+        assert (v.value, v.status, v.witness) == _complexity_by_enumeration(enum, target)
+
+
+def test_call_tie_goes_to_the_lexicographically_least_program():
+    # both calls take 6 bits: "111" + "000" through table 1, "11010" + "0"
+    # through table 2, whose longer header sorts first
+    w = "0110100111"
+    one = validate_table([("000", w), ("001", "0"), ("01", "1"), ("1", "")])
+    two = validate_table([("0", w), ("1", "1")])
+    interp = Interpreter(aux=(one, two))
+    budget = Budget(10, 10**4)
+    v = complexity(interp, w, budget)
+    assert (v.value, v.witness) == (6, "110100")
+    assert (v.value, v.status, v.witness) == _complexity_by_enumeration(
+        enumerate_domain(interp, budget), w
+    )
+
+
+def test_complexity_never_lists_the_domain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("complexity listed the domain")
+
+    for name in ("enumerate_domain", "_list_interpreter", "_list_table"):
+        monkeypatch.setattr(machines, name, refuse)
+    interp = Interpreter(aux=(THREE_ENTRY,))
+    assert complexity(interp, "0101010101", Budget(30, 10**4)).status is KStatus.EXACT
+    assert complexity(interp, "111", Budget(6, 8)).witness == "11111"
+    assert complexity(THREE_ENTRY, "01", Budget(2, 0)).witness == "10"
 
 
 def test_table_complexity_exact_lookup():
@@ -286,6 +399,38 @@ def test_omega_lower_monotone_and_kraft_bounded():
 def test_omega_lower_interpreter_bounded():
     w = omega_lower(Interpreter(), Budget(14, 10**4))
     assert ZERO < w and frac(w) <= 1
+
+
+def _omega_s_by_listing(pairs, s, precision):
+    """The per-program sum that ``omega_s_bounds`` groups by length."""
+    lo = hi = ZERO
+    for prog, _ in pairs:
+        scaled = len(prog) * s.denominator
+        if scaled % s.numerator == 0:
+            lo = lo + half_power(scaled // s.numerator)
+            hi = hi + half_power(scaled // s.numerator)
+            continue
+        shifted = precision * s.numerator - scaled
+        low = 0 if shifted < 0 else floor_nth_root(1 << shifted, s.numerator)
+        lo = lo + Dyadic.of(low, precision)
+        hi = hi + Dyadic.of(low + 1, precision)
+    return DyadicInterval(lo, hi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    machine=MACHINE_KINDS,
+    budget=st.builds(Budget, st.integers(0, 16), STEP_BUDGETS),
+    s=st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(5, 7)]),
+    precision=st.integers(0, 40),
+)
+@example(machine=Interpreter(), budget=Budget(20, 45), s=Fraction(2, 3), precision=40)
+def test_omega_sums_match_the_listing(machine, budget, s, precision):
+    pairs = enumerate_domain(machine, budget).pairs
+    assert omega_lower(machine, budget) == dyadic_weight(len(p) for p, _ in pairs)
+    assert omega_s_bounds(machine, s, budget, precision) == _omega_s_by_listing(
+        pairs, s, precision
+    )
 
 
 def test_floor_nth_root_exact():
