@@ -16,19 +16,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import PreconditionRefuted, RateError
-from .foundations import Dyadic, ZERO, floor_scale
+from .foundations import Dyadic, ZERO, floor_scale, half_power
 from .machines import Budget, PrefixMachine, complexity
 from .names import (
-    CheckStatus,
     IncreasingDyadicStream,
     Modulus,
     NameStream,
+    multiplicities,
     name_from_increasing,
-    partial_sum,
-    roc_certificate_check,
     tail_weight,
 )
 from .randomness import TestFamily, TestKind
@@ -46,9 +44,12 @@ class RateSpec:
         return self.r.at(n + 2) + n + 2
 
 
-@dataclass(frozen=True)
-class StageInterval:
-    """One enumerated open interval ``]lo, lo + 2**-length_exp[``."""
+class StageInterval(NamedTuple):
+    """One enumerated open interval ``]lo, lo + 2**-length_exp[``.
+
+    A named tuple, since every stage builds one and a frozen dataclass
+    takes about three times as long to build.
+    """
 
     t: int
     lo: Dyadic
@@ -124,6 +125,12 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     ``x_t >= x_0 > 2**-s(0) >= 2**-s(m)`` (as ``r(0) > f(0)``), so it always
     qualifies, and the indices reset so far are exactly those below a cursor;
     the least qualified index is the top of the second heap, else the cursor.
+
+    The gate reads one multiplicity table of ``f(0..stages)``: the partial
+    sum check (``InvalidName``), then ``r(0) > f(0)`` (``RateError``), then
+    the tail certificate ``tail(r(n)) <= 2**-n`` at levels
+    ``0..CERTIFY_LEVELS`` (``PreconditionRefuted`` at the least refuted
+    level), all tails from one pass over the table.
     """
     if f.finite:
         return RocToSktResult(
@@ -133,17 +140,23 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
             reason="finite name denotes a dyadic value; open intervals "
             "cannot contain it",
         )
-    partial_sum(f, stages - 1)  # InvalidName if some x_t > 1: the sums increase
+    ledger = multiplicities(f, stages - 1)
+    ledger.partial_sum(f.label)  # InvalidName if some x_t > 1: the sums increase
     r = rate.r
     if r.at(0) <= f.at(0):
         raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
-    for n in range(CERTIFY_LEVELS + 1):
-        chk = roc_certificate_check(f, r, n, stages)
-        if chk.status is CheckStatus.REFUTED:
-            raise PreconditionRefuted(
-                f"tail certificate refuted at level {n}: "
-                f"tail {chk.tail.num}/2^{chk.tail.exp} > 2^-{n}"
-            )
+    ledger.add(f.at(stages))
+    thresholds: list[int] = []
+    try:
+        for n in range(CERTIFY_LEVELS + 1):
+            thresholds.append(r.at(n))
+    finally:  # a rate failing at level n still lets a lower level refute first
+        for n, tail in enumerate(ledger.tails(thresholds)):
+            if tail > half_power(n):
+                raise PreconditionRefuted(
+                    f"tail certificate refuted at level {n}: "
+                    f"tail {tail.num}/2^{tail.exp} > 2^-{n}"
+                )
 
     # x_t = x / 2**scale exactly, and for integers x - x_p > 2**(scale - s)
     # iff x - x_p > (1 << scale) >> s.  Indices below ``fresh`` have been
@@ -169,7 +182,7 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
         exp = rate.s(m)
         heapq.heappush(pending, (x + (one >> exp), m))
         events.append((m, t + 1, t + 1))
-        intervals.append(StageInterval(t=t, lo=Dyadic.of(x, scale), length_exp=exp, m=m))
+        intervals.append(StageInterval(t, Dyadic.of(x, scale), exp, m))
 
     trace = StageTrace(
         intervals=intervals,
@@ -346,9 +359,14 @@ def carry_counter(name: NameStream, position: int, stages: Optional[int] = None)
     boundaries = name.block_boundaries
     if stages is None:
         stages = len(boundaries) - 1
+    # the tail is ``acc * 2**-scale``, so R[t] = acc >> (scale - position)
+    name_values = name.values(boundaries[stages])
+    scale = max(name_values + [position])
+    acc = start = 0
     values = []
-    for t in range(stages + 1):
-        tail = tail_weight(name, position + 1, boundaries[t] - 1)
-        values.append(floor_scale(tail, position))
+    for end in boundaries[: stages + 1]:
+        acc += sum(1 << (scale - v) for v in name_values[start:end] if v > position)
+        values.append(acc >> (scale - position))
+        start = end
     carries = [t for t in range(stages) if values[t + 1] > values[t]]
     return CarryTrace(position=position, values=values, carries=carries)

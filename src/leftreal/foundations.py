@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import HorizonExceeded, PrefixViolation, RangeViolation
 
@@ -148,13 +148,15 @@ def half_power(e: int) -> Dyadic:
     return Dyadic.of(1, e)
 
 
-def dyadic_weight(exps: Iterable[int]) -> Dyadic:
-    """Exact ``sum(2**-e for e in exps)``; ``ZERO`` for no terms."""
-    exps = list(exps)
-    if not exps:
+def dyadic_weight(counts: Mapping[int, int]) -> Dyadic:
+    """Exact ``sum(c * 2**-e for e, c in counts.items())``; ``ZERO`` for no terms.
+
+    Plain exponents are passed as ``Counter(exps)``.
+    """
+    if not counts:
         return ZERO
-    top = max(exps)
-    return Dyadic.of(sum(1 << (top - e) for e in exps), top)
+    top = max(counts)
+    return Dyadic.of(sum(c << (top - e) for e, c in counts.items()), top)
 
 
 def floor_scale(y: Dyadic, r: int) -> int:

@@ -11,6 +11,7 @@ the closed bound is allowed -- and is fully deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Sequence
 
 from .errors import WeightExceeded
@@ -63,7 +64,7 @@ class KCAllocator:
         return codeword
 
     def free_weight(self) -> Dyadic:
-        return dyadic_weight(level for level, _ in self._free)
+        return dyadic_weight(Counter(level for level, _ in self._free))
 
     def check_invariants(self) -> None:
         """Assert the interval-discipline invariants (used by tests)."""

@@ -43,6 +43,7 @@ from .foundations import (
     ZERO,
     check_bits,
     check_prefix_free,
+    dyadic_weight,
     strings_of_length,
 )
 
@@ -583,9 +584,7 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
 
 def omega_lower(machine: PrefixMachine, budget: Budget) -> Dyadic:
     """Stage weight ``sum(2**-len(p))`` over the budgeted domain."""
-    counts, _ = domain_census(machine, budget)
-    top = max(counts, default=0)
-    return Dyadic.of(sum(c << (top - l) for l, c in counts.items()), top)
+    return dyadic_weight(domain_census(machine, budget)[0])
 
 
 def floor_nth_root(x: int, n: int) -> int:

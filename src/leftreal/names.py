@@ -157,8 +157,10 @@ class IncreasingDyadicStream(Replayable):
         def fn(t: int) -> Dyadic:
             if t == 0:
                 return ZERO
-            new = range(bits_per_step * (t - 1), bits_per_step * t)
-            return xs.at(t - 1) + dyadic_weight(i + 1 for i in new if stream.bit(i))
+            new = 0
+            for i in range(bits_per_step * (t - 1), bits_per_step * t):
+                new = new << 1 | stream.bit(i)
+            return xs.at(t - 1) + Dyadic.of(new, bits_per_step * t)
 
         xs = IncreasingDyadicStream(fn, label=label or f"sums({stream.label})")
         return xs
@@ -171,17 +173,16 @@ class IncreasingDyadicStream(Replayable):
 
 def partial_sum(f: NameStream, upto: int) -> Dyadic:
     """Exact ``sum(2**-f(k) for k <= upto)``; rejects sums above 1."""
-    total = dyadic_weight(f.values(upto + 1))
-    if total > ONE:
-        raise InvalidName(
-            f"partial sum of {f.label or '?'} exceeds 1 at stage {upto}: {total}"
-        )
-    return total
+    return multiplicities(f, upto).partial_sum(f.label)
 
 
 @dataclass
 class MultiplicityTable:
-    """Counts ``m -> |{k <= stage : f(k) = m}|`` at a finite stage."""
+    """Counts ``m -> |{k <= stage : f(k) = m}|`` at a finite stage.
+
+    The weight ledger of a name: its partial sum, its tails and its
+    rate certificates are all read from these counts.
+    """
 
     counts: dict[int, int]
     stage: int
@@ -189,13 +190,44 @@ class MultiplicityTable:
     def count(self, m: int) -> int:
         return self.counts.get(m, 0)
 
+    def add(self, m: int) -> None:
+        """Count the next name value ``f(stage + 1) = m``."""
+        self.counts[m] = self.count(m) + 1
+        self.stage += 1
+
     def rearranged_sum(self) -> Dyadic:
         """Exact ``sum(count(m) * 2**-m)`` over the table."""
-        if not self.counts:
-            return ZERO
-        e = max(self.counts)
-        acc = sum(c << (e - m) for m, c in self.counts.items())
-        return Dyadic.of(acc, e)
+        return dyadic_weight(self.counts)
+
+    def partial_sum(self, label: str = "") -> Dyadic:
+        """The partial sum up to ``stage``, which is the rearranged sum;
+        ``InvalidName``, naming the name ``label``, when it exceeds 1."""
+        total = self.rearranged_sum()
+        if total > ONE:
+            raise InvalidName(
+                f"partial sum of {label or '?'} exceeds 1 "
+                f"at stage {self.stage}: {total}"
+            )
+        return total
+
+    def tails(self, thresholds: Sequence[int]) -> list[Dyadic]:
+        """Exact ``sum(count(m) * 2**-m for m >= m0)`` for each ``m0``.
+
+        One descending pass over the sorted exponents keeps the suffix sum
+        as an integer at the largest exponent's scale, and each threshold
+        reads it on the way down.
+        """
+        counts = self.counts
+        top = max(counts, default=0)
+        exps = sorted(counts, reverse=True)
+        tail: dict[int, Dyadic] = {}
+        acc = i = 0
+        for m0 in sorted(set(thresholds), reverse=True):
+            while i < len(exps) and exps[i] >= m0:
+                acc += counts[exps[i]] << (top - exps[i])
+                i += 1
+            tail[m0] = Dyadic.of(acc, top)
+        return [tail[m0] for m0 in thresholds]
 
 
 def multiplicities(f: NameStream, upto: int) -> MultiplicityTable:
@@ -207,7 +239,7 @@ def tail_weight(f: NameStream, m0: int, upto: int) -> Dyadic:
 
     This is the stage-``upto`` lower bound of the true tail beyond ``m0``.
     """
-    return dyadic_weight(v for v in f.values(upto + 1) if v >= m0)
+    return multiplicities(f, upto).tails([m0])[0]
 
 
 class CheckStatus(enum.Enum):

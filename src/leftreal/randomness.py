@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -30,7 +31,13 @@ from .foundations import (
     half_power,
 )
 from .kraft_chaitin import KCAllocator
-from .machines import Budget, PrefixMachine, TableMachine, enumerate_domain
+from .machines import (
+    MAX_GUARDED_LENGTH,
+    Budget,
+    PrefixMachine,
+    TableMachine,
+    enumerate_domain,
+)
 from .names import Modulus
 
 
@@ -86,7 +93,7 @@ class TestFamily:
 
 def weight_of(strings: Iterable[str]) -> Dyadic:
     """Exact ``sum(2**-len(s))`` (caller is responsible for deduplication)."""
-    return dyadic_weight(len(s) for s in strings)
+    return dyadic_weight(Counter(len(s) for s in strings))
 
 
 def level_weight(family: TestFamily, n: int, stage: Optional[int] = None) -> Dyadic:
@@ -174,11 +181,12 @@ def skt_from_rate(
 
     Requires ``r`` strictly increasing with ``r(n) > n`` on the range.
     The length budget is raised to ``r(n_max) - n_max`` when smaller
-    (the level definition fixes the program lengths it needs; the guard
-    still applies).  The family's ``meta['complete']`` is False when the
-    step budget may have hidden domain elements (levels are then
-    under-approximations: still sound for the weight bound, possibly
-    incomplete for coverage).
+    (the level definition fixes the program lengths it needs); a raised
+    length keeps the budget's ``allow_large``, which lifts the listing
+    guard, only up to ``MAX_GUARDED_LENGTH``.  The family's
+    ``meta['complete']`` is False when the step budget may have hidden
+    domain elements (levels are then under-approximations: still sound
+    for the weight bound, possibly incomplete for coverage).
     """
     for n in range(n_max + 1):
         if r.at(n) <= n:
@@ -187,7 +195,8 @@ def skt_from_rate(
         raise RateError("rate must be strictly increasing on the level range")
     need_l = max(r.at(n) - n for n in range(n_max + 1))
     if need_l > budget.L:
-        budget = Budget(need_l, budget.t)
+        large = budget.allow_large and need_l <= MAX_GUARDED_LENGTH
+        budget = Budget(need_l, budget.t, large)
     enum = enumerate_domain(machine, budget)
     levels: list[list[str]] = []
     for n in range(n_max + 1):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leftreal import randomness
 from leftreal.cli import COMMANDS, build_parser, main, natural
 from leftreal.jsonio import canonical_dumps
 
@@ -162,6 +163,25 @@ def test_skt_from_rate_pipeline(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["reports"][0]["witness"] == "01"
+
+
+def test_skt_from_rate_force_reaches_the_raised_length(capsys, monkeypatch):
+    # shift:28 needs programs of up to 28 bits: 1,089,537 pairs, past the
+    # listing guard, which --force lifts also when the length is raised
+    argv = ["skt", "from-rate", "ref", "--rate", "shift:28", "--nmax", "1", "--force"]
+    code, raised = run(capsys, *argv)
+    assert code == 0
+    code, explicit = run(capsys, *argv, "--budget-l", "28")
+    assert code == 0
+    assert json.loads(raised)["family"] == json.loads(explicit)["family"]
+
+    def refuse(*args):
+        raise AssertionError("listed the domain past the length guard")
+
+    monkeypatch.setattr(randomness, "enumerate_domain", refuse)
+    argv = ["skt", "from-rate", "ref", "--rate", "pow2:4", "--nmax", "5", "--force"]
+    assert main(argv) == 1
+    assert "L=507 exceeds the 2^L enumeration guard" in capsys.readouterr().err
 
 
 def test_convert_roc_to_skt_shortcut(capsys):

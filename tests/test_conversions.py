@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leftreal import conversions
+from leftreal import conversions, names
 from leftreal.conversions import (
     RateSpec,
     StageInterval,
@@ -18,8 +18,8 @@ from leftreal.conversions import (
     roc_to_skt,
     tail_bound_check,
 )
-from leftreal.errors import InvalidName, PreconditionRefuted, RateError
-from leftreal.foundations import BitStream, Dyadic, ZERO, half_power
+from leftreal.errors import HorizonExceeded, InvalidName, PreconditionRefuted, RateError
+from leftreal.foundations import BitStream, Dyadic, ONE, ZERO, floor_scale, half_power
 from leftreal.jsonio import parse_name, parse_rate
 from leftreal.machines import Budget, Interpreter
 from leftreal.names import (
@@ -30,6 +30,7 @@ from leftreal.names import (
     name_from_increasing,
     partial_sum,
     roc_certificate_check,
+    tail_weight,
 )
 from leftreal.randomness import TestKind, covers, level_weight, validate_family
 
@@ -265,6 +266,121 @@ def test_roc_to_skt_matches_quadratic_reference(name, rate, stages):
     assert _outcome(new) == _outcome(lambda: _reference_stage_loop(*fresh(), stages))
 
 
+def _ten_scan_gate(f, rate, stages):
+    """The gate ``roc_to_skt`` ran before its weight ledger: one scan of the
+    name for the partial sum, the rate check, then one scan per level."""
+
+    def scan(m0, upto):
+        return sum((half_power(v) for v in f.values(upto + 1) if v >= m0), ZERO)
+
+    total = scan(0, stages - 1)
+    if total > ONE:
+        raise InvalidName(
+            f"partial sum of {f.label or '?'} exceeds 1 at stage {stages - 1}: {total}"
+        )
+    r = rate.r
+    if r.at(0) <= f.at(0):
+        raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
+    for n in range(9):
+        tail = scan(r.at(n), stages)
+        if tail > half_power(n):
+            raise PreconditionRefuted(
+                f"tail certificate refuted at level {n}: "
+                f"tail {tail.num}/2^{tail.exp} > 2^-{n}"
+            )
+
+
+def _block_name(level, count):
+    """``f(0) = 2``, then ``count`` terms at ``level + 3``, then a thin tail.
+
+    Under ``shift:3`` nine terms weigh ``9 * 2**-(level + 3)``: above
+    ``2**-level``, yet at most ``2**-n`` for every ``n < level``, so
+    ``level`` is the least refuted level.  Level 0 cannot be refuted once
+    the other checks pass: the tail beyond ``r(0) > f(0)`` is under
+    ``1 - 2**-f(0) + 2**-r(0) < 1``.
+    """
+    return NameStream(
+        lambda k: 2 if k == 0 else level + 3 if k <= count else 3 * k + 40
+    )
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_roc_to_skt_refutes_the_least_failing_level(level):
+    known = ",".join(str(n + 3) for n in range(level))  # shift:3 below level
+    outcomes = {
+        "shift:3": PreconditionRefuted,
+        f"values:{known},{level + 3}": PreconditionRefuted,  # r(level + 1) unknown
+        f"values:{known}": HorizonExceeded,  # r(level) unknown
+    }
+    for spec, error in outcomes.items():
+        with pytest.raises(error) as got:
+            roc_to_skt(_block_name(level, 9), RateSpec(parse_rate(spec)), 40)
+        if error is PreconditionRefuted:
+            assert f"at level {level}: " in str(got.value)
+        rate = RateSpec(parse_rate(spec))
+        old = lambda: _ten_scan_gate(_block_name(level, 9), rate, 40)
+        assert _outcome(old) == (error, str(got.value))
+    # up to stage 8, eight terms weigh exactly the bound, which holds
+    assert roc_to_skt(_block_name(level, 8), RateSpec(Modulus.shift(3)), 8).family
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rate=st.one_of(
+        st.builds("shift:{}".format, st.integers(0, 4)),
+        st.builds("affine:{},{}".format, st.integers(1, 3), st.integers(0, 4)),
+        # rates shorter than the nine certified levels fail part way
+        st.builds(
+            lambda vs: "values:" + ",".join(map(str, vs)),
+            st.lists(st.integers(1, 30), min_size=1, max_size=12).map(sorted),
+        ),
+    ),
+    stages=st.integers(0, 40),
+    data=st.data(),
+)
+def test_roc_to_skt_gate_matches_ten_scans(rate, stages, data):
+    # f(0) <= r(0), then c repeats of one exponent at or past r(0): sums
+    # past 1, r(0) <= f(0) and tails past 2^-n all occur
+    r0 = parse_rate(rate).at(0)
+    head = [data.draw(st.integers(0, r0))]
+    head += [data.draw(st.integers(r0, r0 + 6))] * data.draw(st.integers(0, 24))
+    a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(r0, r0 + 9))
+
+    def fresh():
+        f = NameStream(lambda k: head[k] if k < len(head) else a * k + b, label="head")
+        return f, RateSpec(parse_rate(rate))
+
+    def new():
+        res = roc_to_skt(*fresh(), stages)
+        return res.trace.intervals, res.trace.p_events
+
+    def old():
+        _ten_scan_gate(*fresh(), stages)
+        return _reference_stage_loop(*fresh(), stages)
+
+    assert _outcome(new) == _outcome(old)
+
+
+def test_roc_to_skt_gate_reads_one_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("roc_to_skt rescanned the name")
+
+    for name in ("partial_sum", "tail_weight", "roc_certificate_check"):
+        monkeypatch.setattr(names, name, refuse)
+    monkeypatch.setattr(conversions, "tail_weight", refuse)
+    tables = []
+    real = conversions.multiplicities
+
+    def counted(f, upto):
+        tables.append(upto)
+        return real(f, upto)
+
+    monkeypatch.setattr(conversions, "multiplicities", counted)
+    _, _, res = two_thirds_pipeline(stages=300)
+    assert len(res.trace.intervals) == 300
+    assert tables == [299]
+
+
 # ---------------------------------------------------------------------------
 # approximation -> name
 # ---------------------------------------------------------------------------
@@ -394,3 +510,34 @@ def test_carry_step_bound_on_random_pipelines():
         assert trace.max_step <= 1
         assert trace.values == sorted(trace.values)
         assert len(trace.carries) == trace.values[-1] - trace.values[0]
+
+
+def _carry_values_by_tail(name, position, stages):
+    """The per-block loop ``carry_counter`` replaced: one tail per block."""
+    bounds = name.block_boundaries
+    return [
+        floor_scale(tail_weight(name, position + 1, bounds[t] - 1), position)
+        for t in range(stages + 1)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.integers(5, 16), st.integers(0, 2**12)), max_size=12),
+    position=st.integers(0, 18),
+    data=st.data(),
+)
+def test_carry_counter_matches_per_block_tails(steps, position, data):
+    vals = [ZERO]
+    for exp, num in steps:  # each step below 2^-4 keeps the sum under 1
+        vals.append(vals[-1] + Dyadic.of(num % (1 << (exp - 4)), exp))
+    f = name_from_increasing(IncreasingDyadicStream.from_list(vals), len(steps))
+    stages = data.draw(st.one_of(st.none(), st.integers(0, len(steps))))
+    trace = carry_counter(f, position, stages)
+    expected = _carry_values_by_tail(
+        f, position, len(steps) if stages is None else stages
+    )
+    assert trace.values == expected
+    assert trace.carries == [
+        t for t in range(len(expected) - 1) if expected[t + 1] > expected[t]
+    ]

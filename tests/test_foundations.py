@@ -1,6 +1,7 @@
 """Foundations: exact dyadics, bijections, streams, set views."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -136,7 +137,7 @@ def test_floor_scale_examples():
 
 @given(st.lists(st.integers(min_value=-3, max_value=70), max_size=12))
 def test_dyadic_weight_matches_fraction_sum(exps):
-    w = dyadic_weight(exps)
+    w = dyadic_weight(Counter(exps))
     assert frac(w) == sum((Fraction(1, 2) ** e for e in exps), Fraction(0))
     assert w == Dyadic.of(w.num, w.exp)  # canonical, so ZERO when exps is empty
 

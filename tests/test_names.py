@@ -106,6 +106,50 @@ def test_tail_weight_empty_range():
     assert tail_weight(NameStream.affine(2, 1), 0, -1) == ZERO
 
 
+def _tail_weight_by_scan(f: NameStream, m0: int, upto: int) -> Dyadic:
+    """The per-call scan the weight ledger replaced: re-read every value
+    up to ``upto`` and add up the weights of those at least ``m0``."""
+    return sum((half_power(v) for v in f.values(upto + 1) if v >= m0), ZERO)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # short lists of small exponents repeat often and may sum past 1
+    vals=st.lists(st.integers(0, 12), max_size=40),
+    tail_start=st.integers(1, 30),
+    data=st.data(),
+)
+def test_weight_ledger_matches_the_scan(vals, tail_start, data):
+    f = NameStream(lambda k: vals[k] if k < len(vals) else k + tail_start)
+    upto = data.draw(st.integers(-1, len(vals) + 5))
+    # thresholds below, inside and above the range of the values
+    top = upto + tail_start + 3
+    thresholds = data.draw(st.lists(st.integers(-2, top), max_size=9))
+    total = _tail_weight_by_scan(f, 0, upto)
+    table = multiplicities(f, upto)
+    assert table.rearranged_sum() == total
+    if upto >= 0:
+        grown = multiplicities(f, upto - 1)
+        grown.add(f.at(upto))
+        assert grown == table
+    assert table.tails(thresholds) == [
+        _tail_weight_by_scan(f, m0, upto) for m0 in thresholds
+    ]
+    for m0 in thresholds:
+        assert tail_weight(f, m0, upto) == _tail_weight_by_scan(f, m0, upto)
+    if total > ONE:
+        with pytest.raises(InvalidName, match=f"at stage {upto}: "):
+            partial_sum(f, upto)
+    else:
+        assert partial_sum(f, upto) == total
+    r = Modulus.from_values(sorted(max(m0, 0) for m0 in thresholds))
+    for n in range(len(thresholds)):
+        chk = roc_certificate_check(f, r, n, upto)
+        assert chk.tail == _tail_weight_by_scan(f, r.at(n), upto)
+        refuted = chk.tail > half_power(n)
+        assert (chk.status is CheckStatus.REFUTED) == refuted
+
+
 def test_roc_certificate_consistent_for_geometric_name():
     f = NameStream.affine(2, 1)
     r = Modulus.shift(2)
