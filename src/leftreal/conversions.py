@@ -261,7 +261,10 @@ def lc_to_roc(
     ``s(0) = 0``; ``s(n+1)`` is the least ``m > s(n)`` (searched up to
     ``stages``) all of whose prefixes ``xs(m)`` restricted to ``r(k)``
     bits certify complexity at most ``r(k) - k`` for ``k <= n``.  Budget
-    complexity values are upper bounds, so the gate is sound.  Block
+    complexity values are upper bounds, so the gate is sound.  Each gate
+    is decided once per distinct prefix: ``r`` is strictly increasing on
+    the search range, so a prefix's length fixes its level, and later
+    stages that share the prefix reuse the verdict.  Block
     ``t`` of the name lists the digit exponents of
     ``xs(s(t+1)) - xs(s(t))`` in increasing order.
     """
@@ -277,18 +280,23 @@ def lc_to_roc(
     if not r.strictly_increasing_on(n_max):
         raise RateError("rate must be strictly increasing on the search range")
 
+    rates = r.values(n_max)
+    verdicts: dict[str, bool] = {}
+
+    def certified(target: str, k: int) -> bool:
+        ok = verdicts.get(target)
+        if ok is None:
+            ok = complexity(machine, target, budget).at_most(rates[k] - k)
+            verdicts[target] = ok
+        return ok
+
     s_values = [0]
     exhausted_at: Optional[int] = None
     for n in range(n_max):
         found: Optional[int] = None
         for m in range(s_values[-1] + 1, stages + 1):
-            ok = all(
-                complexity(machine, xs.at(m).prefix_bits(r.at(k)), budget).at_most(
-                    r.at(k) - k
-                )
-                for k in range(n + 1)
-            )
-            if ok:
+            bits = xs.at(m).prefix_bits(rates[n])
+            if all(certified(bits[: rates[k]], k) for k in range(n + 1)):
                 found = m
                 break
         if found is None:

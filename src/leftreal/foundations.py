@@ -276,16 +276,27 @@ class Replayable:
 
 
 class BitStream(Replayable):
-    """Replayable, deterministic producer of bits."""
+    """Replayable, deterministic producer of bits.
+
+    The bits read through ``prefix`` are kept as one growing string, so a
+    prefix is a slice and each bit is turned into a character once.
+    """
 
     bit = Replayable.at
+    _bits = ""  # the bits read through ``prefix``, replaced as it grows
 
     def _check(self, k: int, v: int) -> None:
         if v not in (0, 1):
             raise ValueError(f"stream produced non-bit {v!r} at index {k}")
 
     def prefix(self, n: int) -> str:
-        return "".join(map(str, self.values(n)))
+        """The first ``n`` bits as a string (``""`` for ``n <= 0``)."""
+        bits = self._bits
+        if n > len(bits):
+            self.at(n - 1)
+            bits += "".join(map(str, self._memo[len(bits) : n]))
+            self._bits = bits
+        return bits[: max(n, 0)]
 
     @staticmethod
     def from_bits(bits: str) -> "BitStream":

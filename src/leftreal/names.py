@@ -152,15 +152,26 @@ class IncreasingDyadicStream(Replayable):
     def from_prefix_sums(
         stream, bits_per_step: int = 1, label: str = ""
     ) -> "IncreasingDyadicStream":
-        """Partial values of a bit stream: ``x_t = 0.(first bits_per_step*t bits)``."""
+        """Partial values of a bit stream: ``x_t = 0.(first bits_per_step*t bits)``.
+
+        ``x_t`` is ``x_{t-1}`` at scale ``2**-(bits_per_step*(t-1))`` with
+        the next ``bits_per_step`` bits appended, so each bit is read once.
+        """
+        if bits_per_step < 0:
+            raise ValueError(
+                f"prefix sums need a step of 0 or more bits, got {bits_per_step}"
+            )
 
         def fn(t: int) -> Dyadic:
             if t == 0:
                 return ZERO
+            start = bits_per_step * (t - 1)
             new = 0
-            for i in range(bits_per_step * (t - 1), bits_per_step * t):
+            for i in range(start, start + bits_per_step):
                 new = new << 1 | stream.bit(i)
-            return xs.at(t - 1) + Dyadic.of(new, bits_per_step * t)
+            prev = xs.at(t - 1)
+            acc = prev.num << (start - prev.exp)
+            return Dyadic.of(acc << bits_per_step | new, start + bits_per_step)
 
         xs = IncreasingDyadicStream(fn, label=label or f"sums({stream.label})")
         return xs

@@ -79,6 +79,7 @@ def test_usage_error_exits_one(tmp_path, capsys):
         "skt validate {bad_levels} --nmax 1",
         "skt from-rate ref --rate pow2:4 --nmax 5 --force",
         "machine enumerate ref --budget-l 30",  # 3,751,937 pairs, refused before listing
+        "convert lc-to-roc --stream prefix-sums:01:-1 --rate shift:2 --stages 10 --nmax 2",
     ],
 )
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):

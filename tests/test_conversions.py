@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leftreal import conversions, names
 from leftreal.conversions import (
@@ -21,6 +21,7 @@ from leftreal.conversions import (
 from leftreal.errors import HorizonExceeded, InvalidName, PreconditionRefuted, RateError
 from leftreal.foundations import BitStream, Dyadic, ONE, ZERO, floor_scale, half_power
 from leftreal.jsonio import parse_name, parse_rate
+from leftreal.kraft_chaitin import kc_build_machine
 from leftreal.machines import Budget, Interpreter
 from leftreal.names import (
     CheckStatus,
@@ -453,6 +454,121 @@ def test_lc_to_roc_search_exhausted_on_incompressible_stream():
     res = lc_to_roc(xs, Modulus.shift(2), Interpreter(), Budget(14, 10**4), 30, 3)
     assert res.exhausted_at == 1
     assert res.s_values == [0]
+
+
+def _reference_lc_to_roc(xs, r, machine, budget, stages, n_max):
+    """The stage search ``lc_to_roc`` replaced: every level of every stage
+    asks ``complexity`` again, on a fresh prefix of ``xs(m)``."""
+    if xs.at(0) != ZERO:
+        raise ValueError("approximation must start at 0")
+    if not r.strictly_increasing_on(n_max):
+        raise RateError("rate must be strictly increasing on the search range")
+    s_values = [0]
+    exhausted_at = None
+    for n in range(n_max):
+        found = None
+        for m in range(s_values[-1] + 1, stages + 1):
+            ok = all(
+                conversions.complexity(
+                    machine, xs.at(m).prefix_bits(r.at(k)), budget
+                ).at_most(r.at(k) - k)
+                for k in range(n + 1)
+            )
+            if ok:
+                found = m
+                break
+        if found is None:
+            exhausted_at = n + 1
+            break
+        s_values.append(found)
+    blocks = IncreasingDyadicStream.from_list([xs.at(v) for v in s_values])
+    name = name_from_increasing(blocks, len(s_values) - 1)
+    return s_values, exhausted_at, name
+
+
+def _lc_summary(s_values, exhausted_at, name):
+    return s_values, exhausted_at, name.values(name.length), name.block_boundaries
+
+
+LC_RATES = {
+    "shift": lambda: Modulus.shift(6),
+    "affine": lambda: Modulus.affine(4, 8),
+    "pow2": lambda: Modulus.power2(4),
+    "not-increasing": lambda: Modulus.from_values([16, 20, 20, 24, 28, 32, 36]),
+    "short": lambda: Modulus.from_values([16, 32, 64]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stream=st.one_of(
+        st.builds(BitStream.periodic, st.text("01", min_size=1, max_size=4)),
+        st.builds(BitStream.from_bits, st.text("01", max_size=24)),
+    ),
+    step=st.integers(1, 3),
+    rate=st.sampled_from(sorted(LC_RATES)),
+    table=st.one_of(
+        st.none(), st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2)), max_size=4)
+    ),
+    budget=st.builds(
+        Budget, st.integers(12, 24), st.one_of(st.just(10**4), st.integers(4, 60))
+    ),
+    n_max=st.integers(0, 6),
+    stages=st.integers(0, 120),
+)
+@example(  # level 0 meets a new prefix, costing r(0) + 1, in the level-1 search
+    stream=BitStream.periodic("01"),
+    step=1,
+    rate="affine",
+    table=[(1, 0), (2, 1), (40, 2), (2, 0)],
+    budget=Budget(22, 10**4),
+    n_max=2,
+    stages=20,
+)
+def test_lc_to_roc_matches_reference_search(
+    stream, step, rate, table, budget, n_max, stages
+):
+    def approximants():
+        return IncreasingDyadicStream.from_prefix_sums(stream, step)
+
+    aux = ()
+    if table is not None:  # cheap calls that print x_m's prefix at level k
+        xs, r = approximants(), LC_RATES[rate]()
+        aux = (
+            kc_build_machine(
+                [(i + 3, xs.at(m).prefix_bits(r.at(k))) for i, (m, k) in enumerate(table)]
+            ),
+        )
+    machine = Interpreter(aux=aux)
+
+    def run(search):
+        return search(approximants(), LC_RATES[rate](), machine, budget, stages, n_max)
+
+    def fast():
+        res = run(lc_to_roc)
+        return _lc_summary(res.s_values, res.exhausted_at, res.name)
+
+    assert _outcome(fast) == _outcome(lambda: _lc_summary(*run(_reference_lc_to_roc)))
+
+
+def test_lc_to_roc_asks_complexity_once_per_distinct_prefix(monkeypatch):
+    targets = []
+    real = conversions.complexity
+
+    def counted(machine, target, budget):
+        targets.append(target)
+        return real(machine, target, budget)
+
+    monkeypatch.setattr(conversions, "complexity", counted)
+    _, r, res = third_pipeline()
+    fast = targets[:]
+    targets.clear()
+    ref = _reference_lc_to_roc(
+        third_approximants(), r, Interpreter(), Budget(22, 10**4), 200, 4
+    )
+    assert ref[0] == res.s_values
+    assert fast == list(dict.fromkeys(targets))
+    assert len(fast) < len(targets)
 
 
 # ---------------------------------------------------------------------------

@@ -286,11 +286,15 @@ def test_strongly_lc_monotone_bounded():
 @settings(max_examples=200, deadline=None)
 @given(
     bits=st.text("01", max_size=40),
-    bits_per_step=st.integers(0, 4),
+    bits_per_step=st.integers(-2, 4),
     queries=st.lists(st.integers(0, 15), min_size=1, max_size=10),
 )
 def test_prefix_sums_add_the_next_bits_at_each_step(bits, bits_per_step, queries):
     stream = BitStream(lambda i: int(bits[i]), len(bits))
+    if bits_per_step < 0:
+        with pytest.raises(ValueError, match="step of 0 or more bits"):
+            IncreasingDyadicStream.from_prefix_sums(stream, bits_per_step)
+        return
     xs = IncreasingDyadicStream.from_prefix_sums(stream, bits_per_step)
     for t in queries:
         if bits_per_step * t > len(bits):
@@ -298,6 +302,56 @@ def test_prefix_sums_add_the_next_bits_at_each_step(bits, bits_per_step, queries
                 xs.at(t)
         else:
             assert xs.at(t) == Dyadic.from_bits(stream.prefix(bits_per_step * t))
+
+
+def _prefix_by_join(stream: BitStream, n: int) -> str:
+    """The read ``BitStream.prefix`` replaced: every bit joined on every call."""
+    return "".join(map(str, stream.values(n)))
+
+
+def _read_outcome(read):
+    try:
+        return read()
+    except (ValueError, HorizonExceeded) as e:
+        return type(e), str(e)
+
+
+# read -> (the read on the stream under test, the same read the old way)
+BIT_READS = {
+    "prefix": (BitStream.prefix, _prefix_by_join),
+    "bit": (BitStream.bit, BitStream.bit),
+    "values": (BitStream.values, BitStream.values),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pattern=st.text("01", min_size=1, max_size=6),
+    horizon=st.one_of(st.none(), st.integers(0, 40)),
+    bad_at=st.one_of(st.none(), st.integers(0, 40)),
+    reads=st.lists(
+        st.tuples(st.sampled_from(sorted(BIT_READS)), st.integers(-5, 45)),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_bitstream_prefix_matches_the_join(pattern, horizon, bad_at, reads):
+    def fn(i):
+        return 2 if i == bad_at else int(pattern[i % len(pattern)])
+
+    stream, oracle = BitStream(fn, horizon), BitStream(fn, horizon)
+    for op, n in reads:
+        new, old = BIT_READS[op]
+        got = _read_outcome(lambda: new(stream, n))
+        assert got == _read_outcome(lambda: old(oracle, n))
+        if op != "prefix":
+            continue
+        if n <= 0:
+            assert got == ""
+        elif horizon is not None and n > horizon:
+            assert got[0] is HorizonExceeded
+        elif bad_at is not None and bad_at < n:
+            assert got == (ValueError, f"stream produced non-bit 2 at index {bad_at}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +406,15 @@ def test_sequences_compute_each_index_once_in_order(kind, queries):
         return good(k)
 
     seq = make(fn)
-    for k in queries:
-        assert seq.at(k) == good(k)
+    for i, k in enumerate(queries):
+        if kind == "bits" and i % 2:  # bit streams are also read by prefix
+            assert seq.prefix(k + 1) == "".join(str(good(j)) for j in range(k + 1))
+        else:
+            assert seq.at(k) == good(k)
     top = max(queries) + 1
     assert seq.values(top) == [good(k) for k in range(top)]
+    if kind == "bits":
+        assert seq.prefix(top) == "".join(str(good(k)) for k in range(top))
     assert calls == list(range(top))
 
 
