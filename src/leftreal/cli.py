@@ -4,6 +4,10 @@ Every artifact embeds a manifest (command line, input digests, budgets,
 tool version); identical manifests produce byte-identical outputs.  Exit
 codes: 0 success, 2 when a computation succeeded but a mathematical
 check came back refuted/violated, 1 for usage or input errors.
+
+A command loads only the library modules it runs: each handler imports
+what it uses, and the parser builds a group's leaf commands only when
+the command line reaches that group.
 """
 
 from __future__ import annotations
@@ -12,26 +16,17 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .conversions import RateSpec, count_bound_check, lc_to_roc, roc_to_skt
 from .errors import (
     DegenerateMachine,
     LeftrealError,
     PrefixViolation,
     PreconditionRefuted,
     WeightExceeded,
-)
-from .foundations import charseq, join
-from .immunity import (
-    check_bi_immune,
-    check_cohesive,
-    check_hhi,
-    check_hyperimmune,
-    check_immune,
-    check_shhi,
 )
 from .jsonio import (
     SpecError,
@@ -56,20 +51,12 @@ from .jsonio import (
     verdict_to_json,
     view_to_json,
 )
-from .kraft_chaitin import KCAllocator, kc_build_machine
-from .machines import (
-    Budget,
-    ComplexityValue,
-    Interpreter,
-    KStatus,
-    complexity,
-    enumerate_domain,
-    omega_lower,
-    omega_s_bounds,
-)
-from .names import regular_sum, strongly_lc
-from .randomness import TestFamily, covers, skt_from_rate, validate_family
-from .spectra import ComplexityProfile, dim_window, profile, square_interleave
+
+if TYPE_CHECKING:
+    from typing import Any, Callable, Optional
+
+    from .machines import Budget
+    from .randomness import TestFamily
 
 REGISTRY_ENV = "LEFTREAL_MACHINE_REGISTRY"
 
@@ -159,6 +146,8 @@ def _registry_resolver(out: _Output):
 
 
 def _load_machine(out: _Output, arg: str):
+    from .machines import Interpreter
+
     if arg in ("ref", "interpreter"):
         return Interpreter()
     resolver = _registry_resolver(out)
@@ -173,6 +162,8 @@ def _load_family(out: _Output, path: str) -> TestFamily:
 
 
 def _budget(out: _Output, args: argparse.Namespace) -> Budget:
+    from .machines import Budget
+
     b = Budget(args.budget_l, args.budget_t, allow_large=args.force)
     out.record_budget(L=b.L, t=b.t)
     return b
@@ -190,6 +181,8 @@ def _cmd_machine_validate(out: _Output, args) -> int:
 
 
 def _cmd_machine_enumerate(out: _Output, args) -> int:
+    from .machines import enumerate_domain
+
     m = _load_machine(out, args.machine)
     enum = enumerate_domain(m, _budget(out, args))
     out.emit_json(
@@ -203,6 +196,8 @@ def _cmd_machine_enumerate(out: _Output, args) -> int:
 
 
 def _cmd_machine_k(out: _Output, args) -> int:
+    from .machines import complexity
+
     m = _load_machine(out, args.machine)
     v = complexity(m, args.target, _budget(out, args))
     out.emit_json({"target": args.target, "complexity": complexity_to_json(v)})
@@ -218,6 +213,8 @@ def _load_requests(out: _Output, path: str) -> list:
 
 
 def _cmd_kc_alloc(out: _Output, args) -> int:
+    from .kraft_chaitin import KCAllocator
+
     requests = _load_requests(out, args.requests)
     alloc = KCAllocator()
     result = [[alloc.request(int(l)), payload] for l, payload in requests]
@@ -226,6 +223,8 @@ def _cmd_kc_alloc(out: _Output, args) -> int:
 
 
 def _cmd_kc_build(out: _Output, args) -> int:
+    from .kraft_chaitin import kc_build_machine
+
     requests = _load_requests(out, args.requests)
     m = kc_build_machine([(int(l), payload) for l, payload in requests])
     out.emit_json({"machine": machine_to_json(m), "id": m.id})
@@ -233,6 +232,8 @@ def _cmd_kc_build(out: _Output, args) -> int:
 
 
 def _cmd_skt_from_rate(out: _Output, args) -> int:
+    from .randomness import skt_from_rate
+
     m = _load_machine(out, args.machine)
     fam = skt_from_rate(m, parse_rate(args.rate), args.nmax, _budget(out, args))
     out.emit_json({"family": family_to_json(fam, args.nmax)})
@@ -240,6 +241,8 @@ def _cmd_skt_from_rate(out: _Output, args) -> int:
 
 
 def _cmd_skt_validate(out: _Output, args) -> int:
+    from .randomness import validate_family
+
     fam = _load_family(out, args.family)
     verdict = validate_family(fam, args.nmax, args.stage)
     out.emit_json(
@@ -253,6 +256,8 @@ def _cmd_skt_validate(out: _Output, args) -> int:
 
 
 def _cmd_skt_covers(out: _Output, args) -> int:
+    from .randomness import covers
+
     fam = _load_family(out, args.family)
     x = parse_stream(args.stream)
     reports = [covers(fam, x, n, args.stage) for n in range(args.nmax + 1)]
@@ -268,6 +273,8 @@ def _cmd_skt_covers(out: _Output, args) -> int:
 
 
 def _cmd_convert_roc_to_skt(out: _Output, args) -> int:
+    from .conversions import RateSpec, count_bound_check, roc_to_skt
+
     f = parse_name(args.name)
     rate = RateSpec(parse_rate(args.rate))
     out.record_budget(stages=args.stages)
@@ -290,6 +297,8 @@ def _cmd_convert_roc_to_skt(out: _Output, args) -> int:
 
 
 def _cmd_convert_lc_to_roc(out: _Output, args) -> int:
+    from .conversions import lc_to_roc
+
     xs = parse_increasing(args.stream)
     r = parse_rate(args.rate)
     m = _load_machine(out, args.machine)
@@ -308,6 +317,8 @@ def _cmd_convert_lc_to_roc(out: _Output, args) -> int:
 
 
 def _cmd_profile(out: _Output, args) -> int:
+    from .spectra import profile
+
     m = _load_machine(out, args.machine)
     p = profile(m, parse_stream(args.stream), args.nmax, _budget(out, args))
     out.emit_text(profile_to_csv(p))
@@ -315,6 +326,9 @@ def _cmd_profile(out: _Output, args) -> int:
 
 
 def _cmd_dim(out: _Output, args) -> int:
+    from .machines import Budget, ComplexityValue, KStatus
+    from .spectra import ComplexityProfile, dim_window
+
     text = out.record_input(args.profile).decode()
     entries = []
     budget = Budget(0, 0)
@@ -333,6 +347,8 @@ def _cmd_dim(out: _Output, args) -> int:
 
 
 def _cmd_omega(out: _Output, args) -> int:
+    from .machines import omega_lower
+
     m = _load_machine(out, args.machine)
     w = omega_lower(m, _budget(out, args))
     out.emit_json({"omega_lower": dyadic_to_json(w)})
@@ -340,6 +356,8 @@ def _cmd_omega(out: _Output, args) -> int:
 
 
 def _cmd_omega_s(out: _Output, args) -> int:
+    from .machines import omega_s_bounds
+
     m = _load_machine(out, args.machine)
     iv = omega_s_bounds(m, parse_fraction(args.s), _budget(out, args), args.precision)
     out.emit_json(
@@ -352,11 +370,14 @@ def _cmd_omega_s(out: _Output, args) -> int:
 
 
 def _verdict(check: Callable[..., Any]) -> Callable[..., int]:
-    """The handler of an immunity leaf: run its falsifier on the ``--set``
-    view and the other arguments, and emit the verdict."""
+    """The handler of an immunity leaf: run its falsifier, found in the
+    ``immunity`` module, on the ``--set`` view and the other arguments,
+    and emit the verdict."""
 
     def run(out: _Output, args) -> int:
-        v = check(parse_view(args.set), args)
+        from . import immunity
+
+        v = check(immunity, parse_view(args.set), args)
         out.emit_json({"verdict": verdict_to_json(v)})
         return 2 if v.refuted else 0
 
@@ -364,18 +385,24 @@ def _verdict(check: Callable[..., Any]) -> Callable[..., int]:
 
 
 def _cmd_construct_interleave(out: _Output, args) -> int:
+    from .spectra import square_interleave
+
     stream = square_interleave(parse_stream(args.source))
     out.emit_json({"bits": stream.prefix(args.prefix)})
     return 0
 
 
 def _cmd_construct_join(out: _Output, args) -> int:
+    from .foundations import charseq, join
+
     j = join(parse_view(args.a), parse_view(args.b))
     out.emit_json({"join": view_to_json(j), "bits": charseq(j).prefix(j.horizon)})
     return 0
 
 
 def _cmd_construct_regular(out: _Output, args) -> int:
+    from .names import regular_sum, strongly_lc
+
     xs = regular_sum([strongly_lc(parse_view(s)) for s in args.component])
     out.emit_json({"values": [dyadic_to_json(xs.at(t)) for t in range(args.steps + 1)]})
     return 0
@@ -462,31 +489,31 @@ COMMANDS: dict[str, tuple[Callable[..., int], list[tuple[str, dict]]]] = {
         ],
     ),
     "immunity immune": (
-        _verdict(lambda s, a: check_immune(
+        _verdict(lambda im, s, a: im.check_immune(
             s, parse_view(a.witness), a.horizon, a.threshold)),
         [SET, WITNESS, HORIZON, THRESHOLD],
     ),
     "immunity hyperimmune": (
-        _verdict(lambda s, a: check_hyperimmune(s, parse_rate(a.rate), a.horizon)),
+        _verdict(lambda im, s, a: im.check_hyperimmune(s, parse_rate(a.rate), a.horizon)),
         [SET, RATE, HORIZON],
     ),
     "immunity hhi": (
-        _verdict(lambda s, a: check_hhi(
+        _verdict(lambda im, s, a: im.check_hhi(
             s, [[int(x) for x in b.split(",")] for b in a.block], a.horizon)),
         [SET, BLOCKS, HORIZON],
     ),
     "immunity shhi": (
-        _verdict(lambda s, a: check_shhi(
+        _verdict(lambda im, s, a: im.check_shhi(
             s, [parse_view(b) for b in a.block], a.horizon)),
         [SET, BLOCKS, HORIZON],
     ),
     "immunity cohesive": (
-        _verdict(lambda s, a: check_cohesive(
+        _verdict(lambda im, s, a: im.check_cohesive(
             s, parse_view(a.witness), a.horizon, a.threshold)),
         [SET, WITNESS, HORIZON, THRESHOLD],
     ),
     "immunity bi-immune": (
-        _verdict(lambda s, a: check_bi_immune(
+        _verdict(lambda im, s, a: im.check_bi_immune(
             s, parse_view(a.witness), parse_view(a.witness_complement), a.horizon,
             a.threshold)),
         [SET, WITNESS, _arg("--witness-complement", required=True), HORIZON, THRESHOLD],
@@ -511,10 +538,42 @@ COMMANDS: dict[str, tuple[Callable[..., int], list[tuple[str, dict]]]] = {
 
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ``SpecError``, so ``main`` reports them like
-    every other input error: one line, exit 1."""
+    every other input error: one line, exit 1.
+
+    A group's parser runs ``fill`` before it first parses, so a command
+    line builds the leaf parsers of the one group it names; help and
+    usage messages are those of the fully built parser.
+    """
+
+    fill: Optional[Callable[[], None]] = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.fill is not None:
+            fill, self.fill = self.fill, None
+            fill()
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
         raise SpecError(f"{self.prog}: {message}")
+
+
+def _add_command(p: argparse.ArgumentParser, path: str) -> None:
+    run, specs = COMMANDS[path]
+    for name, kw in specs:
+        p.add_argument(name, **kw)
+    p.add_argument("--out", help="write the artifact to this path instead of stdout")
+    p.set_defaults(run=run)
+
+
+def _fill_group(group: _Parser, paths: list[str]) -> None:
+    """Add a group's leaf commands, or its arguments when the group is a
+    command itself."""
+    if " " not in paths[0]:
+        _add_command(group, paths[0])
+        return
+    leaves = group.add_subparsers(dest="cmd", required=True)
+    for path in paths:
+        _add_command(leaves.add_parser(path.partition(" ")[2]), path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,17 +582,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact-arithmetic workbench for left-computable reals",
     )
     groups = top.add_subparsers(dest="group", required=True)
-    subs = {}
-    for path, (run, specs) in COMMANDS.items():
-        group, _, leaf = path.partition(" ")
-        if leaf and group not in subs:
-            sub = groups.add_parser(group)
-            subs[group] = sub.add_subparsers(dest="cmd", required=True)
-        p = subs[group].add_parser(leaf) if leaf else groups.add_parser(group)
-        for name, kw in specs:
-            p.add_argument(name, **kw)
-        p.add_argument("--out", help="write the artifact to this path instead of stdout")
-        p.set_defaults(run=run)
+    paths: dict[str, list[str]] = {}
+    for path in COMMANDS:
+        paths.setdefault(path.partition(" ")[0], []).append(path)
+    for name, group_paths in paths.items():
+        group = groups.add_parser(name)
+        group.fill = partial(_fill_group, group, group_paths)
     return top
 
 

@@ -15,8 +15,7 @@ intervals could never contain the limit.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionRefuted, RateError
 from .foundations import Dyadic, ZERO, floor_scale, half_power
@@ -31,11 +30,13 @@ from .names import (
 )
 from .randomness import TestFamily, TestKind
 
+if TYPE_CHECKING:
+    from typing import Optional
+
 CERTIFY_LEVELS = 8  # roc_to_skt checks the tail certificate at levels 0..8
 
 
-@dataclass
-class RateSpec:
+class RateSpec(NamedTuple):
     """A tail-weight rate plus the stage-length schedule derived from it."""
 
     r: Modulus
@@ -47,8 +48,9 @@ class RateSpec:
 class StageInterval(NamedTuple):
     """One enumerated open interval ``]lo, lo + 2**-length_exp[``.
 
-    A named tuple, since every stage builds one and a frozen dataclass
-    takes about three times as long to build.
+    A named tuple, since every stage builds one and a class that guards
+    its fields against assignment takes about three times as long to
+    build.
     """
 
     t: int
@@ -57,8 +59,7 @@ class StageInterval(NamedTuple):
     m: int
 
 
-@dataclass
-class StageTrace:
+class StageTrace(NamedTuple):
     """Replayable record of a staged interval enumeration."""
 
     intervals: list[StageInterval]
@@ -100,8 +101,7 @@ def _cells_touching(lo: Dyadic, exp: int) -> list[int]:
     return cells
 
 
-@dataclass
-class RocToSktResult:
+class RocToSktResult(NamedTuple):
     trace: Optional[StageTrace]
     family: Optional[TestFamily]
     dyadic_shortcut: bool = False
@@ -213,8 +213,7 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     return RocToSktResult(trace=trace, family=family)
 
 
-@dataclass
-class BoundCheck:
+class BoundCheck(NamedTuple):
     holds: bool
     count: int
     bound: int
@@ -233,8 +232,7 @@ def count_bound_check(trace: StageTrace, rate: RateSpec, n: int) -> BoundCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LcToRocResult:
+class LcToRocResult(NamedTuple):
     s_values: list[int]
     name: Optional[NameStream]
     exhausted_at: Optional[int] = None
@@ -317,8 +315,7 @@ def lc_to_roc(
     )
 
 
-@dataclass
-class TailBound:
+class TailBound(NamedTuple):
     holds: bool
     tail: Dyadic
     bound: Dyadic
@@ -341,8 +338,7 @@ def tail_bound_check(
     )
 
 
-@dataclass
-class CarryTrace:
+class CarryTrace(NamedTuple):
     position: int
     values: list[int]  # R[t] for t = 0 .. block count
     carries: list[int]  # stages t with R[t+1] > R[t]

@@ -1,6 +1,6 @@
-"""Exact dyadic arithmetic, bit strings, replayable sequences and bit
-streams, set views, and the standard combinatorial bijections (pairing,
-length-lex enumeration).
+"""Exact dyadic arithmetic, bit strings, the record base class,
+replayable sequences and bit streams, set views, and the standard
+combinatorial bijections (pairing, length-lex enumeration).
 
 Bit strings are plain ``str`` objects over ``"0"``/``"1"``; the empty
 string is a valid bit string.  All arithmetic is exact big-integer
@@ -10,10 +10,12 @@ arithmetic; nothing in this module touches floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING
 
 from .errors import HorizonExceeded, PrefixViolation, RangeViolation
+
+if TYPE_CHECKING:
+    from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 
 def check_bits(s: str) -> str:
@@ -32,22 +34,66 @@ def check_prefix_free(strings: Iterable[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class Record:
+    """Equality, hashing and repr over the fields named in ``_fields``.
+
+    A record equals only an instance of its own class with equal fields,
+    hashes as the tuple of its fields and shows as ``Name(field=value)``.
+    A mutable record sets ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Dyadic numbers
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=False)
 class Dyadic:
     """Exact dyadic rational ``num * 2**-exp``.
 
     Canonical form: ``num`` is odd or zero, and ``exp`` is the smallest
     natural number realizing the value (``exp == 0`` when ``num == 0`` or
     the value is an integer).  Equality on canonical values is field
-    equality.
+    equality.  Immutable by convention: every stage builds some, and a
+    class that guards its fields against assignment takes over twice as
+    long to build.
     """
 
-    num: int
-    exp: int
+    __slots__ = ("num", "exp")
+
+    def __init__(self, num: int, exp: int):
+        self.num = num
+        self.exp = exp
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Dyadic:
+            return NotImplemented
+        return self.num == other.num and self.exp == other.exp
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.exp))
 
     @staticmethod
     def of(num: int, exp: int) -> "Dyadic":
@@ -112,13 +158,17 @@ class Dyadic:
 
     # -- binary expansion ---------------------------------------------------
 
+    def in_unit_interval(self) -> bool:
+        """Whether the value lies in [0, 1], read off the fields."""
+        return 0 <= self.num <= 1 << self.exp
+
     def bit(self, i: int) -> int:
         """Bit ``i`` (0-based) after the binary point, for values in [0, 1].
 
         Uses the trailing-zeros expansion of dyadic values; the value 1 is
         the all-ones sequence (its only expansion in ``0.xxx...`` form).
         """
-        if self < ZERO or self > ONE:
+        if not self.in_unit_interval():
             raise RangeViolation(f"binary expansion requires value in [0,1]: {self}")
         if self == ONE:
             return 1
@@ -127,7 +177,7 @@ class Dyadic:
 
     def prefix_bits(self, n: int) -> str:
         """First ``n`` expansion bits as a string."""
-        if self < ZERO or self > ONE:
+        if not self.in_unit_interval():
             raise RangeViolation(f"binary expansion requires value in [0,1]: {self}")
         if self == ONE:
             return "1" * n
@@ -168,16 +218,16 @@ def floor_scale(y: Dyadic, r: int) -> int:
     return y.num >> (y.exp - r)
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
+class DyadicInterval(Record):
     """Closed interval with exact dyadic endpoints."""
 
-    lo: Dyadic
-    hi: Dyadic
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo: Dyadic, hi: Dyadic):
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        self.lo = lo
+        self.hi = hi
 
     def width(self) -> Dyadic:
         return self.hi - self.lo

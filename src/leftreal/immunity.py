@@ -10,11 +10,13 @@ a transparent witness-count threshold, reported in every verdict.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import DisjointnessViolation, InsufficientElements
-from .foundations import NatSetView
+from .foundations import NatSetView, Record
+
+if TYPE_CHECKING:
+    from typing import Optional, Sequence
 
 DEFAULT_THRESHOLD_DIVISOR = 4
 
@@ -33,13 +35,23 @@ class Result(enum.Enum):
     CONSISTENT_AT_HORIZON = "consistent-at-horizon"
 
 
-@dataclass
-class ImmunityVerdict:
-    property: Property
-    result: Result
-    horizon: int
-    threshold: int
-    witness: dict = field(default_factory=dict)
+class ImmunityVerdict(Record):
+    __slots__ = _fields = ("property", "result", "horizon", "threshold", "witness")
+    __hash__ = None  # the witness is a dict
+
+    def __init__(
+        self,
+        property: Property,
+        result: Result,
+        horizon: int,
+        threshold: int,
+        witness: Optional[dict] = None,
+    ):
+        self.property = property
+        self.result = result
+        self.horizon = horizon
+        self.threshold = threshold
+        self.witness = {} if witness is None else witness
 
     @property
     def refuted(self) -> bool:

@@ -12,29 +12,28 @@ never as floats.  Spec strings keep pipelines one-liners:
   ``dyadics:1/2^1,3/2^2,...``
 * set views: ``evens:H`` | ``odds:H`` | ``multiples:k:H`` | ``column:i:H``
   | ``squares-1:H`` | ``elements:1,2,3:H``
+
+Each function imports the library modules it uses, so a command loads
+only what its inputs and outputs need.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
-from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING
 
-from . import foundations as fd
-from .conversions import StageTrace
-from .foundations import BitStream, Dyadic, NatSetView
-from .immunity import ImmunityVerdict
-from .machines import (
-    ComplexityValue,
-    Interpreter,
-    PrefixMachine,
-    TableMachine,
-)
-from .names import IncreasingDyadicStream, Modulus, NameStream
-from .randomness import TestFamily, TestKind
-from .spectra import ComplexityProfile, DimEstimate
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Any
+
+    from .conversions import StageTrace
+    from .foundations import BitStream, Dyadic, NatSetView
+    from .immunity import ImmunityVerdict
+    from .machines import ComplexityValue, PrefixMachine
+    from .names import IncreasingDyadicStream, Modulus, NameStream
+    from .randomness import TestFamily
+    from .spectra import ComplexityProfile, DimEstimate
 
 
 class SpecError(ValueError):
@@ -54,6 +53,8 @@ _DYADIC_RE = re.compile(r"^(-?\d+)(?:/2\^(\d+))?$")
 
 
 def parse_dyadic(text: str) -> Dyadic:
+    from .foundations import Dyadic
+
     m = _DYADIC_RE.match(text.strip())
     if not m:
         raise SpecError(f"not a dyadic literal: {text!r} (want 'num' or 'num/2^exp')")
@@ -61,6 +62,8 @@ def parse_dyadic(text: str) -> Dyadic:
 
 
 def parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     if "/" in text:
         a, b = text.split("/", 1)
         if int(b) == 0:
@@ -84,6 +87,8 @@ def pairs_from_json(obj: Any, what: str) -> list:
 
 
 def machine_to_json(m: PrefixMachine) -> dict:
+    from .machines import TableMachine
+
     if isinstance(m, TableMachine):
         return {"kind": "table", "entries": [[k, v] for k, v in m.entries]}
     return {"kind": "interpreter", "aux": [machine_to_json(a) for a in m.aux]}
@@ -92,6 +97,8 @@ def machine_to_json(m: PrefixMachine) -> dict:
 def machine_from_json(obj: Any, resolver=None) -> PrefixMachine:
     """Decode a machine document; ``aux`` entries may be inline documents
     or id strings handed to ``resolver``."""
+    from .machines import Interpreter, TableMachine
+
     if isinstance(obj, str):
         if resolver is None:
             raise SpecError(f"machine id {obj!r} given but no registry available")
@@ -125,6 +132,8 @@ def _ints(csv: str) -> list[int]:
 
 
 def parse_name(text: str) -> NameStream:
+    from .names import NameStream, name_from_increasing
+
     kind, _, rest = text.partition(":")
     if kind == "ap":
         a, b = _ints(rest)
@@ -132,14 +141,14 @@ def parse_name(text: str) -> NameStream:
     if kind == "list":
         return NameStream.from_list(_ints(rest), label=text)
     if kind == "blocks":
-        from .names import name_from_increasing
-
         steps, _, source = rest.partition(":")
         return name_from_increasing(parse_increasing(source), int(steps), label=text)
     raise SpecError(f"unknown name spec {text!r}")
 
 
 def parse_rate(text: str) -> Modulus:
+    from .names import Modulus
+
     base, _, shift = text.partition(">>")
     kind, _, rest = base.partition(":")
     if kind == "shift":
@@ -163,6 +172,8 @@ def parse_rate(text: str) -> Modulus:
 
 
 def parse_stream(text: str) -> BitStream:
+    from .foundations import BitStream
+
     kind, _, rest = text.partition(":")
     if kind == "periodic":
         return BitStream.periodic(rest)
@@ -174,6 +185,9 @@ def parse_stream(text: str) -> BitStream:
 
 
 def parse_increasing(text: str) -> IncreasingDyadicStream:
+    from .foundations import BitStream
+    from .names import IncreasingDyadicStream
+
     kind, _, rest = text.partition(":")
     if kind == "prefix-sums":
         pattern, _, step = rest.partition(":")
@@ -187,6 +201,8 @@ def parse_increasing(text: str) -> IncreasingDyadicStream:
 
 
 def parse_view(text: str) -> NatSetView:
+    from . import foundations as fd
+
     parts = text.split(":")
     kind = parts[0]
     try:
@@ -201,7 +217,7 @@ def parse_view(text: str) -> NatSetView:
         if kind == "squares-1":
             return fd.squares_shifted(int(parts[1]))
         if kind == "elements":
-            return NatSetView.from_elements(_ints(parts[1]), int(parts[2]), label=text)
+            return fd.NatSetView.from_elements(_ints(parts[1]), int(parts[2]), label=text)
     except IndexError:
         raise SpecError(f"set spec {text!r} is missing a ':'-separated field") from None
     raise SpecError(f"unknown set spec {text!r}")
@@ -225,6 +241,8 @@ def family_to_json(fam: TestFamily, n_max: int) -> dict:
 
 
 def family_from_json(obj: dict) -> TestFamily:
+    from .randomness import TestFamily, TestKind
+
     kinds = {k.value: k for k in TestKind}
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind not in kinds:
@@ -303,4 +321,6 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def digest(data: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()

@@ -12,11 +12,14 @@ the closed bound is allowed -- and is fully deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import WeightExceeded
 from .foundations import Dyadic, ONE, ZERO, dyadic_weight, half_power
 from .machines import TableMachine, validate_table
+
+if TYPE_CHECKING:
+    from typing import Iterable, Sequence
 
 
 def _block_position(block: tuple[int, int]) -> Dyadic:

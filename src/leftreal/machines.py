@@ -28,24 +28,26 @@ directly; only ``enumerate_domain`` lists programs.
 from __future__ import annotations
 
 import enum
-import hashlib
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import BudgetGuard
 from .foundations import (
     Dyadic,
     DyadicInterval,
+    Record,
     ZERO,
     check_bits,
     check_prefix_free,
     dyadic_weight,
     strings_of_length,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 INFINITE = float("inf")  # order sentinel for "no program"; never used in arithmetic
 
@@ -88,8 +90,7 @@ def gamma_parse(s: str, pos: int) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)  # each opcode is its own singleton
-class Opcode:
+class Opcode(Record):
     """One instruction: ``tag``, a gamma-coded number per header field, a body.
 
     For a literal or a repeat, ``lengths(*nums)`` is the body length and the
@@ -98,10 +99,21 @@ class Opcode:
     table its header names, so it has neither.
     """
 
-    tag: str
-    fields: tuple[str, ...]
-    lengths: Optional[Callable[..., tuple[int, int]]] = None
-    outputs: Optional[Callable[..., list[str]]] = None
+    __slots__ = _fields = ("tag", "fields", "lengths", "outputs")
+    __eq__ = object.__eq__  # each opcode is its own singleton
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        tag: str,
+        fields: tuple[str, ...],
+        lengths: Optional[Callable[..., tuple[int, int]]] = None,
+        outputs: Optional[Callable[..., list[str]]] = None,
+    ):
+        self.tag = tag
+        self.fields = fields
+        self.lengths = lengths
+        self.outputs = outputs
 
     @lru_cache(maxsize=4096)  # short headers recur: witnesses and listings rebuild them
     def header(self, *nums: int) -> str:
@@ -127,22 +139,22 @@ OPCODES = (LITERAL, REPEAT, CALL)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Enumeration budget: max program length ``L`` and step bound ``t``."""
 
-    L: int
-    t: int
-    allow_large: bool = False
+    __slots__ = _fields = ("L", "t", "allow_large")
 
-    def __post_init__(self):
-        if self.L < 0 or self.t < 0:
+    def __init__(self, L: int, t: int, allow_large: bool = False):
+        if L < 0 or t < 0:
             raise ValueError("budget components must be natural numbers")
-        if self.L > MAX_GUARDED_LENGTH and not self.allow_large:
+        if L > MAX_GUARDED_LENGTH and not allow_large:
             raise BudgetGuard(
-                f"L={self.L} exceeds the 2^L enumeration guard "
+                f"L={L} exceeds the 2^L enumeration guard "
                 f"({MAX_GUARDED_LENGTH}); pass allow_large=True to override"
             )
+        self.L = L
+        self.t = t
+        self.allow_large = allow_large
 
 
 class RunStatus(enum.Enum):
@@ -151,8 +163,7 @@ class RunStatus(enum.Enum):
     NOT_HALTING_AT_BUDGET = "non-halting-at-budget"
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     status: RunStatus
     output: Optional[str] = None
     steps: Optional[int] = None
@@ -164,21 +175,28 @@ class RunOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableMachine:
+def _short_id(kind: str, blob: str) -> str:
+    """``kind-`` and the first 12 hex digits of the SHA-256 of ``blob``."""
+    import hashlib  # only machine ids hash, and most commands ask for none
+
+    return f"{kind}-{hashlib.sha256(blob.encode()).hexdigest()[:12]}"
+
+
+class TableMachine(Record):
     """Finite prefix-free machine given by an explicit program table."""
 
-    entries: tuple[tuple[str, str], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        keys = sorted(k for k, _ in self.entries)
-        for k, v in self.entries:
+    def __init__(self, entries: tuple[tuple[str, str], ...]):
+        keys = sorted(k for k, _ in entries)
+        for k, v in entries:
             check_bits(k)
             check_bits(v)
         for a, b in zip(keys, keys[1:]):
             if a == b:
                 raise ValueError(f"duplicate program {a!r} in table")
         check_prefix_free(keys)
+        self.entries = entries
 
     @cached_property
     def mapping(self) -> dict[str, str]:
@@ -209,7 +227,7 @@ class TableMachine:
     @property
     def id(self) -> str:
         blob = ";".join(f"{k}>{v}" for k, v in sorted(self.entries))
-        return "table-" + hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return _short_id("table", blob)
 
     def run(self, program: str, step_budget: Optional[int] = None) -> RunOutcome:
         out = self.mapping.get(program)
@@ -223,16 +241,18 @@ def validate_table(entries: Iterable[tuple[str, str]]) -> TableMachine:
     return TableMachine(tuple((k, v) for k, v in entries))
 
 
-@dataclass(frozen=True)
-class Interpreter:
+class Interpreter(Record):
     """The fixed reference machine (see module docstring for the format)."""
 
-    aux: tuple[TableMachine, ...] = ()
+    _fields = ("aux",)
+
+    def __init__(self, aux: tuple[TableMachine, ...] = ()):
+        self.aux = aux
 
     @property
     def id(self) -> str:
         blob = "|".join(m.id for m in self.aux)
-        return "interp-" + hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return _short_id("interp", blob)
 
     @cached_property
     def _calls(self) -> tuple[tuple[str, dict[str, str]], ...]:
@@ -351,30 +371,40 @@ def _headers(op: Opcode, L: int, nums: tuple = ()) -> Iterator[tuple[int, ...]]:
 
 
 def _classes(m: Interpreter, L: int) -> Iterator[tuple[int, int, Sequence[int]]]:
-    """Every program of at most ``L`` bits, in classes of headers that share
-    a program length and a body length.
+    """Every literal and table-call program of at most ``L`` bits, in
+    classes of headers that share a program length and a body length.
 
     Yields ``(program length, body length, sorted output lengths)`` with one
     header per output length, so a class stands for ``2**body length``
-    programs per header.  A repeat's output length is its count, which sets
-    nothing else, so the counts with one gamma length form one class; a
-    table call is a class per auxiliary table and key length.
+    programs per header.  A table call is a class per auxiliary table and
+    key length.
     """
     for nums in _headers(LITERAL, L):
         blen, olen = LITERAL.lengths(*nums)
         yield LITERAL.header_length(*nums) + blen, blen, (olen,)
-    plen = 1
-    while REPEAT.header_length(1, plen) + plen <= L:
-        low = 1
-        while (length := REPEAT.header_length(low, plen) + plen) <= L:
-            yield length, plen, range(low, 2 * low)
-            low *= 2
-        plen += 1
     for i, aux in enumerate(m.aux, start=1):
         head = CALL.header_length(i)
         for klen, olens in aux.output_lengths.items():
             if head + klen <= L:
                 yield head + klen, 0, olens
+
+
+def _repeat_classes(L: int) -> Iterator[tuple[int, int, int]]:
+    """Every repeat program of at most ``L`` bits, in classes of headers
+    that share a program length and a pattern length.
+
+    Yields ``(program length, pattern length, low)``: a repeat's output
+    length is its count, which sets nothing else, so the counts ``low ..
+    2*low - 1``, which share a gamma length, form one class of ``low``
+    headers with ``2**pattern length`` programs each.
+    """
+    plen = 1
+    while REPEAT.header_length(1, plen) + plen <= L:
+        low = 1
+        while (length := REPEAT.header_length(low, plen) + plen) <= L:
+            yield length, plen, low
+            low *= 2
+        plen += 1
 
 
 def domain_census(
@@ -398,11 +428,18 @@ def domain_census(
             counts[length] += halting << blen
         if halting < len(olens):
             cut.add(length)
+    for length, plen, low in _repeat_classes(budget.L):
+        # the counts from low up to t - length halt; past L = 130 a class
+        # holds 2**63 counts or more, so it is counted, never sized
+        fit = budget.t - length - low + 1
+        if fit > 0:
+            counts[length] += (fit if fit < low else low) << plen
+        if fit < low:
+            cut.add(length)
     return dict(counts), frozenset(cut)
 
 
-@dataclass(frozen=True)
-class DomainEnumeration:
+class DomainEnumeration(NamedTuple):
     """All programs of length <= L halting within t steps, with outputs,
     in length-lex order.
 
@@ -493,8 +530,9 @@ class ComplexityValue(NamedTuple):
 
     ``value`` is an int, or ``INFINITE`` when no producing program was
     found; exact infinity is only claimed for fully scanned finite
-    machines.  A named tuple, since every query builds one and a frozen
-    dataclass takes three times as long to build.
+    machines.  A named tuple, since every query builds one and a class
+    that guards its fields against assignment takes three times as long
+    to build.
     """
 
     value: Union[int, float]

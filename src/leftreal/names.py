@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     InvalidName,
@@ -24,11 +23,15 @@ from .foundations import (
     Dyadic,
     NatSetView,
     ONE,
+    Record,
     Replayable,
     ZERO,
     dyadic_weight,
     half_power,
 )
+
+if TYPE_CHECKING:
+    from typing import Callable, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,7 @@ class IncreasingDyadicStream(Replayable):
         self.eventually_constant = eventually_constant
 
     def _check(self, k: int, v: Dyadic) -> None:
-        if v < ZERO or v > ONE:
+        if not v.in_unit_interval():
             raise RangeViolation(f"stream {self.label or '?'} left [0,1] at {k}: {v}")
         if k and v < self._memo[-1]:
             raise MonotonicityViolation(
@@ -187,16 +190,19 @@ def partial_sum(f: NameStream, upto: int) -> Dyadic:
     return multiplicities(f, upto).partial_sum(f.label)
 
 
-@dataclass
-class MultiplicityTable:
+class MultiplicityTable(Record):
     """Counts ``m -> |{k <= stage : f(k) = m}|`` at a finite stage.
 
     The weight ledger of a name: its partial sum, its tails and its
     rate certificates are all read from these counts.
     """
 
-    counts: dict[int, int]
-    stage: int
+    __slots__ = _fields = ("counts", "stage")
+    __hash__ = None  # ``add`` changes it
+
+    def __init__(self, counts: dict[int, int], stage: int):
+        self.counts = counts
+        self.stage = stage
 
     def count(self, m: int) -> int:
         return self.counts.get(m, 0)
@@ -258,8 +264,7 @@ class CheckStatus(enum.Enum):
     REFUTED = "refuted"
 
 
-@dataclass
-class RateCheck:
+class RateCheck(NamedTuple):
     """Outcome of a budgeted tail-rate check.
 
     Refutation is sound and final; consistency only says the budget found

@@ -12,8 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DegenerateMachine,
@@ -39,6 +38,9 @@ from .machines import (
     enumerate_domain,
 )
 from .names import Modulus
+
+if TYPE_CHECKING:
+    from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class TestKind(enum.Enum):
@@ -110,8 +112,7 @@ class FamilyStatus(enum.Enum):
     REFUTED = "refuted"
 
 
-@dataclass
-class FamilyVerdict:
+class FamilyVerdict(NamedTuple):
     status: FamilyStatus
     refuted_level: Optional[int] = None
     reason: str = ""
@@ -145,8 +146,7 @@ def validate_family(
     return FamilyVerdict(FamilyStatus.CONSISTENT)
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(NamedTuple):
     level: int
     witness: Optional[str]
     stage: Optional[int]
@@ -232,8 +232,7 @@ def skt_from_rate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RateReadoff:
+class RateReadoff(NamedTuple):
     """Rate read off a family's level lengths; not necessarily monotone."""
 
     values: list[Optional[int]]
@@ -247,8 +246,7 @@ class RateReadoff:
         return v
 
 
-@dataclass
-class SynthesizedMachine:
+class SynthesizedMachine(NamedTuple):
     machine: TableMachine
     rate: RateReadoff
     overhead: int
@@ -313,8 +311,7 @@ class KurtzStatus(enum.Enum):
     NOT_FOUND_AT_STAGE = "not-found-at-stage"
 
 
-@dataclass
-class KurtzReport:
+class KurtzReport(NamedTuple):
     status: KurtzStatus
     witness: Optional[str] = None
     total_weight: Optional[Dyadic] = None

@@ -8,9 +8,8 @@ statistics with explicit caveats and never claims a limit value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import RangeViolation
 from .foundations import BitStream, NatSetView, ONE, charseq
@@ -26,14 +25,16 @@ from .machines import (
 )
 from .names import CheckStatus, IncreasingDyadicStream, Modulus
 
+if TYPE_CHECKING:
+    from typing import Optional
+
 
 # ---------------------------------------------------------------------------
 # Profiles and windowed dimension estimates
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ComplexityProfile:
+class ComplexityProfile(NamedTuple):
     """Per-prefix complexity entries ``(n, value)`` under one budget."""
 
     machine_id: str
@@ -62,8 +63,7 @@ def profile(
     )
 
 
-@dataclass
-class DimEstimate:
+class DimEstimate(NamedTuple):
     """Window statistics of ``value(n) / n``; explicitly not limit claims."""
 
     window: tuple[int, int]
@@ -147,8 +147,7 @@ def square_interleave(omega: BitStream) -> BitStream:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SumMachineResult:
+class SumMachineResult(NamedTuple):
     machine: TableMachine
     incomplete: list[tuple[str, int]]  # (program, branch) whose wait timed out
 
@@ -226,8 +225,7 @@ def ilog2(n: int) -> int:
     return n.bit_length() - 1
 
 
-@dataclass
-class LogBoundVerdict:
+class LogBoundVerdict(NamedTuple):
     status: CheckStatus
     failing_n: Optional[int] = None
     details: str = ""

@@ -185,6 +185,16 @@ def test_skt_from_rate_force_reaches_the_raised_length(capsys, monkeypatch):
     assert "L=507 exceeds the 2^L enumeration guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", ["omega ref", "omega-s ref --s 2/3", "machine k ref --target 01"]
+)
+def test_forced_length_budgets_past_130_answer(capsys, argv):
+    # a repeat class at L = 140 holds more counts than ``len`` can report
+    code, out = run(capsys, *argv.split(), "--budget-l", "140", "--force")
+    assert code == 0
+    assert json.loads(out)["manifest"]["budgets"]["L"] == 140
+
+
 def test_convert_roc_to_skt_shortcut(capsys):
     code, out = run(
         capsys, "convert", "roc-to-skt", "--name", "list:2,3", "--rate", "shift:2",

@@ -5,9 +5,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from leftreal.errors import HorizonExceeded
+from leftreal.errors import HorizonExceeded, RangeViolation
 from leftreal.foundations import (
     BitStream,
     Dyadic,
@@ -28,6 +28,7 @@ from leftreal.foundations import (
     strings_of_length,
     unpair,
 )
+from leftreal.names import IncreasingDyadicStream
 
 
 def frac(d: Dyadic) -> Fraction:
@@ -158,6 +159,29 @@ def test_prefix_bits_trailing_zero_expansion():
     assert x.prefix_bits(6) == "011000"
     assert ONE.prefix_bits(4) == "1111"
     assert ZERO.prefix_bits(4) == "0000"
+
+
+@given(st.integers(-(2**10), 2**12), st.integers(0, 10), st.integers(0, 14))
+@example(-1, 0, 0)
+@example(0, 0, 3)
+@example(1, 0, 3)
+@example(1025, 10, 3)
+def test_unit_interval_checks_match_fractions(num, exp, n):
+    # bit, prefix_bits and the increasing-stream check read [0, 1] off the
+    # canonical fields; the Fraction value is the oracle
+    x = Dyadic.of(num, exp)
+    v = Fraction(num, 2**exp)
+    reads = [lambda: x.bit(n), lambda: x.prefix_bits(n),
+             lambda: IncreasingDyadicStream.from_list([x]).at(0)]
+    if not 0 <= v <= 1:
+        for read in reads:
+            with pytest.raises(RangeViolation):
+                read()
+        return
+    expansion = "1" * n if v == 1 else format(int(v * 2**n), f"0{n}b") if n else ""
+    assert x.prefix_bits(n) == expansion
+    assert x.bit(n) == (1 if v == 1 else int(v * 2 ** (n + 1)) & 1)
+    assert IncreasingDyadicStream.from_list([x]).at(0) == x
 
 
 # ---------------------------------------------------------------------------

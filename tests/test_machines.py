@@ -4,6 +4,7 @@ budgeted-exact complexity, halting-probability sums."""
 import collections
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,46 @@ def test_census_counts_the_listing(machine, budget):
     assert sum(counts.values()) == len(enum.pairs)
     assert counts == dict(collections.Counter(len(p) for p, _ in enum.pairs))
     assert truncated == enum.truncated_lengths
+
+
+def _census_by_bisect(machine, budget):
+    """The census read with ``bisect_right`` and ``len`` on every class's
+    output lengths, a repeat class's as a ``range``, which ``len`` cannot
+    size past L = 130."""
+    repeats = [
+        (length, plen, range(low, 2 * low))
+        for length, plen, low in machines._repeat_classes(budget.L)
+    ]
+    counts, cut = collections.defaultdict(int), set()
+    for length, blen, olens in [*machines._classes(machine, budget.L), *repeats]:
+        halting = bisect_right(olens, budget.t - length)
+        if halting:
+            counts[length] += halting << blen
+        if halting < len(olens):
+            cut.add(length)
+    return dict(counts), frozenset(cut)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    aux=st.lists(KC_TABLES, max_size=2),
+    L=st.integers(0, 40),
+    t=STEP_BUDGETS | st.integers(40, 400) | st.just(10**12),
+)
+def test_census_reads_repeat_classes_like_bisect(aux, L, t):
+    budget = Budget(L, t)
+    machine = Interpreter(aux=tuple(aux))
+    assert domain_census(machine, budget) == _census_by_bisect(machine, budget)
+
+
+def test_census_counts_repeat_classes_past_the_size_limit():
+    # at L = 140 a repeat class holds counts 2**64 .. 2**65 - 1
+    big = Budget(140, 10**4, allow_large=True)
+    counts, cut = domain_census(Interpreter(), big)
+    small_counts, small_cut = domain_census(Interpreter(), Budget(40, 10**4))
+    assert {l: c for l, c in counts.items() if l <= 40} == small_counts
+    assert {l for l in cut if l <= 40} == small_cut
+    assert omega_lower(Interpreter(), big) > omega_lower(Interpreter(), Budget(40, 10**4))
 
 
 def test_listing_guard_trips_before_building_pairs(monkeypatch):
