@@ -14,7 +14,9 @@ intervals could never contain the limit.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
+from heapq import heappop, heappush
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionRefuted, RateError
@@ -118,13 +120,17 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     ``s(n)`` whose closed interval meets some emitted interval of length
     ``2**-s(n)``.
 
-    No stage rescans the indices.  Since ``x_t`` only grows, a reset index
-    qualifies from the first stage where ``x_t`` passes its threshold
-    ``x_{p(m)} + 2**-s(m)`` until its next reset: a heap of thresholds hands
-    it to a heap of qualified indices.  An index never reset has window
+    No stage rescans the indices.  The partial sums are integers at the
+    scale ``2**-max f``, computed once.  Since ``x_t`` only grows, a reset
+    index qualifies from the first stage where ``x_t`` passes its threshold
+    ``x_{p(m)} + 2**-s(m)`` until its next reset; that due stage is found by
+    bisection over the sums when the index is reset, and the index waits in
+    the due stage's bucket (if the due stage is below ``stages``), then in a
+    heap of qualified indices.  An index never reset has window
     ``x_t >= x_0 > 2**-s(0) >= 2**-s(m)`` (as ``r(0) > f(0)``), so it always
     qualifies, and the indices reset so far are exactly those below a cursor;
-    the least qualified index is the top of the second heap, else the cursor.
+    the least qualified index is the top of the heap, else the cursor.
+    ``s(m)`` is read once per index, when the cursor first reaches it.
 
     The gate reads one multiplicity table of ``f(0..stages)``: the partial
     sum check (``InvalidName``), then ``r(0) > f(0)`` (``RateError``), then
@@ -159,30 +165,45 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
                 )
 
     # x_t = x / 2**scale exactly, and for integers x - x_p > 2**(scale - s)
-    # iff x - x_p > (1 << scale) >> s.  Indices below ``fresh`` have been
-    # reset: ``pending`` holds (threshold, m) until x passes the threshold,
-    # then ``active`` holds m until its next reset.
+    # iff x - x_p > (1 << scale) >> s.  The cursor len(exps) bounds the
+    # indices reset so far.  An index reset at stage t qualifies again at the
+    # first later stage whose sum passes x + (one >> s(m)): ``due`` keeps it
+    # under that stage, then ``active`` holds it until its next reset.  ``lo``
+    # is x / 2**scale in canonical form; z tracks the trailing zeros of x
+    # (at most scale, as x <= 2**scale after the sum check).
     values = f.values(stages)
     scale = max(values, default=0)
     one = 1 << scale
-    x = 0
-    fresh = 0
-    pending: list[tuple[int, int]] = []
+    xs = list(accumulate(map(one.__rshift__, values)))
+    last = xs[-1] if xs else 0
+    s = rate.s
+    exps: list[int] = []  # s(m), read when m is first reset
+    due: dict[int, list[int]] = {}
     active: list[int] = []
-    events: list[tuple[int, int, int]] = []
+    ms: list[int] = []
     intervals: list[StageInterval] = []
-    for t, v in enumerate(values):
-        x += one >> v
-        while pending and pending[0][0] < x:
-            heapq.heappush(active, heapq.heappop(pending)[1])
+    z = scale
+    for t, x in enumerate(xs):
+        for m in due.pop(t, ()):
+            heappush(active, m)
         if active:
-            m = heapq.heappop(active)
+            m = heappop(active)
+            exp = exps[m]
         else:
-            m, fresh = fresh, fresh + 1
-        exp = rate.s(m)
-        heapq.heappush(pending, (x + (one >> exp), m))
-        events.append((m, t + 1, t + 1))
-        intervals.append(StageInterval(t, Dyadic.of(x, scale), exp, m))
+            m = len(exps)
+            exp = s(m)
+            exps.append(exp)
+        threshold = x + (one >> exp)
+        if threshold < last:  # else m never comes due within ``stages``
+            due.setdefault(bisect_right(xs, threshold, t + 1), []).append(m)
+        ms.append(m)
+        e = scale - values[t]  # the term added at stage t is 2**e
+        if e < z:
+            z = e
+        elif e == z:  # a carry out of the lowest set bit
+            z = (x & -x).bit_length() - 1
+        intervals.append(StageInterval(t, Dyadic(x >> z, scale - z), exp, m))
+    events = [(m, t, t) for t, m in enumerate(ms, 1)]
 
     trace = StageTrace(
         intervals=intervals,

@@ -267,6 +267,93 @@ def test_roc_to_skt_matches_quadratic_reference(name, rate, stages):
     assert _outcome(new) == _outcome(lambda: _reference_stage_loop(*fresh(), stages))
 
 
+def _stepped_name(d, c, jitter=(0,)):
+    """``f(k) = k // d + c + jitter[k % len(jitter)]``: ``d`` terms per
+    exponent, so early windows fill again and pointer indices are reused."""
+    return NameStream(lambda k: k // d + c + jitter[k % len(jitter)], label="stepped")
+
+
+def _trace_of(f, rate, stages):
+    res = roc_to_skt(f, rate, stages)
+    return res.trace.intervals, res.trace.p_events
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    c=st.integers(1, 6),
+    jitter=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    shift=st.integers(-1, 4),  # r(0) - f(0) - 1: -1 fails the rate check
+    affine=st.integers(0, 3),  # 0 for shift:b, else affine:a,b
+    stages=st.integers(1, 200),
+)
+def test_roc_to_skt_matches_reference_on_resetting_names(d, c, jitter, shift, affine, stages):
+    b = c + jitter[0] + 1 + shift
+    spec = f"affine:{affine},{b}" if affine else f"shift:{b}"
+
+    def run(loop):
+        return _outcome(lambda: loop(_stepped_name(d, c, jitter), RateSpec(parse_rate(spec)), stages))
+
+    assert run(_trace_of) == run(_reference_stage_loop)
+
+
+def test_roc_to_skt_reuses_pointer_indices():
+    # 2, 2, 3, 3, 4, 4, ... under shift:3: index 0 is reset at each of the
+    # first ten stages, then indices come due again at every few stages
+    f, rate = _stepped_name(2, 2), RateSpec(Modulus.shift(3))
+    intervals, events = _trace_of(f, rate, 60)
+    ms = [iv.m for iv in intervals]
+    assert ms[:14] == [0] * 10 + [1, 0, 1, 1]
+    assert len(set(ms)) < len(ms) // 3
+    assert (intervals, events) == _reference_stage_loop(_stepped_name(2, 2), rate, 60)
+
+
+def test_roc_to_skt_reads_the_rate_lazily(monkeypatch):
+    def run(entries):
+        spec = "values:" + ",".join(str(n + 2) for n in range(entries))
+        return roc_to_skt(parse_name("ap:2,1"), RateSpec(parse_rate(spec)), 50)
+
+    # s(47) reads r(49): 50 entries cover the 48 indices used, 49 do not
+    assert max(iv.m for iv in run(50).trace.intervals) == 47
+    with pytest.raises(HorizonExceeded, match=r" queried at 49 beyond horizon 49$"):
+        run(49)
+
+    calls = []
+    real = RateSpec.s
+    monkeypatch.setattr(RateSpec, "s", lambda self, n: calls.append(n) or real(self, n))
+    for f, stages in ((parse_name("ap:2,1"), 50), (_stepped_name(2, 2), 60)):
+        calls.clear()
+        res = roc_to_skt(f, RateSpec(Modulus.shift(3)), stages)
+        used = sorted({iv.m for iv in res.trace.intervals})
+        assert calls == used  # once per index, in the order first reached
+
+
+def _greedy_head(exps):
+    """The terms of ``exps`` kept in order while the sum stays at most 1."""
+    head, total = [], Fraction(0)
+    for e in exps:
+        if total + Fraction(1, 1 << e) <= 1:
+            head.append(e)
+            total += Fraction(1, 1 << e)
+    return head
+
+
+@settings(max_examples=200, deadline=None)
+@given(exps=st.lists(st.integers(1, 6), min_size=1, max_size=40).map(_greedy_head))
+@example(exps=[2, 2, 2, 2])  # x reaches exactly 1: lo = 1/1
+@example(exps=[3, 3, 2, 4, 4, 3, 5, 5, 4])  # two carries per block
+@example(exps=[2, 2, 3, 3, 4, 4, 5, 5, 6, 6])
+def test_roc_to_skt_lo_is_canonical_across_carries(exps):
+    # the tail beyond the head is too light for any certificate to refute
+    f = NameStream(lambda k: exps[k] if k < len(exps) else k + 40)
+    intervals = roc_to_skt(f, RateSpec(Modulus.shift(7)), len(exps)).trace.intervals
+    scale = max(exps)
+    x = 0
+    for iv, e in zip(intervals, exps):
+        x += 1 << (scale - e)
+        assert iv.lo.num % 2 == 1 and iv.lo == Dyadic.of(x, scale)  # 0 < x <= 1
+
+
 def _ten_scan_gate(f, rate, stages):
     """The gate ``roc_to_skt`` ran before its weight ledger: one scan of the
     name for the partial sum, the rate check, then one scan per level."""
