@@ -15,6 +15,7 @@ intervals could never contain the limit.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from heapq import heappop, heappush
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
@@ -25,9 +26,10 @@ from .machines import Budget, PrefixMachine, complexity
 from .names import (
     IncreasingDyadicStream,
     Modulus,
+    MultiplicityTable,
     NameStream,
-    multiplicities,
     name_from_increasing,
+    sum_exceeds_one,
     tail_weight,
 )
 from .randomness import TestFamily, TestKind
@@ -62,30 +64,16 @@ class StageInterval(NamedTuple):
 
 
 class StageTrace(NamedTuple):
-    """Replayable record of a staged interval enumeration."""
+    """Replayable record of a staged interval enumeration.
+
+    Stage ``t+1`` resets the pointer of its interval's index ``m`` to
+    ``t+1``, so the intervals also record every pointer value.
+    """
 
     intervals: list[StageInterval]
-    p_events: list[tuple[int, int, int]]  # (pointer index, stage, new value)
     stages: int
     name_label: str = ""
     rate_label: str = ""
-
-    def p_at(self, e: int, t: int) -> int:
-        value = 0
-        for idx, stage, new in self.p_events:
-            if idx == e and stage <= t:
-                value = new
-        return value
-
-    def final_p(self) -> dict[int, tuple[int, int]]:
-        """Last observed pointer values as ``index -> (value, stage)``."""
-        out: dict[int, tuple[int, int]] = {}
-        for idx, stage, new in self.p_events:
-            out[idx] = (new, stage)
-        return out
-
-    def intervals_of_exp(self, exp: int) -> list[StageInterval]:
-        return [iv for iv in self.intervals if iv.length_exp == exp]
 
 
 def _cells_touching(lo: Dyadic, exp: int) -> list[int]:
@@ -132,11 +120,13 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     the least qualified index is the top of the heap, else the cursor.
     ``s(m)`` is read once per index, when the cursor first reaches it.
 
-    The gate reads one multiplicity table of ``f(0..stages)``: the partial
-    sum check (``InvalidName``), then ``r(0) > f(0)`` (``RateError``), then
-    the tail certificate ``tail(r(n)) <= 2**-n`` at levels
-    ``0..CERTIFY_LEVELS`` (``PreconditionRefuted`` at the least refuted
-    level), all tails from one pass over the table.
+    The gate reads the name once: ``f(0..stages-1)`` are the values the
+    stage loop sums.  It checks the last partial sum (``InvalidName``; the
+    sums increase, so this checks them all), then ``r(0) > f(0)``
+    (``RateError``), then the tail certificate ``tail(r(n)) <= 2**-n`` at
+    levels ``0..CERTIFY_LEVELS`` (``PreconditionRefuted`` at the least
+    refuted level), all tails from one multiplicity table of those values
+    and ``f(stages)``.
     """
     if f.finite:
         return RocToSktResult(
@@ -146,12 +136,21 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
             reason="finite name denotes a dyadic value; open intervals "
             "cannot contain it",
         )
-    ledger = multiplicities(f, stages - 1)
-    ledger.partial_sum(f.label)  # InvalidName if some x_t > 1: the sums increase
+    # x_t = x / 2**scale exactly, and for integers x - x_p > 2**(scale - s)
+    # iff x - x_p > (1 << scale) >> s.
+    values = f.values(stages)
+    scale = max(values, default=0)
+    one = 1 << scale
+    xs = list(accumulate(map(one.__rshift__, values)))
+    last = xs[-1] if xs else 0
+    if last > one:
+        raise sum_exceeds_one(f.label, stages - 1, Dyadic.of(last, scale))
     r = rate.r
     if r.at(0) <= f.at(0):
         raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
-    ledger.add(f.at(stages))
+    counts = Counter(values)
+    counts[f.at(stages)] += 1
+    ledger = MultiplicityTable(counts, stages)
     thresholds: list[int] = []
     try:
         for n in range(CERTIFY_LEVELS + 1):
@@ -164,23 +163,15 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
                     f"tail {tail.num}/2^{tail.exp} > 2^-{n}"
                 )
 
-    # x_t = x / 2**scale exactly, and for integers x - x_p > 2**(scale - s)
-    # iff x - x_p > (1 << scale) >> s.  The cursor len(exps) bounds the
-    # indices reset so far.  An index reset at stage t qualifies again at the
-    # first later stage whose sum passes x + (one >> s(m)): ``due`` keeps it
-    # under that stage, then ``active`` holds it until its next reset.  ``lo``
-    # is x / 2**scale in canonical form; z tracks the trailing zeros of x
-    # (at most scale, as x <= 2**scale after the sum check).
-    values = f.values(stages)
-    scale = max(values, default=0)
-    one = 1 << scale
-    xs = list(accumulate(map(one.__rshift__, values)))
-    last = xs[-1] if xs else 0
+    # The cursor len(exps) bounds the indices reset so far.  An index reset
+    # at stage t qualifies again at the first later stage whose sum passes
+    # x + (one >> s(m)): ``due`` keeps it under that stage, then ``active``
+    # holds it until its next reset.  ``lo`` is x / 2**scale in canonical
+    # form; z tracks the trailing zeros of x (at most scale, as x <= one).
     s = rate.s
     exps: list[int] = []  # s(m), read when m is first reset
     due: dict[int, list[int]] = {}
     active: list[int] = []
-    ms: list[int] = []
     intervals: list[StageInterval] = []
     z = scale
     for t, x in enumerate(xs):
@@ -196,22 +187,14 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
         threshold = x + (one >> exp)
         if threshold < last:  # else m never comes due within ``stages``
             due.setdefault(bisect_right(xs, threshold, t + 1), []).append(m)
-        ms.append(m)
         e = scale - values[t]  # the term added at stage t is 2**e
         if e < z:
             z = e
         elif e == z:  # a carry out of the lowest set bit
             z = (x & -x).bit_length() - 1
         intervals.append(StageInterval(t, Dyadic(x >> z, scale - z), exp, m))
-    events = [(m, t, t) for t, m in enumerate(ms, 1)]
 
-    trace = StageTrace(
-        intervals=intervals,
-        p_events=events,
-        stages=stages,
-        name_label=f.label,
-        rate_label=r.label,
-    )
+    trace = StageTrace(intervals, stages, name_label=f.label, rate_label=r.label)
     lows: dict[int, list[Dyadic]] = {}  # length_exp -> interval left ends
     levels: dict[int, list[str]] = {}
 
@@ -243,7 +226,8 @@ class BoundCheck(NamedTuple):
 
 def count_bound_check(trace: StageTrace, rate: RateSpec, n: int) -> BoundCheck:
     """Check the per-length stage-count bound ``2**(r(n+2)+1)``."""
-    count = len(trace.intervals_of_exp(rate.s(n)))
+    exp = rate.s(n)
+    count = sum(iv.length_exp == exp for iv in trace.intervals)
     bound = 1 << (rate.r.at(n + 2) + 1)
     return BoundCheck(holds=count <= bound, count=count, bound=bound, level=n)
 

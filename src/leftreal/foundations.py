@@ -388,6 +388,8 @@ class NatSetView:
         enumerator: Optional[Callable[[], Iterator[int]]] = None,
         label: str = "",
     ):
+        if horizon < 0:
+            raise ValueError(f"a view's horizon must be natural, got {horizon}")
         self._member = member
         self.horizon = horizon
         self._enumerator = enumerator
@@ -438,6 +440,8 @@ class NatSetView:
         elems: Iterable[int], horizon: int, label: str = ""
     ) -> "NatSetView":
         seq = list(elems)
+        if any(n < 0 for n in seq):
+            raise ValueError(f"elements are natural numbers, got {min(seq)}")
         members = frozenset(seq)
         return NatSetView(
             members.__contains__, horizon, enumerator=lambda: iter(seq), label=label
@@ -469,6 +473,8 @@ def squares_shifted(horizon: int) -> NatSetView:
 
 def column(i: int, horizon: int) -> NatSetView:
     """The pairing column ``{pair(i, j) : j in N}`` restricted to the window."""
+    if i < 0:
+        raise ValueError(f"a column index must be natural, got {i}")
 
     def gen() -> Iterator[int]:
         j = 0

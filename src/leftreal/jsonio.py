@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from fractions import Fraction
-    from typing import Any
+    from typing import Any, Optional
 
     from .conversions import StageTrace
     from .foundations import BitStream, Dyadic, NatSetView
@@ -127,8 +127,17 @@ def machine_from_json(obj: Any, resolver=None) -> PrefixMachine:
 # ---------------------------------------------------------------------------
 
 
-def _ints(csv: str) -> list[int]:
-    return [int(x) for x in csv.split(",") if x != ""]
+def _ints(csv: str, spec: str, count: Optional[int] = None) -> list[int]:
+    """The integers in the comma-separated field ``csv`` of ``spec``; a
+    ``SpecError`` quoting ``spec`` if one is not an integer or, when
+    ``count`` is given, if there are not ``count`` of them."""
+    try:
+        vals = [int(x) for x in csv.split(",") if x != ""]
+    except ValueError:
+        raise SpecError(f"spec {spec!r} has a non-integer field {csv!r}") from None
+    if count is not None and len(vals) != count:
+        raise SpecError(f"spec {spec!r} needs {count} integer(s) in {csv!r}")
+    return vals
 
 
 def parse_name(text: str) -> NameStream:
@@ -136,13 +145,13 @@ def parse_name(text: str) -> NameStream:
 
     kind, _, rest = text.partition(":")
     if kind == "ap":
-        a, b = _ints(rest)
-        return NameStream.affine(a, b)
+        return NameStream.affine(*_ints(rest, text, 2))
     if kind == "list":
-        return NameStream.from_list(_ints(rest), label=text)
+        return NameStream.from_list(_ints(rest, text), label=text)
     if kind == "blocks":
         steps, _, source = rest.partition(":")
-        return name_from_increasing(parse_increasing(source), int(steps), label=text)
+        (count,) = _ints(steps, text, 1)
+        return name_from_increasing(parse_increasing(source), count, label=text)
     raise SpecError(f"unknown name spec {text!r}")
 
 
@@ -152,22 +161,21 @@ def parse_rate(text: str) -> Modulus:
     base, _, shift = text.partition(">>")
     kind, _, rest = base.partition(":")
     if kind == "shift":
-        r = Modulus.shift(int(rest))
+        r = Modulus.shift(*_ints(rest, text, 1))
     elif kind == "affine":
-        a, b = _ints(rest)
-        r = Modulus.affine(a, b)
+        r = Modulus.affine(*_ints(rest, text, 2))
     elif kind == "pow2":
-        r = Modulus.power2(int(rest))
+        r = Modulus.power2(*_ints(rest, text, 1))
     elif kind == "gap":
         from .spectra import dim_gap_rate
 
-        r = dim_gap_rate(int(rest))
+        r = dim_gap_rate(*_ints(rest, text, 1))
     elif kind == "values":
-        r = Modulus.from_values(_ints(rest), label=base)
+        r = Modulus.from_values(_ints(rest, text), label=base)
     else:
         raise SpecError(f"unknown rate spec {text!r}")
     if shift:
-        r = r.shifted(int(shift))
+        r = r.shifted(*_ints(shift, text, 1))
     return r
 
 
@@ -196,7 +204,9 @@ def parse_increasing(text: str) -> IncreasingDyadicStream:
         )
     if kind == "dyadics":
         vals = [parse_dyadic(v) for v in rest.split(",")]
-        return IncreasingDyadicStream.from_list(vals, extend=True, label=text)
+        xs = IncreasingDyadicStream.from_list(vals, extend=True, label=text)
+        xs.values(len(vals))  # run the stream's checks on the listed values now
+        return xs
     raise SpecError(f"unknown increasing-stream spec {text!r}")
 
 
@@ -217,7 +227,8 @@ def parse_view(text: str) -> NatSetView:
         if kind == "squares-1":
             return fd.squares_shifted(int(parts[1]))
         if kind == "elements":
-            return fd.NatSetView.from_elements(_ints(parts[1]), int(parts[2]), label=text)
+            elems = _ints(parts[1], text)
+            return fd.NatSetView.from_elements(elems, int(parts[2]), label=text)
     except IndexError:
         raise SpecError(f"set spec {text!r} is missing a ':'-separated field") from None
     raise SpecError(f"unknown set spec {text!r}")
@@ -269,7 +280,8 @@ def trace_to_json(trace: StageTrace) -> dict:
             }
             for iv in trace.intervals
         ],
-        "p_events": [list(e) for e in trace.p_events],
+        # (pointer index, stage, new value): each stage resets its index
+        "p_events": [[iv.m, iv.t + 1, iv.t + 1] for iv in trace.intervals],
     }
 
 

@@ -185,6 +185,13 @@ class IncreasingDyadicStream(Replayable):
 # ---------------------------------------------------------------------------
 
 
+def sum_exceeds_one(label: str, stage: int, total: Dyadic) -> InvalidName:
+    """The error for name ``label``, whose partial sum ``total`` at ``stage`` is over 1."""
+    return InvalidName(
+        f"partial sum of {label or '?'} exceeds 1 at stage {stage}: {total}"
+    )
+
+
 def partial_sum(f: NameStream, upto: int) -> Dyadic:
     """Exact ``sum(2**-f(k) for k <= upto)``; rejects sums above 1."""
     return multiplicities(f, upto).partial_sum(f.label)
@@ -198,7 +205,7 @@ class MultiplicityTable(Record):
     """
 
     __slots__ = _fields = ("counts", "stage")
-    __hash__ = None  # ``add`` changes it
+    __hash__ = None  # ``counts`` is a dict
 
     def __init__(self, counts: dict[int, int], stage: int):
         self.counts = counts
@@ -206,11 +213,6 @@ class MultiplicityTable(Record):
 
     def count(self, m: int) -> int:
         return self.counts.get(m, 0)
-
-    def add(self, m: int) -> None:
-        """Count the next name value ``f(stage + 1) = m``."""
-        self.counts[m] = self.count(m) + 1
-        self.stage += 1
 
     def rearranged_sum(self) -> Dyadic:
         """Exact ``sum(count(m) * 2**-m)`` over the table."""
@@ -221,10 +223,7 @@ class MultiplicityTable(Record):
         ``InvalidName``, naming the name ``label``, when it exceeds 1."""
         total = self.rearranged_sum()
         if total > ONE:
-            raise InvalidName(
-                f"partial sum of {label or '?'} exceeds 1 "
-                f"at stage {self.stage}: {total}"
-            )
+            raise sum_exceeds_one(label, self.stage, total)
         return total
 
     def tails(self, thresholds: Sequence[int]) -> list[Dyadic]:

@@ -1,6 +1,7 @@
 """CLI: subcommand smoke tests, exit-code contract, byte determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import shlex
@@ -80,6 +81,12 @@ def test_usage_error_exits_one(tmp_path, capsys):
         "skt from-rate ref --rate pow2:4 --nmax 5 --force",
         "machine enumerate ref --budget-l 30",  # 3,751,937 pairs, refused before listing
         "convert lc-to-roc --stream prefix-sums:01:-1 --rate shift:2 --stages 10 --nmax 2",
+        "construct join --a column:-1:5 --b evens:3",
+        "construct join --a evens:-3 --b evens:4",
+        "construct join --a elements:-1,2:4 --b evens:4",
+        # a listed stream that decreases, and one above 1
+        "convert lc-to-roc --stream dyadics:1/2^1,1/2^2 --rate shift:2 --stages 10 --nmax 2",
+        "convert lc-to-roc --stream dyadics:3/2^1 --rate shift:2 --stages 10 --nmax 2",
     ],
 )
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
@@ -97,6 +104,25 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, rate",
+    [
+        ("ap:1", "shift:2"),
+        ("ap:2,1", "affine:1"),
+        ("ap:2,1", "values:3,x"),
+        ("ap:2,1", "shift:2>>x"),
+        ("ap:x,1", "shift:2"),
+        ("blocks:x:dyadics:0", "shift:2"),
+    ],
+)
+def test_malformed_spec_error_quotes_the_spec(capsys, name, rate):
+    code = main(["convert", "roc-to-skt", "--name", name, "--rate", rate, "--stages", "9"])
+    err = capsys.readouterr().err
+    bad = name if rate == "shift:2" else rate
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: spec {bad!r} ")
 
 
 def test_kc_alloc_weight_exceeded_exits_two(tmp_path, capsys):
@@ -202,6 +228,29 @@ def test_convert_roc_to_skt_shortcut(capsys):
     )
     assert code == 0
     assert json.loads(out)["dyadic_shortcut"]
+
+
+@pytest.mark.parametrize(
+    "argv, sha",
+    [
+        (
+            "--name ap:2,1 --rate shift:2 --stages 300 --nmax 3",
+            "747b7527aa620b9ce8da0388a9de58313ecedb2a295eb83e4527a61b6e92ed14",
+        ),
+        (
+            "--name ap:3,1 --rate affine:2,4 --stages 120 --nmax 2",
+            "2d9a7e52e43068b889f1224f5adec57ac73910584e9d1d0c5c588b39419ce763",
+        ),
+        (  # pointer indices come due again: 98 distinct indices over 200 stages
+            "--name ap:1,2 --rate shift:3 --stages 200 --nmax 3",
+            "a0e074caf7d7defa60ae01f7e01d0658adb95f96d9421493c151469c9e3a4a7a",
+        ),
+    ],
+)
+def test_convert_roc_to_skt_golden_bytes(capsys, argv, sha):
+    code, out = run(capsys, "convert", "roc-to-skt", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_convert_lc_to_roc_pipeline(capsys):

@@ -20,7 +20,7 @@ from leftreal.conversions import (
 )
 from leftreal.errors import HorizonExceeded, InvalidName, PreconditionRefuted, RateError
 from leftreal.foundations import BitStream, Dyadic, ONE, ZERO, floor_scale, half_power
-from leftreal.jsonio import parse_name, parse_rate
+from leftreal.jsonio import parse_name, parse_rate, trace_to_json
 from leftreal.kraft_chaitin import kc_build_machine
 from leftreal.machines import Budget, Interpreter
 from leftreal.names import (
@@ -89,8 +89,9 @@ def test_roc_to_skt_some_interval_contains_limit():
         exp = rate.s(n)
         hits = [
             iv
-            for iv in res.trace.intervals_of_exp(exp)
-            if frac(iv.lo) < TWO_THIRDS < frac(iv.lo) + Fraction(1, 2**exp)
+            for iv in res.trace.intervals
+            if iv.length_exp == exp
+            and frac(iv.lo) < TWO_THIRDS < frac(iv.lo) + Fraction(1, 2**exp)
         ]
         assert hits, f"no stage interval of length 2^-{exp} contains 2/3"
 
@@ -101,16 +102,6 @@ def test_roc_to_skt_coverage_witness_at_each_level():
     for n in range(4):
         rep = covers(res.family, x, n)
         assert rep.covered
-
-
-def test_roc_to_skt_pointer_snapshots_monotone():
-    _, _, res = two_thirds_pipeline(stages=80)
-    trace = res.trace
-    for e in range(4):
-        vals = [trace.p_at(e, t) for t in range(0, 81, 5)]
-        assert vals == sorted(vals)
-    for e, (value, stage) in trace.final_p().items():
-        assert value == stage  # a pointer reset records the stage itself
 
 
 def test_roc_to_skt_count_bound():
@@ -136,7 +127,7 @@ def test_count_bound_violated_by_injected_intervals():
         StageInterval(t=1000 + i, lo=ZERO, length_exp=exp, m=1)
         for i in range(bound + 1)
     ]
-    doctored = StageTrace(fake, res.trace.p_events, 2000)
+    doctored = StageTrace(fake, 2000)
     assert not count_bound_check(doctored, rate, 1).holds
 
 
@@ -171,8 +162,9 @@ def test_roc_to_skt_level_cells_computed_once(monkeypatch):
     for n in range(125):  # s(n) for n >= 118 is past every interval: empty levels
         exp = rate.s(n)
         cells = set()
-        for iv in res.trace.intervals_of_exp(exp):
-            cells.update(conversions._cells_touching(iv.lo, exp))
+        for iv in res.trace.intervals:
+            if iv.length_exp == exp:
+                cells.update(conversions._cells_touching(iv.lo, exp))
         expected.append([format(j, f"0{exp}b") for j in sorted(cells)])
     assert expected[-1] == [] and expected[0]
     touched = []
@@ -225,6 +217,13 @@ def _reference_stage_loop(f, rate, stages):
     return intervals, events
 
 
+def _trace_of(f, rate, stages):
+    """The intervals and the artifact's pointer events, as the reference
+    loop returns them."""
+    trace = roc_to_skt(f, rate, stages).trace
+    return trace.intervals, [tuple(e) for e in trace_to_json(trace)["p_events"]]
+
+
 def _swapped_name():
     # 3, 2, 5, 4, 7, 6, ...: not monotone, sums to 1/2
     return NameStream(lambda k: (k ^ 1) + 2, label="swapped")
@@ -260,10 +259,7 @@ def test_roc_to_skt_matches_quadratic_reference(name, rate, stages):
         f = _swapped_name() if name == "swapped" else parse_name(name)
         return f, RateSpec(parse_rate(rate))
 
-    def new():
-        res = roc_to_skt(*fresh(), stages)
-        return res.trace.intervals, res.trace.p_events
-
+    new = lambda: _trace_of(*fresh(), stages)
     assert _outcome(new) == _outcome(lambda: _reference_stage_loop(*fresh(), stages))
 
 
@@ -271,11 +267,6 @@ def _stepped_name(d, c, jitter=(0,)):
     """``f(k) = k // d + c + jitter[k % len(jitter)]``: ``d`` terms per
     exponent, so early windows fill again and pointer indices are reused."""
     return NameStream(lambda k: k // d + c + jitter[k % len(jitter)], label="stepped")
-
-
-def _trace_of(f, rate, stages):
-    res = roc_to_skt(f, rate, stages)
-    return res.trace.intervals, res.trace.p_events
 
 
 @settings(max_examples=200, deadline=None)
@@ -438,35 +429,29 @@ def test_roc_to_skt_gate_matches_ten_scans(rate, stages, data):
         f = NameStream(lambda k: head[k] if k < len(head) else a * k + b, label="head")
         return f, RateSpec(parse_rate(rate))
 
-    def new():
-        res = roc_to_skt(*fresh(), stages)
-        return res.trace.intervals, res.trace.p_events
-
     def old():
         _ten_scan_gate(*fresh(), stages)
         return _reference_stage_loop(*fresh(), stages)
 
-    assert _outcome(new) == _outcome(old)
+    assert _outcome(lambda: _trace_of(*fresh(), stages)) == _outcome(old)
 
 
-def test_roc_to_skt_gate_reads_one_table(monkeypatch):
+def test_roc_to_skt_reads_the_name_once(monkeypatch):
     def refuse(*args):
-        raise AssertionError("roc_to_skt rescanned the name")
+        raise AssertionError("roc_to_skt summed the name through the ledger")
 
-    for name in ("partial_sum", "tail_weight", "roc_certificate_check"):
+    for name in (
+        "multiplicities", "partial_sum", "tail_weight", "roc_certificate_check",
+        "dyadic_weight",
+    ):
         monkeypatch.setattr(names, name, refuse)
     monkeypatch.setattr(conversions, "tail_weight", refuse)
-    tables = []
-    real = conversions.multiplicities
-
-    def counted(f, upto):
-        tables.append(upto)
-        return real(f, upto)
-
-    monkeypatch.setattr(conversions, "multiplicities", counted)
+    monkeypatch.setattr(names.MultiplicityTable, "partial_sum", refuse)
     _, _, res = two_thirds_pipeline(stages=300)
     assert len(res.trace.intervals) == 300
-    assert tables == [299]
+    # the sum check reads the loop's integer sums, with the ledger's message
+    with pytest.raises(InvalidName, match=r"^partial sum of 0k\+1 exceeds 1 at stage 49: "):
+        roc_to_skt(NameStream.affine(0, 1), RateSpec(Modulus.shift(2)), 50)
 
 
 # ---------------------------------------------------------------------------

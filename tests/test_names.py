@@ -128,10 +128,6 @@ def test_weight_ledger_matches_the_scan(vals, tail_start, data):
     total = _tail_weight_by_scan(f, 0, upto)
     table = multiplicities(f, upto)
     assert table.rearranged_sum() == total
-    if upto >= 0:
-        grown = multiplicities(f, upto - 1)
-        grown.add(f.at(upto))
-        assert grown == table
     assert table.tails(thresholds) == [
         _tail_weight_by_scan(f, m0, upto) for m0 in thresholds
     ]
