@@ -30,6 +30,7 @@ from .errors import (
 )
 from .jsonio import (
     SpecError,
+    _ints,
     canonical_dumps,
     complexity_to_json,
     digest,
@@ -209,7 +210,7 @@ def _load_requests(out: _Output, path: str) -> list:
     requests = pairs_from_json(_load_json(out, path), "KC requests")
     if not all(isinstance(l, (int, str)) for l, _ in requests):
         raise SpecError("KC request lengths must be integers")
-    return requests
+    return [(_ints(str(l), json.dumps([l, p]), 1)[0], p) for l, p in requests]
 
 
 def _cmd_kc_alloc(out: _Output, args) -> int:
@@ -217,7 +218,7 @@ def _cmd_kc_alloc(out: _Output, args) -> int:
 
     requests = _load_requests(out, args.requests)
     alloc = KCAllocator()
-    result = [[alloc.request(int(l)), payload] for l, payload in requests]
+    result = [[alloc.request(l), payload] for l, payload in requests]
     out.emit_json({"codewords": result})
     return 0
 
@@ -226,7 +227,7 @@ def _cmd_kc_build(out: _Output, args) -> int:
     from .kraft_chaitin import kc_build_machine
 
     requests = _load_requests(out, args.requests)
-    m = kc_build_machine([(int(l), payload) for l, payload in requests])
+    m = kc_build_machine(requests)
     out.emit_json({"machine": machine_to_json(m), "id": m.id})
     return 0
 
@@ -330,15 +331,19 @@ def _cmd_dim(out: _Output, args) -> int:
     from .spectra import ComplexityProfile, dim_window
 
     text = out.record_input(args.profile).decode()
+    statuses = {s.value: s for s in KStatus}
     entries = []
     budget = Budget(0, 0)
     for line in text.splitlines():
         if line.startswith("#") or line.startswith("n,") or not line.strip():
             continue
-        n, k, status, l, t = line.split(",")
-        budget = Budget(int(l), int(t), allow_large=True)
-        value: Any = float("inf") if k == "inf" else int(k)
-        entries.append((int(n), ComplexityValue(value, KStatus(status), budget)))
+        fields = line.split(",")
+        if len(fields) != 5 or fields[2] not in statuses:
+            raise SpecError(f"profile row {line!r} is not 'n,K,status,L,t'")
+        n, l, t = (_ints(f, line, 1)[0] for f in (fields[0], *fields[3:]))
+        budget = Budget(l, t)
+        value = float("inf") if fields[1] == "inf" else _ints(fields[1], line, 1)[0]
+        entries.append((n, ComplexityValue(value, statuses[fields[2]], budget)))
     est = dim_window(
         ComplexityProfile("from-csv", entries, budget), args.n0, args.n1
     )
@@ -429,7 +434,7 @@ def _budget_flags(l_default: int = 16) -> list[tuple[str, dict]]:
     return [
         _arg("--budget-l", type=natural, default=l_default, metavar="L"),
         _arg("--budget-t", type=natural, default=10**4, metavar="T"),
-        _arg("--force", action="store_true", help="override the length and listing-size guards"),
+        _arg("--force", action="store_true", help="lift the census and listing size guards"),
     ]
 
 
@@ -499,7 +504,7 @@ COMMANDS: dict[str, tuple[Callable[..., int], list[tuple[str, dict]]]] = {
     ),
     "immunity hhi": (
         _verdict(lambda im, s, a: im.check_hhi(
-            s, [[int(x) for x in b.split(",")] for b in a.block], a.horizon)),
+            s, [_ints(b, b) for b in a.block], a.horizon)),
         [SET, BLOCKS, HORIZON],
     ),
     "immunity shhi": (

@@ -64,12 +64,11 @@ def parse_dyadic(text: str) -> Dyadic:
 def parse_fraction(text: str) -> Fraction:
     from fractions import Fraction
 
-    if "/" in text:
-        a, b = text.split("/", 1)
-        if int(b) == 0:
-            raise SpecError(f"zero denominator in {text!r}")
-        return Fraction(int(a), int(b))
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    a, b = _ints(num, text, 1) + (_ints(den, text, 1) if slash else [1])
+    if b == 0:
+        raise SpecError(f"zero denominator in {text!r}")
+    return Fraction(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,7 @@ def parse_stream(text: str) -> BitStream:
     if kind == "bits":
         return BitStream.from_bits(rest)
     if kind == "const":
-        return BitStream.constant(int(rest))
+        return BitStream.constant(*_ints(rest, text, 1))
     raise SpecError(f"unknown stream spec {text!r}")
 
 
@@ -199,8 +198,9 @@ def parse_increasing(text: str) -> IncreasingDyadicStream:
     kind, _, rest = text.partition(":")
     if kind == "prefix-sums":
         pattern, _, step = rest.partition(":")
+        (step,) = _ints(step or "1", text, 1)
         return IncreasingDyadicStream.from_prefix_sums(
-            BitStream.periodic(pattern), bits_per_step=int(step or 1), label=text
+            BitStream.periodic(pattern), bits_per_step=step, label=text
         )
     if kind == "dyadics":
         vals = [parse_dyadic(v) for v in rest.split(",")]
@@ -215,20 +215,23 @@ def parse_view(text: str) -> NatSetView:
 
     parts = text.split(":")
     kind = parts[0]
+
+    def num(i: int) -> int:
+        return _ints(parts[i], text, 1)[0]
     try:
         if kind == "evens":
-            return fd.evens(int(parts[1]))
+            return fd.evens(num(1))
         if kind == "odds":
-            return fd.odds(int(parts[1]))
+            return fd.odds(num(1))
         if kind == "multiples":
-            return fd.multiples(int(parts[1]), int(parts[2]))
+            return fd.multiples(num(1), num(2))
         if kind == "column":
-            return fd.column(int(parts[1]), int(parts[2]))
+            return fd.column(num(1), num(2))
         if kind == "squares-1":
-            return fd.squares_shifted(int(parts[1]))
+            return fd.squares_shifted(num(1))
         if kind == "elements":
             elems = _ints(parts[1], text)
-            return fd.NatSetView.from_elements(elems, int(parts[2]), label=text)
+            return fd.NatSetView.from_elements(elems, num(2), label=text)
     except IndexError:
         raise SpecError(f"set spec {text!r} is missing a ':'-separated field") from None
     raise SpecError(f"unknown set spec {text!r}")

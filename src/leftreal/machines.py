@@ -21,8 +21,8 @@ Two machine flavors:
 Complexity values are machine-relative and budget-stamped.  A value is
 *exact* only when no program of its length or shorter was cut by the step
 budget; a cut downgrades affected queries to upper bounds, never silently.
-``complexity`` and the halting-probability sums read the instruction set
-directly; only ``enumerate_domain`` lists programs.
+``complexity``, the halting-probability sums and ``outputs_of_length`` read
+the instruction set directly; only ``enumerate_domain`` lists programs.
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ if TYPE_CHECKING:
 
 INFINITE = float("inf")  # order sentinel for "no program"; never used in arithmetic
 
-MAX_GUARDED_LENGTH = 40
-
-MAX_LISTED_PAIRS = 1 << 20  # a listing holds every pair in memory
+MAX_BUILT = 1 << 20  # the census classes, listed pairs or level strings built at once
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +138,13 @@ OPCODES = (LITERAL, REPEAT, CALL)
 
 
 class Budget(Record):
-    """Enumeration budget: max program length ``L`` and step bound ``t``."""
+    """Max program length ``L`` and step bound ``t``; ``allow_large`` lifts the size guards."""
 
     __slots__ = _fields = ("L", "t", "allow_large")
 
     def __init__(self, L: int, t: int, allow_large: bool = False):
         if L < 0 or t < 0:
             raise ValueError("budget components must be natural numbers")
-        if L > MAX_GUARDED_LENGTH and not allow_large:
-            raise BudgetGuard(
-                f"L={L} exceeds the 2^L enumeration guard "
-                f"({MAX_GUARDED_LENGTH}); pass allow_large=True to override"
-            )
         self.L = L
         self.t = t
         self.allow_large = allow_large
@@ -415,11 +408,17 @@ def domain_census(
     Returns the number of programs of each length that halt within the
     budget, and the lengths at which the step budget cut a program.  A run
     takes one step per program bit and per output bit, so every body of a
-    header halts in the same number of steps.
+    header halts in the same number of steps.  The interpreter's census
+    walks fewer than ``L**2`` header classes, guarded like a listing.
     """
     if isinstance(machine, TableMachine):
         lengths = machine.output_lengths.items()
         return {l: len(olens) for l, olens in lengths if l <= budget.L}, frozenset()
+    if budget.L * budget.L > MAX_BUILT and not budget.allow_large:
+        raise BudgetGuard(
+            f"the census at L={budget.L} would walk up to L*L header classes, above "
+            f"the {MAX_BUILT}-class guard; pass allow_large=True (--force) to override"
+        )
     counts: dict[int, int] = defaultdict(int)
     cut = set()
     for length, blen, olens in _classes(machine, budget.L):
@@ -494,15 +493,15 @@ def enumerate_domain(machine: PrefixMachine, budget: Budget) -> DomainEnumeratio
     """Deterministic (length-lex) listing of the budgeted domain.
 
     The pair count is known before any pair is built; a listing of more
-    than ``MAX_LISTED_PAIRS`` raises ``BudgetGuard`` unless the budget
+    than ``MAX_BUILT`` pairs raises ``BudgetGuard`` unless the budget
     allows large runs.
     """
     counts, truncated = domain_census(machine, budget)
     size = sum(counts.values())
-    if size > MAX_LISTED_PAIRS and not budget.allow_large:
+    if size > MAX_BUILT and not budget.allow_large:
         raise BudgetGuard(
             f"listing the domain at L={budget.L}, t={budget.t} would hold {size} "
-            f"pairs, above the {MAX_LISTED_PAIRS}-pair guard; pass allow_large=True "
+            f"pairs, above the {MAX_BUILT}-pair guard; pass allow_large=True "
             "(--force) to override"
         )
     if isinstance(machine, TableMachine):
@@ -512,6 +511,36 @@ def enumerate_domain(machine: PrefixMachine, budget: Budget) -> DomainEnumeratio
         pairs = _list_interpreter(machine, budget)
         covers = False
     return DomainEnumeration(pairs, truncated, covers)
+
+
+def outputs_of_length(machine: PrefixMachine, out_len: int, max_len: int, t: int) -> list[str]:
+    """The distinct ``out_len``-bit outputs of programs of at most ``max_len
+    <= out_len`` bits halting within ``t`` steps, in ``enumerate_domain`` order.
+    No literal is that short, so they come from the repeats with count
+    ``out_len`` and each table's shortest key per output; a table machine
+    ignores ``t``.  Over ``MAX_BUILT`` strings raise ``BudgetGuard`` first."""
+    if isinstance(machine, TableMachine):
+        calls, fit, plens = (("", machine.shortest),), max_len, ()
+    else:
+        calls, fit, plens = machine._calls, min(max_len, t - out_len), range(1, max_len)
+    found, size = [], 0  # (program length, repeat header or call program, plen or output)
+    for plen in plens:  # program length grows with the pattern length
+        if (length := REPEAT.header_length(out_len, plen) + plen) > fit:
+            break
+        if (size := size + (1 << plen)) > MAX_BUILT:
+            raise BudgetGuard(
+                f"a level of {out_len}-bit strings would hold over {MAX_BUILT}; "
+                "no budget lifts this guard"
+            )
+        found.append((length, REPEAT.header(out_len, plen), plen))
+    for head, shortest in calls:
+        for out, key in shortest.items():
+            if len(out) == out_len and len(head) + len(key) <= fit:
+                found.append((len(head) + len(key), head + key, out))
+    outs: list[str] = []
+    for _, _, x in sorted(found):  # programs are distinct; a repeat's tag sorts first
+        outs += [x] if isinstance(x, str) else REPEAT.outputs(strings_of_length(x), out_len, x)
+    return list(dict.fromkeys(outs))
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,7 @@ from .foundations import (
     half_power,
 )
 from .kraft_chaitin import KCAllocator
-from .machines import (
-    MAX_GUARDED_LENGTH,
-    Budget,
-    PrefixMachine,
-    TableMachine,
-    enumerate_domain,
-)
+from .machines import Budget, PrefixMachine, TableMachine, domain_census, outputs_of_length
 from .names import Modulus
 
 if TYPE_CHECKING:
@@ -179,46 +173,34 @@ def skt_from_rate(
     """Build the strong Kurtz family whose level ``n`` collects outputs of
     length ``r(n)`` produced by programs of length at most ``r(n) - n``.
 
-    Requires ``r`` strictly increasing with ``r(n) > n`` on the range.
-    The length budget is raised to ``r(n_max) - n_max`` when smaller
-    (the level definition fixes the program lengths it needs); a raised
-    length keeps the budget's ``allow_large``, which lifts the listing
-    guard, only up to ``MAX_GUARDED_LENGTH``.  The family's
-    ``meta['complete']`` is False when the step budget may have hidden
-    domain elements (levels are then under-approximations: still sound
-    for the weight bound, possibly incomplete for coverage).
+    Requires ``r`` strictly increasing with ``r(n) > n`` on the range, so
+    ``r(n) - n`` grows with ``n``.  Each level is read from the
+    instruction set by ``outputs_of_length``, whose string guard no budget
+    lifts.  The family's ``meta['complete']`` is False when the step
+    budget cut a program of at most ``max(L, r(n_max) - n_max)`` bits
+    (levels are then under-approximations: still sound for the weight
+    bound, possibly incomplete for coverage).
     """
     for n in range(n_max + 1):
         if r.at(n) <= n:
             raise RateError(f"need r(n) > n, got r({n}) = {r.at(n)}")
     if not r.strictly_increasing_on(n_max):
         raise RateError("rate must be strictly increasing on the level range")
-    need_l = max(r.at(n) - n for n in range(n_max + 1))
-    if need_l > budget.L:
-        large = budget.allow_large and need_l <= MAX_GUARDED_LENGTH
-        budget = Budget(need_l, budget.t, large)
-    enum = enumerate_domain(machine, budget)
     levels: list[list[str]] = []
     for n in range(n_max + 1):
-        out_len, max_prog = r.at(n), r.at(n) - n
-        level = list(
-            dict.fromkeys(
-                out
-                for prog, out in enum.pairs
-                if len(out) == out_len and len(prog) <= max_prog
-            )
-        )
+        max_prog = r.at(n) - n
+        level = outputs_of_length(machine, r.at(n), max_prog, budget.t)
         if len(level) >= 1 << max_prog:
             raise DegenerateMachine(
                 f"level {n} holds {len(level)} >= 2^{max_prog} strings; "
                 "the budgeted domain is a complete code at that length"
             )
         levels.append(level)
-
+    census = Budget(max(r.at(n_max) - n_max, budget.L), budget.t, budget.allow_large)
     family = TestFamily.explicit(levels, TestKind.STRONG_KURTZ, label="skt-from-rate")
     family.meta.update(
         {
-            "complete": not enum.truncated_lengths,
+            "complete": not domain_census(machine, census)[1],
             "machine": getattr(machine, "id", None),
             "rate": r.label,
             "n_max": n_max,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leftreal import randomness
+from leftreal import machines, randomness
 from leftreal.cli import COMMANDS, build_parser, main, natural
 from leftreal.jsonio import canonical_dumps
 
@@ -59,6 +59,22 @@ def test_usage_error_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+# bad integer fields, each with the spec or profile row its error quotes
+QUOTED = {
+    "construct join --a evens:x --b evens:4": "evens:x",
+    "construct join --a multiples:2:x --b evens:4": "multiples:2:x",
+    "convert lc-to-roc --stream prefix-sums:01:x --rate shift:2 --stages 10 --nmax 2":
+        "prefix-sums:01:x",
+    "construct interleave --source const:x": "const:x",
+    "omega-s ref --s x/3": "x/3",
+    "immunity hhi --set evens:10 --block 1,x --horizon 10": "1,x",
+    "kc alloc {str_length}": '["x", "0"]',
+    "dim {short_row} --n0 0 --n1 1": "1,2",
+    "dim {x_row} --n0 0 --n1 1": "x,2,exact,3,4",
+    "dim {bogus_row} --n0 0 --n1 1": "1,2,bogus,3,4",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -87,6 +103,8 @@ def test_usage_error_exits_one(tmp_path, capsys):
         # a listed stream that decreases, and one above 1
         "convert lc-to-roc --stream dyadics:1/2^1,1/2^2 --rate shift:2 --stages 10 --nmax 2",
         "convert lc-to-roc --stream dyadics:3/2^1 --rate shift:2 --stages 10 --nmax 2",
+        "machine k ref --target 0101 --budget-l 1025",  # past the census guard
+        *QUOTED,
     ],
 )
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
@@ -97,6 +115,10 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
         "bad_aux": {"kind": "interpreter", "aux": 5},
         "int_payload": [[5, 7]],  # a payload must be a bit string
         "bad_levels": {"family": {"kind": "strong-kurtz", "levels": 5}},
+        "str_length": [["x", "0"]],
+        "short_row": "1,2\n",
+        "x_row": "x,2,exact,3,4\n",
+        "bogus_row": "1,2,bogus,3,4\n",
     }
     paths = {key: write(tmp_path, key + ".json", doc) for key, doc in docs.items()}
     code = main(argv.format(**paths).split())
@@ -104,6 +126,8 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    if argv in QUOTED:
+        assert repr(QUOTED[argv]) in err
 
 
 @pytest.mark.parametrize(
@@ -193,22 +217,44 @@ def test_skt_from_rate_pipeline(tmp_path, capsys):
 
 
 def test_skt_from_rate_force_reaches_the_raised_length(capsys, monkeypatch):
-    # shift:28 needs programs of up to 28 bits: 1,089,537 pairs, past the
-    # listing guard, which --force lifts also when the length is raised
-    argv = ["skt", "from-rate", "ref", "--rate", "shift:28", "--nmax", "1", "--force"]
-    code, raised = run(capsys, *argv)
-    assert code == 0
-    code, explicit = run(capsys, *argv, "--budget-l", "28")
-    assert code == 0
-    assert json.loads(raised)["family"] == json.loads(explicit)["family"]
+    # shift:28 needs programs of up to 28 bits; its levels of 1,966 strings
+    # are read from the instruction set, so they answer with or without
+    # --force, as the explicit length budget does
+    argv = ["skt", "from-rate", "ref", "--rate", "shift:28", "--nmax", "1"]
+    families = []
+    for extra in ([], ["--force"], ["--budget-l", "28", "--force"]):
+        code, out = run(capsys, *argv, *extra)
+        assert code == 0
+        families.append(json.loads(out)["family"])
+    assert families[0] == families[1] == families[2]
 
+    # a forced pow2:4 needs a level of 64-bit strings from programs of up to
+    # 62 bits: the level guard, which --force does not lift, refuses it
+    # before the census runs or a string of more than 20 bits is built
     def refuse(*args):
-        raise AssertionError("listed the domain past the length guard")
+        raise AssertionError("ran the census past the level guard")
 
-    monkeypatch.setattr(randomness, "enumerate_domain", refuse)
+    def small_only(n, real=machines.strings_of_length):
+        assert n <= 20, f"built the {n}-bit strings past the level guard"
+        return real(n)
+
+    monkeypatch.setattr(randomness, "domain_census", refuse)
+    monkeypatch.setattr(machines, "strings_of_length", small_only)
     argv = ["skt", "from-rate", "ref", "--rate", "pow2:4", "--nmax", "5", "--force"]
     assert main(argv) == 1
-    assert "L=507 exceeds the 2^L enumeration guard" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == (
+        "error: a level of 64-bit strings would hold over 1048576; "
+        "no budget lifts this guard\n"
+    )
+
+
+def test_machine_k_answers_past_length_40_unforced(capsys):
+    argv = ["machine", "k", "ref", "--target", "0101", "--budget-l", "50"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    k = json.loads(out)["complexity"]
+    assert (k["value"], k["status"], k["witness"]) == (10, "exact", "0001010101")
 
 
 @pytest.mark.parametrize(

@@ -277,7 +277,7 @@ def test_census_counts_repeat_classes_past_the_size_limit():
 def test_listing_guard_trips_before_building_pairs(monkeypatch):
     budget = Budget(12, 10**4)
     size = len(enumerate_domain(Interpreter(), budget).pairs)
-    monkeypatch.setattr(machines, "MAX_LISTED_PAIRS", size - 1)
+    monkeypatch.setattr(machines, "MAX_BUILT", size - 1)
     with monkeypatch.context() as patch:
         patch.setattr(machines, "_list_interpreter", None)  # the guard trips first
         with pytest.raises(BudgetGuard, match=f"{size} pairs"):
@@ -504,7 +504,18 @@ def test_omega_s_empty_machine():
     assert iv.lo == ZERO and iv.hi == ZERO
 
 
-def test_budget_guard_trips():
-    with pytest.raises(BudgetGuard):
-        Budget(41, 10)
-    Budget(41, 10, allow_large=True)
+def test_budget_guard_trips(monkeypatch):
+    # the census walks fewer than L*L header classes: past 2^20 of them it
+    # refuses before it walks any, unless forced
+    def walk(*args):
+        raise AssertionError("walked the header classes past the census guard")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(machines, "_classes", walk)
+        patch.setattr(machines, "_repeat_classes", walk)
+        with pytest.raises(BudgetGuard, match="L=1025"):
+            domain_census(Interpreter(), Budget(1025, 10**4))
+    counts, cut = domain_census(Interpreter(), Budget(1024, 10**4))
+    forced, forced_cut = domain_census(Interpreter(), Budget(1025, 10**4, allow_large=True))
+    assert {l: c for l, c in forced.items() if l <= 1024} == counts
+    assert {l for l in forced_cut if l <= 1024} == cut

@@ -2,9 +2,11 @@
 the test/complexity-rate correspondence."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from leftreal.errors import (
     DegenerateMachine,
@@ -15,7 +17,14 @@ from leftreal.errors import (
 )
 from leftreal.foundations import BitStream, Dyadic, strings_of_length
 from leftreal.kraft_chaitin import kc_allocate, kc_build_machine
-from leftreal.machines import Budget, Interpreter, complexity, validate_table
+from leftreal.machines import (
+    Budget,
+    Interpreter,
+    complexity,
+    enumerate_domain,
+    outputs_of_length,
+    validate_table,
+)
 from leftreal.names import Modulus
 from leftreal.randomness import (
     FamilyStatus,
@@ -166,6 +175,101 @@ def test_skt_from_rate_degenerate_complete_code_flagged():
     )
     with pytest.raises(DegenerateMachine):
         skt_from_rate(machine, Modulus.shift(2), 2, Budget(10, 10**3))
+
+
+def _skt_by_listing(machine, r, n_max, budget):
+    """Oracle: list the budgeted domain at the longest level's program
+    length and filter it per level, first occurrences in listing order."""
+    need_l = max(r.at(n) - n for n in range(n_max + 1))
+    enum = enumerate_domain(machine, Budget(max(need_l, budget.L), budget.t))
+    levels = []
+    for n in range(n_max + 1):
+        out_len, max_prog = r.at(n), r.at(n) - n
+        level = list(
+            dict.fromkeys(
+                out
+                for prog, out in enum.pairs
+                if len(out) == out_len and len(prog) <= max_prog
+            )
+        )
+        if len(level) >= 1 << max_prog:
+            raise DegenerateMachine(
+                f"level {n} holds {len(level)} >= 2^{max_prog} strings; "
+                "the budgeted domain is a complete code at that length"
+            )
+        levels.append(level)
+    meta = {
+        "complete": not enum.truncated_lengths,
+        "machine": machine.id,
+        "rate": r.label,
+        "n_max": n_max,
+    }
+    return levels, meta
+
+
+def _kc_table(seed: int, out_lens: list[int]):
+    """A KC-built table whose outputs take the lengths ``out_lens`` and
+    often repeat, within the table and across tables."""
+    rng = random.Random(seed)
+    lengths = [rng.randint(1, 10) for _ in range(rng.randint(1, 24))]
+    while sum(Fraction(1, 2**l) for l in lengths) > 1:
+        lengths.pop()
+    outs = (format(rng.randrange(4), f"0{rng.choice(out_lens)}b") for _ in lengths)
+    return validate_table(zip(kc_allocate(lengths), outs))
+
+
+def _complete_code(k: int, n: int, distinct: bool):
+    """All ``k``-bit keys, with outputs of ``n + k`` bits: under ``shift:k``
+    level ``n`` is degenerate when the outputs are distinct."""
+    keys = strings_of_length(k)
+    return validate_table(
+        (key, format(i if distinct else i // 2, f"0{n + k}b")) for i, key in enumerate(keys)
+    )
+
+
+SKT_RATES = st.builds(Modulus.shift, st.integers(1, 16)) | st.builds(
+    Modulus.affine, st.integers(1, 3), st.integers(1, 10)
+)
+
+
+@st.composite
+def skt_cases(draw):
+    """A rate, a level count and a machine whose tables print strings of
+    the level lengths: an interpreter with one or two tables (twice as
+    likely), the bare interpreter, a bare table or a complete code."""
+    r, n_max = draw(SKT_RATES), draw(st.integers(0, 3))
+    out_lens = [r.at(n) for n in range(n_max + 1)]
+    tables = st.integers(0, 2**16).map(lambda seed: _kc_table(seed, out_lens))
+    calls = st.lists(tables, min_size=1, max_size=2).map(lambda aux: Interpreter(tuple(aux)))
+    codes = st.builds(_complete_code, st.integers(1, 4), st.integers(0, 3), st.booleans())
+    machines = st.one_of(calls, calls, st.just(Interpreter()), tables, codes)
+    return draw(machines), r, n_max
+
+
+# a repeat and a table call of 11 bits both print 0^11 at level 0 of shift:11
+TIED = validate_table([("00000000", "0" * 11), ("00000001", "01" * 5 + "0")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=skt_cases(), L=st.integers(0, 16), t=st.just(10**4) | st.integers(5, 60))
+@example(case=(_complete_code(2, 2, True), Modulus.shift(2), 3), L=10, t=10**3)
+@example(case=(Interpreter((TIED,)), Modulus.shift(11), 1), L=0, t=10**4)
+@example(case=(Interpreter((TIED, TIED)), Modulus.shift(13), 2), L=0, t=40)
+def test_skt_levels_match_the_listing(case, L, t):
+    # the listing and filter that skt_from_rate replaced is the oracle
+    machine, r, n_max = case
+    budget = Budget(L, t)
+    try:
+        levels, meta = _skt_by_listing(machine, r, n_max, budget)
+    except DegenerateMachine as e:
+        with pytest.raises(DegenerateMachine, match=re.escape(str(e))):
+            skt_from_rate(machine, r, n_max, budget)
+        return
+    fam = skt_from_rate(machine, r, n_max, budget)
+    assert [fam.level_list(n) for n in range(n_max + 1)] == levels
+    assert fam.meta == meta
+    for n in range(n_max + 1):  # the reader itself returns each string once
+        assert outputs_of_length(machine, r.at(n), r.at(n) - n, t) == levels[n]
 
 
 def test_skt_from_rate_covers_certified_stream():
