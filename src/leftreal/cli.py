@@ -206,20 +206,26 @@ def _cmd_machine_k(out: _Output, args) -> int:
 
 
 def _load_requests(out: _Output, path: str) -> list:
-    """A KC request file: a JSON list of ``[length, payload]`` pairs."""
+    """A KC request file: a JSON list of ``[length, payload]`` pairs, each
+    payload a bit string."""
     requests = pairs_from_json(_load_json(out, path), "KC requests")
     if not all(isinstance(l, (int, str)) for l, _ in requests):
         raise SpecError("KC request lengths must be integers")
-    return [(_ints(str(l), json.dumps([l, p]), 1)[0], p) for l, p in requests]
+    parsed = []
+    for l, p in requests:
+        spec = json.dumps([l, p])
+        if not isinstance(p, str) or p.strip("01"):
+            raise SpecError(f"KC request {spec!r} has a payload that is not a bit string")
+        parsed.append((_ints(str(l), spec, 1)[0], p))
+    return parsed
 
 
 def _cmd_kc_alloc(out: _Output, args) -> int:
-    from .kraft_chaitin import KCAllocator
+    from .kraft_chaitin import kc_allocate
 
     requests = _load_requests(out, args.requests)
-    alloc = KCAllocator()
-    result = [[alloc.request(l), payload] for l, payload in requests]
-    out.emit_json({"codewords": result})
+    codewords = kc_allocate(l for l, _ in requests)
+    out.emit_json({"codewords": [[c, p] for c, (_, p) in zip(codewords, requests)]})
     return 0
 
 
@@ -341,6 +347,8 @@ def _cmd_dim(out: _Output, args) -> int:
         if len(fields) != 5 or fields[2] not in statuses:
             raise SpecError(f"profile row {line!r} is not 'n,K,status,L,t'")
         n, l, t = (_ints(f, line, 1)[0] for f in (fields[0], *fields[3:]))
+        if min(l, t) < 0:
+            raise SpecError(f"profile row {line!r} has a negative budget")
         budget = Budget(l, t)
         value = float("inf") if fields[1] == "inf" else _ints(fields[1], line, 1)[0]
         entries.append((n, ComplexityValue(value, statuses[fields[2]], budget)))

@@ -10,6 +10,7 @@ arithmetic; nothing in this module touches floating point.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from typing import TYPE_CHECKING
 
 from .errors import HorizonExceeded, PrefixViolation, RangeViolation
@@ -418,15 +419,9 @@ class NatSetView:
             return iter(self.elements())
         return self._enumerator()
 
-    def enumerated_below(self, bound: int, budget: Optional[int] = None) -> list[int]:
+    def enumerated_below(self, bound: int) -> list[int]:
         """Elements the enumerator emits below ``bound``, in emission order."""
-        out = []
-        for count, n in enumerate(self.enumerate()):
-            if budget is not None and count >= budget:
-                break
-            if n < bound:
-                out.append(n)
-        return out
+        return [n for n in self.enumerate() if n < bound]
 
     def complement(self) -> "NatSetView":
         return NatSetView(
@@ -525,23 +520,11 @@ def join(a: NatSetView, b: NatSetView) -> NatSetView:
     if a.has_enumerator or b.has_enumerator:
 
         def gen() -> Iterator[int]:
-            ita, itb = a.enumerate(), b.enumerate()
-            done_a = done_b = False
-            while not (done_a and done_b):
-                if not done_a:
-                    try:
-                        va = next(ita)
-                        if va < n:
-                            yield 2 * va
-                    except StopIteration:
-                        done_a = True
-                if not done_b:
-                    try:
-                        vb = next(itb)
-                        if vb < n:
-                            yield 2 * vb + 1
-                    except StopIteration:
-                        done_b = True
+            for va, vb in zip_longest(a.enumerate(), b.enumerate()):
+                if va is not None and va < n:
+                    yield 2 * va
+                if vb is not None and vb < n:
+                    yield 2 * vb + 1
 
         enumerator = gen
 

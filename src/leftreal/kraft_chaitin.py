@@ -1,39 +1,34 @@
 """Online Kraft-Chaitin codeword allocation and machine synthesis.
 
 The allocator hands out codewords of requested lengths while keeping the
-issued set prefix-free.  Free space is a position-sorted list of aligned
-dyadic blocks of [0, 1); requests split the leftmost adequate block
-(which, under the discipline below, is also the smallest adequate one:
-block sizes strictly increase from left to right, one block per size).
+issued set prefix-free.  Its only ledger is the free space: aligned
+dyadic blocks of [0, 1), one block per size, kept as a map from level
+(size 2^-level) to block index.  Block positions increase as levels
+fall, so a request splits the leftmost adequate block by taking the
+smallest adequate one: the largest free level <= the requested length.
 This accepts every request sequence whose running weight stays <= 1 --
-the closed bound is allowed -- and is fully deterministic.
+the closed bound is allowed -- and is fully deterministic.  A request
+longer than ``machines.MAX_BUILT`` bits is refused before anything is
+built: a free level never exceeds the longest accepted request.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING
 
-from .errors import WeightExceeded
-from .foundations import Dyadic, ONE, ZERO, dyadic_weight, half_power
-from .machines import TableMachine, validate_table
+from .errors import BudgetGuard, WeightExceeded
+from .foundations import Dyadic, ONE, dyadic_weight
+from .machines import MAX_BUILT, TableMachine, validate_table
 
 if TYPE_CHECKING:
-    from typing import Iterable, Sequence
-
-
-def _block_position(block: tuple[int, int]) -> Dyadic:
-    level, idx = block
-    return Dyadic.of(idx, level)
+    from typing import Iterable
 
 
 class KCAllocator:
     """Sequential codeword allocator; distinct allocators are independent."""
 
     def __init__(self):
-        self._free: list[tuple[int, int]] = [(0, 0)]  # (level, index), sorted by position
-        self.committed: Dyadic = ZERO
-        self.issued: list[tuple[str, int]] = []
+        self._free: dict[int, int] = {0: 0}  # level -> index of its free block
 
     def request(self, length: int) -> str:
         """Issue a fresh codeword of exactly ``length`` bits.
@@ -43,40 +38,31 @@ class KCAllocator:
         """
         if length < 0:
             raise ValueError("codeword length must be a natural number")
-        w = half_power(length)
-        if self.committed + w > ONE:
+        if length > MAX_BUILT:
+            raise BudgetGuard(
+                f"a codeword of length {length} is above the {MAX_BUILT}-bit guard"
+            )
+        # free weight < 2^-length exactly when no free block is large enough
+        level = max((lvl for lvl in self._free if lvl <= length), default=None)
+        if level is None:
             raise WeightExceeded(
                 f"request of length {length} exceeds remaining weight "
-                f"(committed {self.committed})"
+                f"(committed {ONE - self.free_weight()})"
             )
-        slot = next(
-            (i for i, (lvl, _) in enumerate(self._free) if lvl <= length), None
-        )
-        if slot is None:  # unreachable under the block discipline
-            raise WeightExceeded(f"no aligned free interval for length {length}")
-        level, idx = self._free[slot]
-        code_idx = idx << (length - level)
-        codeword = format(code_idx, f"0{length}b") if length else ""
-        # remainder: one block per size 2^-length .. 2^-(level+1), left to right
-        remainder = [
-            (j, (idx << (j - level)) + 1) for j in range(length, level, -1)
-        ]
-        self._free[slot : slot + 1] = remainder
-        self.committed = self.committed + w
-        self.issued.append((codeword, length))
-        return codeword
+        idx = self._free.pop(level)
+        # remainder: one block per size 2^-(level+1) .. 2^-length
+        for j in range(level + 1, length + 1):
+            self._free[j] = (idx << (j - level)) + 1
+        return format(idx << (length - level), f"0{length}b") if length else ""
 
     def free_weight(self) -> Dyadic:
-        return dyadic_weight(Counter(level for level, _ in self._free))
+        return dyadic_weight(dict.fromkeys(self._free, 1))
 
     def check_invariants(self) -> None:
         """Assert the interval-discipline invariants (used by tests)."""
-        assert self.committed + self.free_weight() == ONE
-        positions = [_block_position(b) for b in self._free]
+        levels = sorted(self._free, reverse=True)
+        positions = [Dyadic.of(self._free[lvl], lvl) for lvl in levels]
         assert all(a < b for a, b in zip(positions, positions[1:]))
-        levels = [lvl for lvl, _ in self._free]
-        assert len(set(levels)) == len(levels)
-        assert levels == sorted(levels, reverse=True)
 
 
 def kc_allocate(lengths: Iterable[int]) -> list[str]:
@@ -85,7 +71,7 @@ def kc_allocate(lengths: Iterable[int]) -> list[str]:
     return [alloc.request(n) for n in lengths]
 
 
-def kc_build_machine(requests: Sequence[tuple[int, str]]) -> TableMachine:
+def kc_build_machine(requests: Iterable[tuple[int, str]]) -> TableMachine:
     """Synthesize a table machine giving each payload a program of the
     requested length (so its complexity is at most that length)."""
     alloc = KCAllocator()

@@ -51,7 +51,7 @@ if TYPE_CHECKING:
 
 INFINITE = float("inf")  # order sentinel for "no program"; never used in arithmetic
 
-MAX_BUILT = 1 << 20  # the census classes, listed pairs or level strings built at once
+MAX_BUILT = 1 << 20  # census classes, listed pairs, level strings or codeword bits built at once
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .foundations import (
     dyadic_weight,
     half_power,
 )
-from .kraft_chaitin import KCAllocator
+from .kraft_chaitin import kc_build_machine
 from .machines import Budget, PrefixMachine, TableMachine, domain_census, outputs_of_length
 from .names import Modulus
 
@@ -251,35 +251,33 @@ def rate_from_skt(
     into a host machine (0 when complexities are taken relative to the
     synthesized machine itself).
     """
-    alloc = KCAllocator()
-    entries: list[tuple[str, str]] = []
-    requests: list[tuple[int, str]] = []
-    codewords: list[str] = []
-    for m in range(n_max + overhead + 1):
-        for s in family.level_list(2 * m + 1, stage):
-            length = len(s) - m
-            if length < 0:
-                raise PreconditionRefuted(
-                    f"level {2 * m + 1} string shorter than the level index allows"
-                )
-            requests.append((length, s))
-            cw = alloc.request(length)
-            codewords.append(cw)
-            entries.append((cw, s))
+    levels: list[list[str]] = []  # the odd levels 2m+1, each read once
+
+    def requests() -> Iterator[tuple[int, str]]:
+        for m in range(n_max + overhead + 1):
+            levels.append(family.level_list(2 * m + 1, stage))
+            for s in levels[-1]:
+                if len(s) < m:
+                    raise PreconditionRefuted(
+                        f"level {2 * m + 1} string shorter than the level index allows"
+                    )
+                yield len(s) - m, s
+
+    machine = kc_build_machine(requests())
     values: list[Optional[int]] = []
-    for n in range(n_max + 1):
-        lengths = {len(s) for s in family.level_list(2 * (n + overhead) + 1, stage)}
+    for n, level in enumerate(levels[overhead:]):
+        lengths = {len(s) for s in level}
         if len(lengths) > 1:
             raise PreconditionRefuted(
                 f"level {2 * (n + overhead) + 1} is not length-uniform"
             )
         values.append(lengths.pop() if lengths else None)
     return SynthesizedMachine(
-        machine=TableMachine(tuple(entries)),
+        machine=machine,
         rate=RateReadoff(values),
         overhead=overhead,
-        requests=requests,
-        codewords=codewords,
+        requests=[(len(cw), s) for cw, s in machine.entries],
+        codewords=[cw for cw, _ in machine.entries],
     )
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from leftreal import machines, randomness
 from leftreal.cli import COMMANDS, build_parser, main, natural
-from leftreal.jsonio import canonical_dumps
+from leftreal.jsonio import canonical_dumps, machine_from_json, machine_to_json
 
 
 def run(capsys, *argv):
@@ -59,7 +60,7 @@ def test_usage_error_exits_one(tmp_path, capsys):
     assert code == 1
 
 
-# bad integer fields, each with the spec or profile row its error quotes
+# bad fields, each with the spec, request or profile row its error quotes
 QUOTED = {
     "construct join --a evens:x --b evens:4": "evens:x",
     "construct join --a multiples:2:x --b evens:4": "multiples:2:x",
@@ -69,6 +70,9 @@ QUOTED = {
     "omega-s ref --s x/3": "x/3",
     "immunity hhi --set evens:10 --block 1,x --horizon 10": "1,x",
     "kc alloc {str_length}": '["x", "0"]',
+    "kc alloc {bad_payload}": "[5, 7]",
+    "dim {negative_l_row} --n0 0 --n1 1": "1,2,exact,-3,4",
+    "dim {negative_t_row} --n0 0 --n1 1": "1,2,exact,3,-4",
     "dim {short_row} --n0 0 --n1 1": "1,2",
     "dim {x_row} --n0 0 --n1 1": "x,2,exact,3,4",
     "dim {bogus_row} --n0 0 --n1 1": "1,2,bogus,3,4",
@@ -104,6 +108,7 @@ QUOTED = {
         "convert lc-to-roc --stream dyadics:1/2^1,1/2^2 --rate shift:2 --stages 10 --nmax 2",
         "convert lc-to-roc --stream dyadics:3/2^1 --rate shift:2 --stages 10 --nmax 2",
         "machine k ref --target 0101 --budget-l 1025",  # past the census guard
+        "kc alloc {overlong}",  # a codeword past the 2^20-bit guard
         *QUOTED,
     ],
 )
@@ -116,9 +121,13 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
         "int_payload": [[5, 7]],  # a payload must be a bit string
         "bad_levels": {"family": {"kind": "strong-kurtz", "levels": 5}},
         "str_length": [["x", "0"]],
+        "bad_payload": [[5, 7], [2, "0x"]],
+        "overlong": [[1048577, "0"]],
         "short_row": "1,2\n",
         "x_row": "x,2,exact,3,4\n",
         "bogus_row": "1,2,bogus,3,4\n",
+        "negative_l_row": "1,2,exact,-3,4\n",
+        "negative_t_row": "1,2,exact,3,-4\n",
     }
     paths = {key: write(tmp_path, key + ".json", doc) for key, doc in docs.items()}
     code = main(argv.format(**paths).split())
@@ -216,6 +225,51 @@ def test_skt_from_rate_pipeline(tmp_path, capsys):
     assert json.loads(out)["reports"][0]["witness"] == "01"
 
 
+def test_skt_validate_and_covers_read_only_the_stage(tmp_path, capsys):
+    # at stage 1 level 1 loses "111", which broke its length uniformity,
+    # and level 0 loses "01", the prefix that covers the stream
+    refuted = write(tmp_path, "refuted.json", {
+        "family": {"kind": "strong-kurtz", "levels": [["1"], ["00", "111"]]}
+    })
+    covering = write(tmp_path, "covering.json", {
+        "family": {"kind": "strong-kurtz", "levels": [["00", "01"], ["111"]]}
+    })
+    for stage, validate_code, covers_code in ([], 2, 0), (["--stage", "1"], 0, 2):
+        code, _ = run(capsys, "skt", "validate", refuted, "--nmax", "1", *stage)
+        assert code == validate_code
+        code, out = run(
+            capsys, "skt", "covers", covering, "--stream", "bits:0111", "--nmax", "0",
+            *stage,
+        )
+        assert code == covers_code
+        assert json.loads(out)["reports"][0]["covered"] == (not stage)
+
+
+INTERPRETER_JSON = {"kind": "interpreter", "aux": [THREE_ENTRY_JSON]}
+
+
+def test_interpreter_machine_document(tmp_path, capsys):
+    path = write(tmp_path, "interp.json", INTERPRETER_JSON)
+    code, out = run(capsys, "machine", "validate", path)
+    assert code == 0 and json.loads(out)["valid"]
+    code, out = run(capsys, "machine", "k", path, "--target", "111")
+    assert code == 0  # the 3-bit call header of table 1, then its key "11"
+    assert json.loads(out)["complexity"]["witness"] == "111" + "11"
+    omegas = []
+    for machine in (path, "ref"):
+        code, out = run(capsys, "omega", machine)
+        assert code == 0
+        omega = json.loads(out)["omega_lower"]
+        omegas.append(Fraction(int(omega["num"]), 2 ** omega["exp"]))
+    # the calls add the table's weight (1/2 + 1/4 + 1/4) at 2^-3 each
+    assert omegas[0] - omegas[1] == Fraction(1, 8)
+
+
+def test_machine_json_round_trip_keeps_an_interpreter():
+    m = machines.Interpreter(aux=(machines.validate_table([("0", "00"), ("1", "1")]),))
+    assert machine_from_json(json.loads(canonical_dumps(machine_to_json(m)))) == m
+
+
 def test_skt_from_rate_force_reaches_the_raised_length(capsys, monkeypatch):
     # shift:28 needs programs of up to 28 bits; its levels of 1,966 strings
     # are read from the instruction set, so they answer with or without
@@ -306,6 +360,15 @@ def test_convert_lc_to_roc_pipeline(capsys):
     )
     assert code == 0
     assert json.loads(out)["s_values"] == [0, 8, 16, 32]
+
+
+def test_convert_lc_to_roc_dyadic_shortcut(capsys):
+    code, out = run(
+        capsys, "convert", "lc-to-roc", "--stream", "dyadics:1/2^1,3/2^2",
+        "--rate", "shift:2", "--stages", "10", "--nmax", "2",
+    )
+    assert code == 0  # an eventually constant stream reports its shortcut
+    assert json.loads(out)["dyadic_shortcut"] and json.loads(out)["s_values"] == []
 
 
 def test_profile_then_dim(tmp_path, capsys):

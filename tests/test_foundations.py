@@ -281,6 +281,33 @@ def test_join_empty_left_keeps_odds_only():
     assert join(a, b).elements() == [1, 7, 11]
 
 
+def join_enumeration_oracle(ea, eb, n):
+    """The two enumerations alternated, ``a``'s element first, keeping only
+    the elements below the joined window ``n``."""
+    out = []
+    for i in range(max(len(ea), len(eb))):
+        if i < len(ea) and ea[i] < n:
+            out.append(2 * ea[i])
+        if i < len(eb) and eb[i] < n:
+            out.append(2 * eb[i] + 1)
+    return out
+
+
+@given(
+    st.lists(st.integers(0, 40), max_size=12),
+    st.lists(st.integers(0, 40), max_size=12),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.booleans(),
+)
+def test_join_enumerator_alternates_within_the_window(ea, eb, ha, hb, b_listed):
+    # b either enumerates its own list or, without an enumerator, its members
+    b = NatSetView.from_elements(eb, hb) if b_listed else evens(hb)
+    eb = eb if b_listed else list(range(0, hb, 2))
+    j = join(NatSetView.from_elements(ea, ha), b)
+    assert list(j.enumerate()) == join_enumeration_oracle(ea, eb, min(ha, hb))
+
+
 def test_join_bit_identities():
     rng = random.Random(11)
     for _ in range(50):

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leftreal.errors import WeightExceeded
+from leftreal import kraft_chaitin
+from leftreal.errors import BudgetGuard, WeightExceeded
+from leftreal.foundations import ONE, ZERO, half_power
 from leftreal.kraft_chaitin import KCAllocator, kc_allocate, kc_build_machine
 from leftreal.machines import Budget, complexity
 
@@ -71,6 +73,63 @@ def test_admissible_sequences_always_succeed(lengths):
     assert [len(w) for w in words] == lengths
     assert brute_force_prefix_free(words)
     alloc.check_invariants()
+    free = alloc.free_weight()
+    assert Fraction(free.num, 2**free.exp) == 1 - sum(Fraction(1, 2**l) for l in lengths)
+
+
+class ListLedgerAllocator:
+    """The allocator kept as a running committed total next to a
+    position-sorted list of free blocks: the oracle for the free-block map."""
+
+    def __init__(self):
+        self.free = [(0, 0)]  # (level, index), sorted by position
+        self.committed = ZERO
+
+    def request(self, length):
+        if length < 0:
+            raise ValueError("codeword length must be a natural number")
+        w = half_power(length)
+        if self.committed + w > ONE:
+            raise WeightExceeded(
+                f"request of length {length} exceeds remaining weight "
+                f"(committed {self.committed})"
+            )
+        slot = next(i for i, (lvl, _) in enumerate(self.free) if lvl <= length)
+        level, idx = self.free[slot]
+        self.free[slot : slot + 1] = [
+            (j, (idx << (j - level)) + 1) for j in range(length, level, -1)
+        ]
+        self.committed = self.committed + w
+        return format(idx << (length - level), f"0{length}b") if length else ""
+
+
+def outcome(alloc, length):
+    """The codeword issued for ``length``, or the refusal's type and message."""
+    try:
+        return alloc.request(length)
+    except (ValueError, WeightExceeded) as e:
+        return type(e), str(e)
+
+
+# short lengths mixed in, so that most sequences run past weight 1
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-2, max_value=30) | st.integers(0, 3), max_size=60))
+def test_allocator_matches_list_ledger_oracle(lengths):
+    alloc, oracle = KCAllocator(), ListLedgerAllocator()
+    assert [outcome(alloc, l) for l in lengths] == [outcome(oracle, l) for l in lengths]
+    alloc.check_invariants()
+    assert alloc.free_weight() == ONE - oracle.committed
+
+
+def test_overlong_request_is_refused_before_anything_is_built(monkeypatch):
+    monkeypatch.setattr(kraft_chaitin, "MAX_BUILT", 8)
+    alloc = KCAllocator()
+    assert alloc.request(3) == "000"
+    before = alloc.free_weight()
+    with pytest.raises(BudgetGuard):
+        alloc.request(9)
+    assert alloc.free_weight() == before
+    assert alloc.request(8) == "00100000"
 
 
 def test_completeness_dense_mixed_sequence():

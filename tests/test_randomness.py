@@ -14,9 +14,10 @@ from leftreal.errors import (
     PrefixViolation,
     PreconditionRefuted,
     RateError,
+    WeightExceeded,
 )
 from leftreal.foundations import BitStream, Dyadic, strings_of_length
-from leftreal.kraft_chaitin import kc_allocate, kc_build_machine
+from leftreal.kraft_chaitin import KCAllocator, kc_allocate, kc_build_machine
 from leftreal.machines import (
     Budget,
     Interpreter,
@@ -362,6 +363,77 @@ def test_rate_from_skt_rejects_non_uniform_levels():
     )
     with pytest.raises(PreconditionRefuted):
         rate_from_skt(fam, overhead=0, n_max=1)
+
+
+def rate_from_skt_oracle(family, overhead, n_max, stage=None):
+    """The synthesis with its own allocation loop and a second read of the
+    rate's levels: (entries, rate values, requests, codewords)."""
+    alloc = KCAllocator()
+    requests, codewords = [], []
+    for m in range(n_max + overhead + 1):
+        for s in family.level_list(2 * m + 1, stage):
+            length = len(s) - m
+            if length < 0:
+                raise PreconditionRefuted(
+                    f"level {2 * m + 1} string shorter than the level index allows"
+                )
+            requests.append((length, s))
+            codewords.append(alloc.request(length))
+    values = []
+    for n in range(n_max + 1):
+        lengths = {len(s) for s in family.level_list(2 * (n + overhead) + 1, stage)}
+        if len(lengths) > 1:
+            raise PreconditionRefuted(
+                f"level {2 * (n + overhead) + 1} is not length-uniform"
+            )
+        values.append(lengths.pop() if lengths else None)
+    entries = [(c, s) for c, (_, s) in zip(codewords, requests)]
+    return entries, values, requests, codewords
+
+
+def synthesis_outcome(synthesize, *args):
+    try:
+        return synthesize(*args)
+    except (PreconditionRefuted, WeightExceeded) as e:
+        return type(e), str(e)
+
+
+def test_rate_from_skt_matches_oracle_on_random_families():
+    def synthesized(*args):
+        r = rate_from_skt(*args)
+        return list(r.machine.entries), r.rate.values, r.requests, r.codewords
+
+    rng = random.Random(11)
+    kinds = []
+    for _ in range(400):
+        overhead, n_max = rng.randint(0, 2), rng.randint(0, 3)
+        levels = []
+        for _ in range(2 * (overhead + n_max) + rng.randint(0, 4)):
+            size, uniform = rng.randint(0, 8), rng.random() < 0.8
+            levels.append([
+                "".join(rng.choice("01") for _ in range(size if uniform else rng.randint(0, 8)))
+                for _ in range(rng.randint(0, 4))
+            ])
+        fam = TestFamily.explicit(levels, TestKind.STRONG_KURTZ)
+        stage = rng.choice([None, 1, 2, 3])
+        args = (fam, overhead, n_max, stage)
+        got = synthesis_outcome(synthesized, *args)
+        assert got == synthesis_outcome(rate_from_skt_oracle, *args)
+        kinds.append(got[0] if isinstance(got[0], type) else "ok")
+    assert {"ok", WeightExceeded, PreconditionRefuted} <= set(kinds)
+
+
+def test_rate_from_skt_reads_each_odd_level_once():
+    reads = []
+
+    def level_fn(n):
+        reads.append(n)
+        return [format(n, "05b")]
+
+    fam = TestFamily(level_fn, TestKind.STRONG_KURTZ)
+    result = rate_from_skt(fam, overhead=1, n_max=3)
+    assert reads == [1, 3, 5, 7, 9]
+    assert result.rate.values == [5, 5, 5, 5]
 
 
 # ---------------------------------------------------------------------------
