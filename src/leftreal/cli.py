@@ -347,10 +347,10 @@ def _cmd_dim(out: _Output, args) -> int:
         if len(fields) != 5 or fields[2] not in statuses:
             raise SpecError(f"profile row {line!r} is not 'n,K,status,L,t'")
         n, l, t = (_ints(f, line, 1)[0] for f in (fields[0], *fields[3:]))
-        if min(l, t) < 0:
-            raise SpecError(f"profile row {line!r} has a negative budget")
-        budget = Budget(l, t)
         value = float("inf") if fields[1] == "inf" else _ints(fields[1], line, 1)[0]
+        if min(n, value, l, t) < 0:
+            raise SpecError(f"profile row {line!r} has a negative field")
+        budget = Budget(l, t)
         entries.append((n, ComplexityValue(value, statuses[fields[2]], budget)))
     est = dim_window(
         ComplexityProfile("from-csv", entries, budget), args.n0, args.n1

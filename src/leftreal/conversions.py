@@ -14,19 +14,17 @@ intervals could never contain the limit.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionRefuted, RateError
-from .foundations import Dyadic, ZERO, floor_scale, half_power
+from .foundations import Dyadic, ZERO, floor_scale
 from .machines import Budget, PrefixMachine, complexity
 from .names import (
     IncreasingDyadicStream,
     Modulus,
-    MultiplicityTable,
     NameStream,
     name_from_increasing,
     sum_exceeds_one,
@@ -54,7 +52,9 @@ class StageInterval(NamedTuple):
 
     A named tuple, since every stage builds one and a class that guards
     its fields against assignment takes about three times as long to
-    build.
+    build.  The stage loop builds it with ``tuple.__new__`` on the field
+    tuple, which skips the Python frame of the named tuple's ``__new__``
+    and gives the same type and fields.
     """
 
     t: int
@@ -125,8 +125,9 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     sums increase, so this checks them all), then ``r(0) > f(0)``
     (``RateError``), then the tail certificate ``tail(r(n)) <= 2**-n`` at
     levels ``0..CERTIFY_LEVELS`` (``PreconditionRefuted`` at the least
-    refuted level), all tails from one multiplicity table of those values
-    and ``f(stages)``.
+    refuted level).  Each tail is the whole sum of those values and
+    ``f(stages)``, from the last partial sum, less the few head terms
+    below the threshold, in integers at the scale ``2**-top``.
     """
     if f.finite:
         return RocToSktResult(
@@ -148,16 +149,21 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     r = rate.r
     if r.at(0) <= f.at(0):
         raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
-    counts = Counter(values)
-    counts[f.at(stages)] += 1
-    ledger = MultiplicityTable(counts, stages)
+    # tail(m0) = whole - (the terms below m0), all at the scale 2**-top
+    fs = f.at(stages)
+    top = max(scale, fs)
+    whole = (last << (top - scale)) + (1 << (top - fs))
     thresholds: list[int] = []
     try:
         for n in range(CERTIFY_LEVELS + 1):
             thresholds.append(r.at(n))
     finally:  # a rate failing at level n still lets a lower level refute first
-        for n, tail in enumerate(ledger.tails(thresholds)):
-            if tail > half_power(n):
+        head = sorted(filter(max(thresholds).__gt__, values + [fs]))
+        heads = list(accumulate((1 << (top - h) for h in head), initial=0))
+        for n, m0 in enumerate(thresholds):
+            tail = whole - heads[bisect_left(head, m0)]
+            if tail << n > 1 << top:
+                tail = Dyadic.of(tail, top)
                 raise PreconditionRefuted(
                     f"tail certificate refuted at level {n}: "
                     f"tail {tail.num}/2^{tail.exp} > 2^-{n}"
@@ -173,6 +179,7 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     due: dict[int, list[int]] = {}
     active: list[int] = []
     intervals: list[StageInterval] = []
+    new = tuple.__new__  # the named tuple's own __new__ adds a Python frame
     z = scale
     for t, x in enumerate(xs):
         for m in due.pop(t, ()):
@@ -192,7 +199,7 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
             z = e
         elif e == z:  # a carry out of the lowest set bit
             z = (x & -x).bit_length() - 1
-        intervals.append(StageInterval(t, Dyadic(x >> z, scale - z), exp, m))
+        intervals.append(new(StageInterval, (t, Dyadic(x >> z, scale - z), exp, m)))
 
     trace = StageTrace(intervals, stages, name_label=f.label, rate_label=r.label)
     lows: dict[int, list[Dyadic]] = {}  # length_exp -> interval left ends

@@ -73,6 +73,8 @@ QUOTED = {
     "kc alloc {bad_payload}": "[5, 7]",
     "dim {negative_l_row} --n0 0 --n1 1": "1,2,exact,-3,4",
     "dim {negative_t_row} --n0 0 --n1 1": "1,2,exact,3,-4",
+    "dim {negative_k_row} --n0 1 --n1 5": "1,-2,exact,3,4",
+    "dim {negative_n_row} --n0 0 --n1 1": "-1,2,exact,3,4",
     "dim {short_row} --n0 0 --n1 1": "1,2",
     "dim {x_row} --n0 0 --n1 1": "x,2,exact,3,4",
     "dim {bogus_row} --n0 0 --n1 1": "1,2,bogus,3,4",
@@ -128,6 +130,8 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
         "bogus_row": "1,2,bogus,3,4\n",
         "negative_l_row": "1,2,exact,-3,4\n",
         "negative_t_row": "1,2,exact,3,-4\n",
+        "negative_k_row": "1,-2,exact,3,4\n",
+        "negative_n_row": "-1,2,exact,3,4\n",
     }
     paths = {key: write(tmp_path, key + ".json", doc) for key, doc in docs.items()}
     code = main(argv.format(**paths).split())

@@ -418,11 +418,21 @@ def test_roc_to_skt_refutes_the_least_failing_level(level):
     data=st.data(),
 )
 def test_roc_to_skt_gate_matches_ten_scans(rate, stages, data):
-    # f(0) <= r(0), then c repeats of one exponent at or past r(0): sums
-    # past 1, r(0) <= f(0) and tails past 2^-n all occur
-    r0 = parse_rate(rate).at(0)
-    head = [data.draw(st.integers(0, r0))]
-    head += [data.draw(st.integers(r0, r0 + 6))] * data.draw(st.integers(0, 24))
+    # f(0) in [r(0) - 2, r(0)], then repeats of a few exponents in
+    # [r(0), r(8)] with up to three terms just below r(0) at any k > 0:
+    # sums past 1, r(0) <= f(0), terms on a threshold and tails past 2^-n
+    # all occur
+    r = parse_rate(rate)
+    r0 = r.at(0)
+    r8 = r.at(8 if r.horizon is None else min(8, r.horizon - 1))
+    pool = data.draw(st.lists(st.integers(r0, r8), min_size=1, max_size=3))
+    head = data.draw(st.lists(st.sampled_from(pool), max_size=32))
+    if r0:
+        for e in data.draw(st.lists(st.integers(max(r0 - 2, 0), r0 - 1), max_size=3)):
+            head.insert(data.draw(st.integers(0, len(head))), e)
+    head.insert(0, data.draw(st.integers(max(r0 - 2, 0), r0)))
+    if data.draw(st.booleans()):  # keep the head's sum at most 1
+        head = _greedy_head(head)
     a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(r0, r0 + 9))
 
     def fresh():
@@ -447,8 +457,11 @@ def test_roc_to_skt_reads_the_name_once(monkeypatch):
         monkeypatch.setattr(names, name, refuse)
     monkeypatch.setattr(conversions, "tail_weight", refuse)
     monkeypatch.setattr(names.MultiplicityTable, "partial_sum", refuse)
+    monkeypatch.setattr(names.MultiplicityTable, "tails", refuse)
     _, _, res = two_thirds_pipeline(stages=300)
     assert len(res.trace.intervals) == 300
+    # built without the named tuple's __new__, yet of its type
+    assert all(type(iv) is StageInterval for iv in res.trace.intervals)
     # the sum check reads the loop's integer sums, with the ledger's message
     with pytest.raises(InvalidName, match=r"^partial sum of 0k\+1 exceeds 1 at stage 49: "):
         roc_to_skt(NameStream.affine(0, 1), RateSpec(Modulus.shift(2)), 50)
