@@ -59,9 +59,18 @@ class ImmunityVerdict(Record):
 
 
 def _threshold(horizon: int, threshold: Optional[int]) -> int:
-    if threshold is not None:
-        return threshold
-    return -(-horizon // DEFAULT_THRESHOLD_DIVISOR)
+    """The witness count that stands for "infinitely many" at the horizon.
+
+    Both must be at least 1: a refutation resting on zero elements would
+    carry no evidence.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if threshold is None:
+        return -(-horizon // DEFAULT_THRESHOLD_DIVISOR)
+    if threshold < 1:
+        raise ValueError(f"threshold must be at least 1, got {threshold}")
+    return threshold
 
 
 def principal_function(view: NatSetView, count: int) -> list[int]:
@@ -111,6 +120,7 @@ def check_hyperimmune(
     horizon: int,
 ) -> ImmunityVerdict:
     """Refute hyperimmunity by a majorizer: ``p_a(n) <= f(n)`` below the horizon."""
+    thr = _threshold(horizon, horizon)  # every principal value below the horizon counts
     p = principal_function(a, horizon)
     failures = [n for n in range(horizon) if p[n] > f.at(n)]
     refuted = not failures
@@ -118,7 +128,7 @@ def check_hyperimmune(
         Property.HYPERIMMUNE,
         Result.REFUTED_AT_HORIZON if refuted else Result.CONSISTENT_AT_HORIZON,
         horizon=horizon,
-        threshold=horizon,
+        threshold=thr,
         witness={
             "majorizer": getattr(f, "label", "?"),
             "first_failure": failures[0] if failures else None,
@@ -202,7 +212,10 @@ def check_bi_immune(
     horizon: int,
     threshold: Optional[int] = None,
 ) -> ImmunityVerdict:
-    """Refute bi-immunity by refuting immunity of either side."""
+    """Refute bi-immunity by refuting immunity of either side.
+
+    Each side is :func:`check_immune`, which checks the horizon and threshold.
+    """
     side_a = check_immune(a, w_for_a, horizon, threshold)
     side_c = check_immune(a.complement(), w_for_complement, horizon, threshold)
     refuted = side_a.refuted or side_c.refuted

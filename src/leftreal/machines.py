@@ -561,7 +561,9 @@ class ComplexityValue(NamedTuple):
     found; exact infinity is only claimed for fully scanned finite
     machines.  A named tuple, since every query builds one and a class
     that guards its fields against assignment takes three times as long
-    to build.
+    to build.  ``complexity``'s interpreter path builds it with
+    ``tuple.__new__(ComplexityValue, fields)``, all four fields given, so
+    that no constructor frame runs: the same type with the same fields.
     """
 
     value: Union[int, float]
@@ -598,21 +600,23 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
     The tags order 0 < 10 < 11, so a later candidate must be strictly
     shorter to win, except that two calls compare as strings.
     """
-    check_bits(target)
+    if target.__class__ is not str or target.strip("01"):
+        check_bits(target)
     if isinstance(machine, TableMachine):
         return _table_complexity(machine, target, budget)
     # A program fits when it has at most L bits and runs within t steps, one
     # per program bit and per output bit; ``best`` is the length to beat.
-    # Gamma lengths are |gamma(k)| = 2 * k.bit_length() - 1.
+    # Gamma lengths are |gamma(k)| = 2 * k.bit_length() - 1.  Only the
+    # winning opcode is kept; its witness is built once, at the end.
     n = len(target)
     best = budget.t - n
     if budget.L < best:
         best = budget.L
     best += 1
-    op = None  # the winner: opcode, header numbers and body
+    op = None
     length = n + 2 * (n + 1).bit_length()  # the literal, 1 + |gamma(n + 1)| + n bits
     if length < best:
-        best, op, nums, body = length, LITERAL, (n + 1,), target
+        best, op = length, LITERAL
     # the repeat of period q has 2 + |gamma(n)| + |gamma(q)| + q bits
     qmax = best - 3 - 2 * n.bit_length()  # |gamma(q)| >= 1 bounds the period that fits
     if qmax >= n:
@@ -623,25 +627,26 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
         while q != -1 and not target.startswith(target[q:]):
             q = target.find(start, q + 1)
         if q != -1 and (length := 2 * (n.bit_length() + q.bit_length()) + q) < best:
-            best, op, nums, body = length, REPEAT, (n, q), target[:q]
-    if machine._calls:
-        for i, (head, shortest) in enumerate(machine._calls, start=1):
-            key = shortest.get(target)
-            if key is None:
-                continue
-            length = len(head) + len(key)
-            if length < best or (
-                length == best and op is CALL and head + key < op.header(*nums) + body
-            ):
-                best, op, nums, body = length, CALL, (i,), key
+            best, op = length, REPEAT
+    for head, shortest in machine._calls:
+        key = shortest.get(target)
+        if key is None:
+            continue
+        length = len(head) + len(key)
+        if length < best or (length == best and op is CALL and head + key < witness):
+            best, op, witness = length, CALL, head + key
     if op is None:
-        return ComplexityValue(INFINITE, KStatus.UNKNOWN, budget)
+        return tuple.__new__(ComplexityValue, (INFINITE, KStatus.UNKNOWN, budget, None))
+    if op is LITERAL:
+        witness = op.header(n + 1) + target
+    elif op is REPEAT:
+        witness = op.header(n, q) + target[:q]
     L_t = (budget.L, budget.t)
     cut = machine._first_cut.get(L_t)
     if cut is None:
         cut = machine._first_cut[L_t] = min(domain_census(machine, budget)[1], default=INFINITE)
     status = KStatus.EXACT if best <= cut else KStatus.UPPER_BOUND
-    return ComplexityValue(best, status, budget, op.header(*nums) + body)
+    return tuple.__new__(ComplexityValue, (best, status, budget, witness))
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,12 @@ QUOTED = {
         "convert lc-to-roc --stream dyadics:3/2^1 --rate shift:2 --stages 10 --nmax 2",
         "machine k ref --target 0101 --budget-l 1025",  # past the census guard
         "kc alloc {overlong}",  # a codeword past the 2^20-bit guard
+        # a horizon or threshold of 0 would refute on no elements at all
+        "immunity hyperimmune --set evens:1000 --rate affine:0,0 --horizon 0",
+        "immunity cohesive --set evens:100 --witness evens:100 --horizon 0",
+        "immunity immune --set evens:100 --witness elements::100 --horizon 100 --threshold 0",
+        "immunity bi-immune --set evens:100 --witness evens:100 --witness-complement odds:100"
+        " --horizon 0",
         *QUOTED,
     ],
 )
@@ -413,6 +419,12 @@ def test_immunity_command_exit_codes(capsys):
     )
     assert code == 0
     assert json.loads(out)["verdict"]["result"] == "consistent-at-horizon"
+    code, out = run(
+        capsys, "immunity", "hyperimmune", "--set", "evens:1000",
+        "--rate", "affine:0,0", "--horizon", "3",
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"]["witness"]["first_failure"] == 1
 
 
 def test_construct_commands(capsys):

@@ -418,22 +418,34 @@ def test_roc_to_skt_refutes_the_least_failing_level(level):
     data=st.data(),
 )
 def test_roc_to_skt_gate_matches_ten_scans(rate, stages, data):
-    # f(0) in [r(0) - 2, r(0)], then repeats of a few exponents in
-    # [r(0), r(8)] with up to three terms just below r(0) at any k > 0:
-    # sums past 1, r(0) <= f(0), terms on a threshold and tails past 2^-n
-    # all occur
     r = parse_rate(rate)
     r0 = r.at(0)
-    r8 = r.at(8 if r.horizon is None else min(8, r.horizon - 1))
-    pool = data.draw(st.lists(st.integers(r0, r8), min_size=1, max_size=3))
-    head = data.draw(st.lists(st.sampled_from(pool), max_size=32))
-    if r0:
-        for e in data.draw(st.lists(st.integers(max(r0 - 2, 0), r0 - 1), max_size=3)):
-            head.insert(data.draw(st.integers(0, len(head))), e)
-    head.insert(0, data.draw(st.integers(max(r0 - 2, 0), r0)))
-    if data.draw(st.booleans()):  # keep the head's sum at most 1
-        head = _greedy_head(head)
-    a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(r0, r0 + 9))
+    top = 8 if r.horizon is None else min(8, r.horizon - 1)
+    if data.draw(st.booleans()):
+        # a head refuting a drawn level n, as _block_name builds it: f(0) =
+        # r(0) - 1, then 2^(r(n) - n) + 1 terms at r(n), which weigh past
+        # 2^-n, then a thin tail; it refutes when the stages reach those
+        # terms and the sum stays at most 1, so never at level 0 and never
+        # when r(0) <= 1
+        n = data.draw(st.integers(min(1, top), top))
+        count = (1 << max(r.at(n) - n, 0)) + 1
+        head = [max(r0 - 1, 0)] + [r.at(n)] * min(count, 40)
+        stages = max(stages, len(head) - 1)
+        a, b = 3, 40
+    else:
+        # f(0) in [r(0) - 2, r(0)], then repeats of a few exponents in
+        # [r(0), r(8)] with up to three terms just below r(0) at any k > 0:
+        # sums past 1, r(0) <= f(0), terms on a threshold and tails past
+        # 2^-n all occur
+        pool = data.draw(st.lists(st.integers(r0, r.at(top)), min_size=1, max_size=3))
+        head = data.draw(st.lists(st.sampled_from(pool), max_size=32))
+        if r0:
+            for e in data.draw(st.lists(st.integers(max(r0 - 2, 0), r0 - 1), max_size=3)):
+                head.insert(data.draw(st.integers(0, len(head))), e)
+        head.insert(0, data.draw(st.integers(max(r0 - 2, 0), r0)))
+        if data.draw(st.booleans()):  # keep the head's sum at most 1
+            head = _greedy_head(head)
+        a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(r0, r0 + 9))
 
     def fresh():
         f = NameStream(lambda k: head[k] if k < len(head) else a * k + b, label="head")

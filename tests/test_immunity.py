@@ -187,6 +187,36 @@ def test_bi_immune_consistent_for_scattered_set():
 
 
 # ---------------------------------------------------------------------------
+# contract: no refutation without evidence
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "check, horizon, threshold",
+    [
+        (lambda h, t: check_hyperimmune(evens(1000), Modulus.affine(0, 0), h), 0, None),
+        (lambda h, t: check_cohesive(evens(100), evens(100), h, t), 0, None),
+        (lambda h, t: check_cohesive(evens(100), evens(100), h, t), 100, 0),
+        (lambda h, t: check_immune(evens(100), NatSetView.from_elements([], 100), h, t), 100, 0),
+        (lambda h, t: check_immune(evens(100), multiples(4, 100), h, t), -1, None),
+        (lambda h, t: check_bi_immune(evens(100), evens(100), evens(100), h, t), 0, None),
+        (lambda h, t: check_bi_immune(evens(100), evens(100), evens(100), h, t), 100, 0),
+    ],
+)
+def test_checkers_refuse_a_horizon_or_threshold_below_one(check, horizon, threshold):
+    name = "horizon" if horizon < 1 else "threshold"
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        check(horizon, threshold)
+
+
+def test_hyperimmune_at_horizon_one_reads_one_principal_value():
+    # p_a(0) = 0 <= 0, and p_a(1) = 2 > 0 past the horizon of 1
+    assert check_hyperimmune(evens(1000), Modulus.affine(0, 0), 1).refuted
+    v = check_hyperimmune(evens(1000), Modulus.affine(0, 0), 3)
+    assert not v.refuted and v.witness["first_failure"] == 1
+
+
+# ---------------------------------------------------------------------------
 # contract: the vocabulary is two-valued, never affirmative
 # ---------------------------------------------------------------------------
 

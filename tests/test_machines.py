@@ -4,6 +4,8 @@ budgeted-exact complexity, halting-probability sums."""
 import collections
 import itertools
 import random
+import re
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from leftreal.foundations import (
     Dyadic,
     DyadicInterval,
     ZERO,
+    check_bits,
     dyadic_weight,
     half_power,
     strings_of_length,
@@ -23,6 +26,7 @@ from leftreal.foundations import (
 from leftreal.kraft_chaitin import kc_allocate
 from leftreal.machines import (
     Budget,
+    ComplexityValue,
     INFINITE,
     Interpreter,
     KStatus,
@@ -342,6 +346,123 @@ def test_call_tie_goes_to_the_lexicographically_least_program():
     assert (v.value, v.status, v.witness) == _complexity_by_enumeration(
         enumerate_domain(interp, budget), w
     )
+
+
+def _reference_complexity(machine, target, budget):
+    """``complexity`` as it was before its interpreter path ran in one frame:
+    every candidate carries its header numbers and body, and the value is
+    built by the named tuple's constructor."""
+    check_bits(target)
+    if isinstance(machine, TableMachine):
+        return machines._table_complexity(machine, target, budget)
+    n = len(target)
+    best = budget.t - n
+    if budget.L < best:
+        best = budget.L
+    best += 1
+    op = None
+    length = n + 2 * (n + 1).bit_length()
+    if length < best:
+        best, op, nums, body = length, machines.LITERAL, (n + 1,), target
+    qmax = best - 3 - 2 * n.bit_length()
+    if qmax >= n:
+        qmax = n - 1
+    if qmax > 0:
+        start = target[: n - qmax]
+        q = target.find(start, 1)
+        while q != -1 and not target.startswith(target[q:]):
+            q = target.find(start, q + 1)
+        if q != -1 and (length := 2 * (n.bit_length() + q.bit_length()) + q) < best:
+            best, op, nums, body = length, machines.REPEAT, (n, q), target[:q]
+    if machine._calls:
+        for i, (head, shortest) in enumerate(machine._calls, start=1):
+            key = shortest.get(target)
+            if key is None:
+                continue
+            length = len(head) + len(key)
+            if length < best or (
+                length == best and op is machines.CALL and head + key < op.header(*nums) + body
+            ):
+                best, op, nums, body = length, machines.CALL, (i,), key
+    if op is None:
+        return ComplexityValue(INFINITE, KStatus.UNKNOWN, budget)
+    L_t = (budget.L, budget.t)
+    cut = machine._first_cut.get(L_t)
+    if cut is None:
+        cut = machine._first_cut[L_t] = min(domain_census(machine, budget)[1], default=INFINITE)
+    status = KStatus.EXACT if best <= cut else KStatus.UPPER_BOUND
+    return ComplexityValue(best, status, budget, op.header(*nums) + body)
+
+
+def _assert_matches_reference(machine, targets, budget):
+    # the oracle runs on an equal machine of its own, so it reads no cut
+    # length that ``complexity`` cached
+    twin = type(machine)(*machine._key())
+    for target in targets:
+        v = complexity(machine, target, budget)
+        assert type(v) is ComplexityValue
+        assert tuple(v) == tuple(_reference_complexity(twin, target, budget))
+
+
+def _call_tie(w, k):
+    """An interpreter whose three tables each output ``w`` by a call of
+    k + 5 bits: the headers of tables 1, 2 and 3 take 3, 5 and 5 bits."""
+    tables = [("0" * (k + 2), w), ("0" * k, w), ("0" * (k - 1) + "1", w)]
+    return Interpreter(aux=tuple(validate_table([entry]) for entry in tables))
+
+
+CALL_TIES = st.builds(_call_tie, st.text("01", max_size=16), st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(machine=MACHINE_KINDS | CALL_TIES, budget=BUDGETS, data=st.data())
+@example(machine=_call_tie("0110100111", 1), budget=Budget(10, 10**4), data=None)
+def test_complexity_matches_the_reference(machine, budget, data):
+    targets = ["", "0", "111", "0101010101", "0110100111"]
+    if data is not None:
+        tables = [machine] if isinstance(machine, TableMachine) else machine.aux
+        outputs = sorted({out for table in tables for _, out in table.entries})
+        if outputs:
+            targets += data.draw(st.lists(st.sampled_from(outputs), max_size=8))
+        targets += data.draw(st.lists(PERIODIC | st.text("01", max_size=16), max_size=8))
+        longer = st.text("01", min_size=budget.L + 1, max_size=budget.L + 20)
+        targets += data.draw(st.lists(longer, max_size=2))
+    _assert_matches_reference(machine, targets, budget)
+
+
+@pytest.mark.parametrize("machine", [Interpreter(), Interpreter(aux=(THREE_ENTRY,))])
+def test_complexity_matches_the_reference_exhaustively(machine):
+    targets = [s for n in range(11) for s in strings_of_length(n)]
+    patterns = [s for n in range(1, 5) for s in strings_of_length(n)]
+    targets += [(p * 60)[:n] for p in patterns for n in range(11, 61)]  # long repeats
+    for L in range(0, 28, 3):
+        for t in (5, 20, 40, 10**4):
+            _assert_matches_reference(machine, targets, Budget(L, t))
+
+
+@pytest.mark.parametrize("machine", [Interpreter(aux=(THREE_ENTRY,)), THREE_ENTRY])
+@pytest.mark.parametrize("target", ["012", "0 1", b"01"])
+def test_complexity_rejects_non_bit_targets(machine, target):
+    with pytest.raises(ValueError) as expected:
+        _reference_complexity(machine, target, Budget(10, 10**4))
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        complexity(machine, target, Budget(10, 10**4))
+
+
+def test_interpreter_query_runs_in_one_frame():
+    interp = Interpreter(aux=(THREE_ENTRY,))
+    budget = Budget(24, 10**4)
+    targets = ["", "0110101", "111", "01" * 60, "0" * 30]
+    for target in targets:  # the first query fills the caches
+        complexity(interp, target, budget)
+    frames = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and frames.append(frame))
+    try:
+        for target in targets:
+            complexity(interp, target, budget)
+    finally:
+        sys.setprofile(None)
+    assert [f.f_code.co_name for f in frames] == ["complexity"] * len(targets)
 
 
 def test_complexity_never_lists_the_domain(monkeypatch):
