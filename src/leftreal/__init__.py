@@ -46,7 +46,6 @@ _EXPORTS = {
             "IncreasingDyadicStream",
             "Modulus",
             "NameStream",
-            "multiplicities",
             "name_from_increasing",
             "partial_sum",
             "regular_sum",

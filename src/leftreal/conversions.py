@@ -14,7 +14,7 @@ intervals could never contain the limit.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from heapq import heappop, heappush
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
@@ -28,6 +28,7 @@ from .names import (
     NameStream,
     name_from_increasing,
     sum_exceeds_one,
+    tail_sums,
     tail_weight,
 )
 from .randomness import TestFamily, TestKind
@@ -125,9 +126,9 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     sums increase, so this checks them all), then ``r(0) > f(0)``
     (``RateError``), then the tail certificate ``tail(r(n)) <= 2**-n`` at
     levels ``0..CERTIFY_LEVELS`` (``PreconditionRefuted`` at the least
-    refuted level).  Each tail is the whole sum of those values and
-    ``f(stages)``, from the last partial sum, less the few head terms
-    below the threshold, in integers at the scale ``2**-top``.
+    refuted level).  ``names.tail_sums`` answers the nine tails in
+    integers at the scale ``2**-top``, from the whole sum of those values
+    and ``f(stages)``, which the last partial sum gives.
     """
     if f.finite:
         return RocToSktResult(
@@ -158,10 +159,7 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
         for n in range(CERTIFY_LEVELS + 1):
             thresholds.append(r.at(n))
     finally:  # a rate failing at level n still lets a lower level refute first
-        head = sorted(filter(max(thresholds).__gt__, values + [fs]))
-        heads = list(accumulate((1 << (top - h) for h in head), initial=0))
-        for n, m0 in enumerate(thresholds):
-            tail = whole - heads[bisect_left(head, m0)]
+        for n, tail in enumerate(tail_sums(values + [fs], whole, top, thresholds)):
             if tail << n > 1 << top:
                 tail = Dyadic.of(tail, top)
                 raise PreconditionRefuted(
@@ -373,8 +371,13 @@ def carry_counter(name: NameStream, position: int, stages: Optional[int] = None)
     if name.block_boundaries is None:
         raise ValueError("carry counting needs a block-built name")
     boundaries = name.block_boundaries
+    blocks = len(boundaries) - 1
     if stages is None:
-        stages = len(boundaries) - 1
+        stages = blocks
+    elif not 0 <= stages <= blocks:
+        raise ValueError(
+            f"stages must lie in 0..{blocks} for a {blocks}-block name, got {stages}"
+        )
     # the tail is ``acc * 2**-scale``, so R[t] = acc >> (scale - position)
     name_values = name.values(boundaries[stages])
     scale = max(name_values + [position])

@@ -1,5 +1,6 @@
-"""Dyadic-series names, multiplicity tables, convergence-rate certificates,
-and constructors for increasing dyadic approximations.
+"""Dyadic-series names, their partial sums and tail weights,
+convergence-rate certificates, and constructors for increasing dyadic
+approximations.
 
 A *name* of a real ``x`` is a function ``f`` with ``sum(2**-f(k)) == x``.
 Checks over infinitary claims follow refutation-only semantics: a check
@@ -10,7 +11,8 @@ was given, never more.
 from __future__ import annotations
 
 import enum
-from collections import Counter
+from bisect import bisect_left
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -23,10 +25,8 @@ from .foundations import (
     Dyadic,
     NatSetView,
     ONE,
-    Record,
     Replayable,
     ZERO,
-    dyadic_weight,
     half_power,
 )
 
@@ -181,7 +181,7 @@ class IncreasingDyadicStream(Replayable):
 
 
 # ---------------------------------------------------------------------------
-# Partial sums, multiplicities, tail weights
+# Partial sums and tail weights, in integers at the scale 2**-top
 # ---------------------------------------------------------------------------
 
 
@@ -192,62 +192,28 @@ def sum_exceeds_one(label: str, stage: int, total: Dyadic) -> InvalidName:
     )
 
 
+def tail_sums(
+    values: list[int], whole: int, top: int, thresholds: Sequence[int]
+) -> list[int]:
+    """The tail of ``values`` at each threshold ``m0``, as an integer at the
+    scale ``2**-top``: ``sum(2**(top - v) for v in values if v >= m0)``.
+
+    ``whole`` is the sum of all the terms at that scale, and no value
+    exceeds ``top``.  Each tail is ``whole`` less the head terms below
+    ``m0``: the terms below the largest threshold are sorted and summed
+    as prefixes once, and each threshold bisects them.
+    """
+    head = sorted(filter(max(thresholds, default=0).__gt__, values))
+    heads = list(accumulate((1 << (top - h) for h in head), initial=0))
+    return [whole - heads[bisect_left(head, m0)] for m0 in thresholds]
+
+
 def partial_sum(f: NameStream, upto: int) -> Dyadic:
     """Exact ``sum(2**-f(k) for k <= upto)``; rejects sums above 1."""
-    return multiplicities(f, upto).partial_sum(f.label)
-
-
-class MultiplicityTable(Record):
-    """Counts ``m -> |{k <= stage : f(k) = m}|`` at a finite stage.
-
-    The weight ledger of a name: its partial sum, its tails and its
-    rate certificates are all read from these counts.
-    """
-
-    __slots__ = _fields = ("counts", "stage")
-    __hash__ = None  # ``counts`` is a dict
-
-    def __init__(self, counts: dict[int, int], stage: int):
-        self.counts = counts
-        self.stage = stage
-
-    def count(self, m: int) -> int:
-        return self.counts.get(m, 0)
-
-    def rearranged_sum(self) -> Dyadic:
-        """Exact ``sum(count(m) * 2**-m)`` over the table."""
-        return dyadic_weight(self.counts)
-
-    def partial_sum(self, label: str = "") -> Dyadic:
-        """The partial sum up to ``stage``, which is the rearranged sum;
-        ``InvalidName``, naming the name ``label``, when it exceeds 1."""
-        total = self.rearranged_sum()
-        if total > ONE:
-            raise sum_exceeds_one(label, self.stage, total)
-        return total
-
-    def tails(self, thresholds: Sequence[int]) -> list[Dyadic]:
-        """Exact ``sum(count(m) * 2**-m for m >= m0)`` for each ``m0``.
-
-        One descending pass over the sorted exponents keeps the suffix sum
-        as an integer at the largest exponent's scale, and each threshold
-        reads it on the way down.
-        """
-        counts = self.counts
-        top = max(counts, default=0)
-        exps = sorted(counts, reverse=True)
-        tail: dict[int, Dyadic] = {}
-        acc = i = 0
-        for m0 in sorted(set(thresholds), reverse=True):
-            while i < len(exps) and exps[i] >= m0:
-                acc += counts[exps[i]] << (top - exps[i])
-                i += 1
-            tail[m0] = Dyadic.of(acc, top)
-        return [tail[m0] for m0 in thresholds]
-
-
-def multiplicities(f: NameStream, upto: int) -> MultiplicityTable:
-    return MultiplicityTable(dict(Counter(f.values(upto + 1))), stage=upto)
+    total = tail_weight(f, 0, upto)
+    if total > ONE:
+        raise sum_exceeds_one(f.label, upto, total)
+    return total
 
 
 def tail_weight(f: NameStream, m0: int, upto: int) -> Dyadic:
@@ -255,7 +221,10 @@ def tail_weight(f: NameStream, m0: int, upto: int) -> Dyadic:
 
     This is the stage-``upto`` lower bound of the true tail beyond ``m0``.
     """
-    return multiplicities(f, upto).tails([m0])[0]
+    values = f.values(upto + 1)
+    top = max(values, default=0)
+    whole = sum(map((1 << top).__rshift__, values))
+    return Dyadic.of(tail_sums(values, whole, top, [m0])[0], top)
 
 
 class CheckStatus(enum.Enum):

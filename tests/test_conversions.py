@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from leftreal import conversions, names
+from leftreal import conversions, foundations, names
 from leftreal.conversions import (
     RateSpec,
     StageInterval,
@@ -403,33 +403,43 @@ def test_roc_to_skt_refutes_the_least_failing_level(level):
     assert roc_to_skt(_block_name(level, 8), RateSpec(Modulus.shift(3)), 8).family
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    rate=st.one_of(
-        st.builds("shift:{}".format, st.integers(0, 4)),
-        st.builds("affine:{},{}".format, st.integers(1, 3), st.integers(0, 4)),
-        # rates shorter than the nine certified levels fail part way
-        st.builds(
-            lambda vs: "values:" + ",".join(map(str, vs)),
-            st.lists(st.integers(1, 30), min_size=1, max_size=12).map(sorted),
-        ),
+GATE_RATES = st.one_of(
+    st.builds("shift:{}".format, st.integers(0, 4)),
+    st.builds("affine:{},{}".format, st.integers(1, 3), st.integers(0, 4)),
+    # rates shorter than the nine certified levels fail part way
+    st.builds(
+        lambda vs: "values:" + ",".join(map(str, vs)),
+        st.lists(st.integers(1, 30), min_size=1, max_size=12).map(sorted),
     ),
-    stages=st.integers(0, 40),
-    data=st.data(),
 )
-def test_roc_to_skt_gate_matches_ten_scans(rate, stages, data):
+# rates under which a head can refute any level n: r(0) >= 2 leaves f(0) =
+# r(0) - 1 room below 1, and r(n) - n <= 5 keeps the 2^(r(n) - n) + 1 terms
+# that refute level n within 33
+REFUTABLE_RATES = st.one_of(
+    st.builds("shift:{}".format, st.integers(2, 5)),
+    st.builds("affine:{},{}".format, st.integers(0, 1), st.integers(2, 5)),
+    # min(v, n + 5) over sorted v >= 2 stays monotone
+    st.lists(st.integers(2, 16), min_size=1, max_size=12).map(
+        lambda vs: "values:"
+        + ",".join(str(min(v, n + 5)) for n, v in enumerate(sorted(vs)))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(refute=st.booleans(), stages=st.integers(0, 40), data=st.data())
+def test_roc_to_skt_gate_matches_ten_scans(refute, stages, data):
+    rate = data.draw(REFUTABLE_RATES if refute else GATE_RATES)
     r = parse_rate(rate)
     r0 = r.at(0)
     top = 8 if r.horizon is None else min(8, r.horizon - 1)
-    if data.draw(st.booleans()):
+    if refute:
         # a head refuting a drawn level n, as _block_name builds it: f(0) =
         # r(0) - 1, then 2^(r(n) - n) + 1 terms at r(n), which weigh past
         # 2^-n, then a thin tail; it refutes when the stages reach those
-        # terms and the sum stays at most 1, so never at level 0 and never
-        # when r(0) <= 1
+        # terms and the sum stays at most 1, so never at level 0
         n = data.draw(st.integers(min(1, top), top))
-        count = (1 << max(r.at(n) - n, 0)) + 1
-        head = [max(r0 - 1, 0)] + [r.at(n)] * min(count, 40)
+        head = [r0 - 1] + [r.at(n)] * ((1 << max(r.at(n) - n, 0)) + 1)
         stages = max(stages, len(head) - 1)
         a, b = 3, 40
     else:
@@ -460,21 +470,23 @@ def test_roc_to_skt_gate_matches_ten_scans(rate, stages, data):
 
 def test_roc_to_skt_reads_the_name_once(monkeypatch):
     def refuse(*args):
-        raise AssertionError("roc_to_skt summed the name through the ledger")
+        raise AssertionError("roc_to_skt summed the name outside tail_sums")
 
-    for name in (
-        "multiplicities", "partial_sum", "tail_weight", "roc_certificate_check",
-        "dyadic_weight",
-    ):
+    for name in ("partial_sum", "tail_weight", "roc_certificate_check"):
         monkeypatch.setattr(names, name, refuse)
     monkeypatch.setattr(conversions, "tail_weight", refuse)
-    monkeypatch.setattr(names.MultiplicityTable, "partial_sum", refuse)
-    monkeypatch.setattr(names.MultiplicityTable, "tails", refuse)
+    monkeypatch.setattr(foundations, "dyadic_weight", refuse)
+    calls = []
+    tail_sums = names.tail_sums
+    monkeypatch.setattr(
+        conversions, "tail_sums", lambda *args: calls.append(args) or tail_sums(*args)
+    )
     _, _, res = two_thirds_pipeline(stages=300)
     assert len(res.trace.intervals) == 300
     # built without the named tuple's __new__, yet of its type
     assert all(type(iv) is StageInterval for iv in res.trace.intervals)
-    # the sum check reads the loop's integer sums, with the ledger's message
+    assert len(calls) == 1  # the nine tails in one call
+    # the sum check reads the loop's integer sums, with partial_sum's message
     with pytest.raises(InvalidName, match=r"^partial sum of 0k\+1 exceeds 1 at stage 49: "):
         roc_to_skt(NameStream.affine(0, 1), RateSpec(Modulus.shift(2)), 50)
 
@@ -723,6 +735,19 @@ def test_carry_step_bound_on_random_pipelines():
         assert trace.max_step <= 1
         assert trace.values == sorted(trace.values)
         assert len(trace.carries) == trace.values[-1] - trace.values[0]
+
+
+@pytest.mark.parametrize("stages", [-3, -1, 0, 2, 3, 5])
+def test_carry_counter_refuses_stages_beyond_the_blocks(stages):
+    xs = IncreasingDyadicStream.from_list([ZERO, Dyadic.of(1, 1), Dyadic.of(3, 2)])
+    f = name_from_increasing(xs, 2)
+    if 0 <= stages <= 2:
+        assert len(carry_counter(f, 2, stages).values) == stages + 1
+    else:
+        with pytest.raises(
+            ValueError, match=rf"^stages must lie in 0\.\.2 for a 2-block name, got {stages}$"
+        ):
+            carry_counter(f, 2, stages)
 
 
 def _carry_values_by_tail(name, position, stages):

@@ -1,6 +1,7 @@
-"""Names, multiplicities, tail certificates, block reconstruction."""
+"""Names, partial sums and tail weights, tail certificates, block reconstruction."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,32 +14,36 @@ from leftreal.errors import (
     NotASet,
     RangeViolation,
 )
-from leftreal.foundations import BitStream, Dyadic, NatSetView, ONE, ZERO, half_power
+from leftreal.conversions import TailBound, tail_bound_check
+from leftreal.foundations import (
+    BitStream,
+    Dyadic,
+    NatSetView,
+    ONE,
+    ZERO,
+    dyadic_weight,
+    half_power,
+)
 from leftreal.names import (
     CheckStatus,
     IncreasingDyadicStream,
     Modulus,
     NameStream,
+    RateCheck,
     digit_exponents,
-    multiplicities,
     name_from_increasing,
     partial_sum,
     regular_sum,
     roc_certificate_check,
     strongly_lc,
+    sum_exceeds_one,
+    tail_sums,
     tail_weight,
 )
 
 
 def frac(d: Dyadic) -> Fraction:
     return Fraction(d.num, 2**d.exp)
-
-
-def random_name(rng: random.Random, count: int) -> NameStream:
-    # values >= k+1 keep the total weight at most 1
-    vals = [k + 1 + rng.randint(0, 6) for k in range(count)]
-    rng.shuffle(vals)
-    return NameStream.from_list(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -62,30 +67,6 @@ def test_partial_sum_overflow_rejected():
 
 
 # ---------------------------------------------------------------------------
-# multiplicities
-# ---------------------------------------------------------------------------
-
-
-def test_multiplicities_direct_count():
-    t = multiplicities(NameStream.from_list([3, 1, 3, 5]), 3)
-    assert t.count(3) == 2 and t.count(1) == 1 and t.count(5) == 1 and t.count(0) == 0
-
-
-def test_multiplicities_identity_name():
-    t = multiplicities(NameStream(lambda k: k), 10)
-    assert all(t.count(m) == 1 for m in range(11))
-    assert sum(t.counts.values()) == 11
-
-
-def test_rearranged_sum_matches_partial_sum():
-    rng = random.Random(3)
-    for _ in range(100):
-        f = random_name(rng, rng.randint(1, 40))
-        upto = f.length - 1
-        assert multiplicities(f, upto).rearranged_sum() == partial_sum(f, upto)
-
-
-# ---------------------------------------------------------------------------
 # tail weights and the tail-rate certificate
 # ---------------------------------------------------------------------------
 
@@ -106,10 +87,49 @@ def test_tail_weight_empty_range():
     assert tail_weight(NameStream.affine(2, 1), 0, -1) == ZERO
 
 
+class MultiplicityTable:
+    """The weight ledger ``names`` kept before ``tail_sums``: the counts
+    ``m -> |{k <= stage : f(k) = m}|``, summed by exponent in ``Dyadic``s
+    and read by one descending pass per list of thresholds."""
+
+    def __init__(self, f: NameStream, upto: int):
+        self.counts = dict(Counter(f.values(upto + 1)))
+        self.stage = upto
+
+    def rearranged_sum(self) -> Dyadic:
+        return dyadic_weight(self.counts)
+
+    def partial_sum(self, label: str = "") -> Dyadic:
+        total = self.rearranged_sum()
+        if total > ONE:
+            raise sum_exceeds_one(label, self.stage, total)
+        return total
+
+    def tails(self, thresholds) -> list[Dyadic]:
+        counts = self.counts
+        top = max(counts, default=0)
+        exps = sorted(counts, reverse=True)
+        tail: dict[int, Dyadic] = {}
+        acc = i = 0
+        for m0 in sorted(set(thresholds), reverse=True):
+            while i < len(exps) and exps[i] >= m0:
+                acc += counts[exps[i]] << (top - exps[i])
+                i += 1
+            tail[m0] = Dyadic.of(acc, top)
+        return [tail[m0] for m0 in thresholds]
+
+
 def _tail_weight_by_scan(f: NameStream, m0: int, upto: int) -> Dyadic:
     """The per-call scan the weight ledger replaced: re-read every value
     up to ``upto`` and add up the weights of those at least ``m0``."""
     return sum((half_power(v) for v in f.values(upto + 1) if v >= m0), ZERO)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except InvalidName as e:
+        return InvalidName, str(e)
 
 
 @settings(max_examples=300, deadline=None)
@@ -120,30 +140,36 @@ def _tail_weight_by_scan(f: NameStream, m0: int, upto: int) -> Dyadic:
     data=st.data(),
 )
 def test_weight_ledger_matches_the_scan(vals, tail_start, data):
-    f = NameStream(lambda k: vals[k] if k < len(vals) else k + tail_start)
+    # tail_sums and the functions that read it, against the table they
+    # replaced and the per-call scan that table replaced
+    f = NameStream(lambda k: vals[k] if k < len(vals) else k + tail_start, label="drawn")
     upto = data.draw(st.integers(-1, len(vals) + 5))
     # thresholds below, inside and above the range of the values
     top = upto + tail_start + 3
     thresholds = data.draw(st.lists(st.integers(-2, top), max_size=9))
-    total = _tail_weight_by_scan(f, 0, upto)
-    table = multiplicities(f, upto)
-    assert table.rearranged_sum() == total
-    assert table.tails(thresholds) == [
-        _tail_weight_by_scan(f, m0, upto) for m0 in thresholds
-    ]
-    for m0 in thresholds:
-        assert tail_weight(f, m0, upto) == _tail_weight_by_scan(f, m0, upto)
-    if total > ONE:
-        with pytest.raises(InvalidName, match=f"at stage {upto}: "):
-            partial_sum(f, upto)
-    else:
-        assert partial_sum(f, upto) == total
+    table = MultiplicityTable(f, upto)
+    tails = table.tails(thresholds)
+    assert table.rearranged_sum() == _tail_weight_by_scan(f, 0, upto)
+    assert tails == [_tail_weight_by_scan(f, m0, upto) for m0 in thresholds]
+
+    # at the values' own scale or a finer one
+    values = f.values(upto + 1)
+    scale = max(values, default=0) + data.draw(st.integers(0, 3))
+    whole = sum(1 << (scale - v) for v in values)
+    got = tail_sums(values, whole, scale, thresholds)
+    assert [Dyadic.of(t, scale) for t in got] == tails
+    assert [tail_weight(f, m0, upto) for m0 in thresholds] == tails
+    assert _outcome(lambda: partial_sum(f, upto)) == _outcome(
+        lambda: table.partial_sum(f.label)
+    )
+
     r = Modulus.from_values(sorted(max(m0, 0) for m0 in thresholds))
     for n in range(len(thresholds)):
-        chk = roc_certificate_check(f, r, n, upto)
-        assert chk.tail == _tail_weight_by_scan(f, r.at(n), upto)
-        refuted = chk.tail > half_power(n)
-        assert (chk.status is CheckStatus.REFUTED) == refuted
+        tail, bound = table.tails([r.at(n)])[0], half_power(n)
+        status = CheckStatus.REFUTED if tail > bound else CheckStatus.CONSISTENT
+        assert roc_certificate_check(f, r, n, upto) == RateCheck(status, n, tail, bound, upto)
+        tail, bound = table.tails([r.at(n) + 1])[0], Dyadic.of(n + 1, n)
+        assert tail_bound_check(f, r, n, upto) == TailBound(tail <= bound, tail, bound, n, upto)
 
 
 def test_roc_certificate_consistent_for_geometric_name():
@@ -227,7 +253,7 @@ def test_block_boundary_sums_reconstruct_stream():
             assert partial_sum(f, upto) == xs.at(t)
             if upto >= 0:
                 # rearranging by multiplicity leaves the block sums fixed
-                assert multiplicities(f, upto).rearranged_sum() == xs.at(t)
+                assert MultiplicityTable(f, upto).rearranged_sum() == xs.at(t)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from leftreal import cli
 from leftreal.foundations import ONE, ZERO, Dyadic, DyadicInterval, half_power
 from leftreal.immunity import ImmunityVerdict, Property, Result
 from leftreal.machines import LITERAL, Budget, Interpreter, Opcode, TableMachine
-from leftreal.names import MultiplicityTable
 
 SRC = Path(leftreal.__file__).resolve().parents[1]
 
@@ -98,7 +97,7 @@ PUBLIC = """
     lenlex_inv pair unpair KCAllocator kc_build_machine Budget ComplexityValue
     Interpreter KStatus TableMachine complexity enumerate_domain omega_lower
     omega_s_bounds validate_table IncreasingDyadicStream Modulus NameStream
-    multiplicities name_from_increasing partial_sum regular_sum
+    name_from_increasing partial_sum regular_sum
     roc_certificate_check strongly_lc tail_weight TestFamily TestKind covers
     kurtz_witness_check level_weight rate_from_skt skt_from_rate validate_family
     RateSpec StageTrace carry_counter count_bound_check lc_to_roc roc_to_skt
@@ -147,7 +146,6 @@ RECORDS = [
     (Budget, [(3, 4), (3, 4, True)], True),
     (TableMachine, [(THREE.entries,), ((("1", "0"),),)], True),
     (Interpreter, [(), ((THREE,),)], True),
-    (MultiplicityTable, [({1: 2}, 0), ({1: 2}, 1)], False),
     (ImmunityVerdict, [IMMUNE, (*IMMUNE, {"witness": [0, 2]})], False),
 ]
 
