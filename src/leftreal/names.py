@@ -73,8 +73,8 @@ class NameStream(Replayable):
 
     @staticmethod
     def affine(a: int, b: int) -> "NameStream":
-        """The name ``f(k) = a*k + b``."""
-        return NameStream(lambda k: a * k + b, label=f"{a}k+{b}")
+        """The name ``f(k) = a*k + b``, answered by its formula."""
+        return _AffineName(a, b, f"{a}k+{b}")
 
 
 class Modulus(Replayable):
@@ -97,22 +97,78 @@ class Modulus(Replayable):
 
     @staticmethod
     def affine(a: int, b: int) -> "Modulus":
-        return Modulus(lambda n: a * n + b, label=f"{a}n+{b}")
+        """The rate ``r(n) = a*n + b``, answered by its formula."""
+        return _AffineRate(a, b, f"{a}n+{b}")
 
     @staticmethod
     def shift(c: int) -> "Modulus":
-        """The rate ``r(n) = n + c``."""
-        return Modulus(lambda n: n + c, label=f"n+{c}")
+        """The rate ``r(n) = n + c``, answered by its formula."""
+        return _AffineRate(1, c, f"n+{c}")
 
     @staticmethod
     def power2(offset: int) -> "Modulus":
-        """The rate ``r(n) = 2**(n + offset)``."""
-        return Modulus(lambda n: 1 << (n + offset), label=f"2^(n+{offset})")
+        """The rate ``r(n) = 2**(n + offset)``, answered by its formula."""
+        return _Power2Rate(offset)
 
     @staticmethod
     def from_values(values: Sequence[int], label: str = "") -> "Modulus":
         vals = list(values)
         return Modulus(vals.__getitem__, len(vals), label)
+
+
+def _natural_fields(kind: str, label: str, *fields: int) -> None:
+    if min(fields) < 0:
+        raise ValueError(f"{kind} {label!r} needs natural fields")
+
+
+class _Affine:
+    """Mixin for ``k -> a*k + b`` with natural ``a`` and ``b``.  Such a
+    sequence is natural and monotone, so ``at`` and ``values`` answer by
+    the formula and store nothing; the fields are checked when it is built.
+    """
+
+    _kind: str
+
+    def __init__(self, a: int, b: int, label: str):
+        _natural_fields(self._kind, label, a, b)
+        super().__init__(None, label=label)
+        self._a, self._b = a, b
+
+    def at(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("sequence index must be a natural number")
+        return self._a * k + self._b
+
+    def values(self, count: int) -> list[int]:
+        a, b = self._a, self._b
+        return list(range(b, b + a * count, a)) if a else [b] * count
+
+
+class _AffineName(_Affine, NameStream):
+    _kind = "name"
+
+
+class _AffineRate(_Affine, Modulus):
+    _kind = "rate"
+
+
+class _Power2Rate(Modulus):
+    """The rate ``n -> 2**(n + offset)`` for a natural ``offset``, answered
+    by its formula like :class:`_Affine`."""
+
+    def __init__(self, offset: int):
+        label = f"2^(n+{offset})"
+        _natural_fields("rate", label, offset)
+        super().__init__(None, label=label)
+        self._offset = offset
+
+    def at(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("sequence index must be a natural number")
+        return 1 << (k + self._offset)
+
+    def values(self, count: int) -> list[int]:
+        return [1 << e for e in range(self._offset, self._offset + count)]
 
 
 class IncreasingDyadicStream(Replayable):

@@ -78,6 +78,12 @@ QUOTED = {
     "dim {short_row} --n0 0 --n1 1": "1,2",
     "dim {x_row} --n0 0 --n1 1": "x,2,exact,3,4",
     "dim {bogus_row} --n0 0 --n1 1": "1,2,bogus,3,4",
+    # formula rates and names refuse a negative field when built
+    "convert roc-to-skt --name ap:2,1 --rate pow2:-3 --stages 50": "2^(n+-3)",
+    "convert roc-to-skt --name ap:2,1 --rate shift:-5 --stages 50": "n+-5",
+    "convert roc-to-skt --name ap:2,1 --rate affine:-1,9 --stages 50": "-1n+9",
+    "convert roc-to-skt --name ap:2,-1 --rate shift:2 --stages 50": "2k+-1",
+    "convert roc-to-skt --name ap:-1,9 --rate shift:2 --stages 50": "-1k+9",
 }
 
 

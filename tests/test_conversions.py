@@ -414,12 +414,16 @@ GATE_RATES = st.one_of(
 )
 # rates under which a head can refute any level n: r(0) >= 2 leaves f(0) =
 # r(0) - 1 room below 1, and r(n) - n <= 5 keeps the 2^(r(n) - n) + 1 terms
-# that refute level n within 33
+# that refute level n within 33.  A constant rate needs c >= 3: under c = 2
+# every level's head pushes the sum past 1.
 REFUTABLE_RATES = st.one_of(
     st.builds("shift:{}".format, st.integers(2, 5)),
-    st.builds("affine:{},{}".format, st.integers(0, 1), st.integers(2, 5)),
-    # min(v, n + 5) over sorted v >= 2 stays monotone
-    st.lists(st.integers(2, 16), min_size=1, max_size=12).map(
+    st.builds("affine:1,{}".format, st.integers(2, 5)),
+    st.builds("affine:0,{}".format, st.integers(3, 5)),
+    # min(v, n + 5) over sorted v >= 2 stays monotone; three values or more,
+    # as a rate known at levels 0 and 1 alone may have no level whose head
+    # refutes it and keeps the sum below 1
+    st.lists(st.integers(2, 16), min_size=3, max_size=12).map(
         lambda vs: "values:"
         + ",".join(str(min(v, n + 5)) for n, v in enumerate(sorted(vs)))
     ),
@@ -437,9 +441,15 @@ def test_roc_to_skt_gate_matches_ten_scans(refute, stages, data):
         # a head refuting a drawn level n, as _block_name builds it: f(0) =
         # r(0) - 1, then 2^(r(n) - n) + 1 terms at r(n), which weigh past
         # 2^-n, then a thin tail; it refutes when the stages reach those
-        # terms and the sum stays at most 1, so never at level 0
-        n = data.draw(st.integers(min(1, top), top))
-        head = [r0 - 1] + [r.at(n)] * ((1 << max(r.at(n) - n, 0)) + 1)
+        # terms and the sum stays at most 1, so never at level 0; n is drawn
+        # among the levels whose head keeps the sum below 1 (not level 1
+        # when f(0) = 1, say)
+        def head_of(n):
+            return [r0 - 1] + [r.at(n)] * ((1 << max(r.at(n) - n, 0)) + 1)
+
+        fits = [n for n in range(1, top + 1)
+                if sum(Fraction(1, 1 << e) for e in head_of(n)) < 1]
+        head = head_of(data.draw(st.sampled_from(fits or [min(1, top)])))
         stages = max(stages, len(head) - 1)
         a, b = 3, 40
     else:
@@ -489,6 +499,58 @@ def test_roc_to_skt_reads_the_name_once(monkeypatch):
     # the sum check reads the loop's integer sums, with partial_sum's message
     with pytest.raises(InvalidName, match=r"^partial sum of 0k\+1 exceeds 1 at stage 49: "):
         roc_to_skt(NameStream.affine(0, 1), RateSpec(Modulus.shift(2)), 50)
+
+
+# spec kind -> (the library's rate constructor, the memo-backed one it
+# replaced, the number of fields); ``_memo_name`` is the replaced ``ap:a,b``
+MEMO_RATES = {
+    "shift": (Modulus.shift, lambda c: Modulus(lambda n: n + c, label=f"n+{c}"), 1),
+    "affine": (Modulus.affine, lambda a, b: Modulus(lambda n: a * n + b, label=f"{a}n+{b}"), 2),
+    "pow2": (Modulus.power2, lambda c: Modulus(lambda n: 1 << (n + c), label=f"2^(n+{c})"), 1),
+}
+
+
+def _memo_name(a, b):
+    return NameStream(lambda k: a * k + b, label=f"{a}k+{b}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(0, 4),
+    b=st.integers(0, 4),
+    kind=st.sampled_from(sorted(MEMO_RATES)),
+    data=st.data(),
+    stages=st.integers(0, 300),
+)
+def test_roc_to_skt_same_on_formula_and_memo_inputs(a, b, kind, data, stages):
+    new, old, arity = MEMO_RATES[kind]
+    fields = data.draw(st.lists(st.integers(0, 5), min_size=arity, max_size=arity))
+
+    def run(name, rate):
+        def go():
+            res = roc_to_skt(name(a, b), RateSpec(rate(*fields)), stages)
+            levels = [res.family.level_list(n) for n in range(3)]
+            return res.trace, res.family.meta, levels
+        return _outcome(go)
+
+    assert run(NameStream.affine, new) == run(_memo_name, old)
+
+
+def test_formula_rates_and_names_skip_the_memo(monkeypatch):
+    at = foundations.Replayable.at
+
+    def memo_at(self, k):
+        if isinstance(self, (Modulus, NameStream)):
+            raise AssertionError("a rate or name was read through the memo")
+        return at(self, k)
+
+    monkeypatch.setattr(foundations.Replayable, "at", memo_at)
+    with pytest.raises(AssertionError):
+        Modulus.from_values([3, 4]).at(0)
+    res = roc_to_skt(NameStream.affine(2, 1), RateSpec(Modulus.shift(2)), 300)
+    assert len(res.trace.intervals) == 300 and res.family.level_list(3)
+    _, _, res = third_pipeline()  # lc_to_roc under Modulus.power2(4)
+    assert res.complete and res.s_values == [0, 8, 16, 32, 64]
 
 
 # ---------------------------------------------------------------------------

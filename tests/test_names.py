@@ -456,3 +456,74 @@ def test_sequences_reject_bad_indices_and_values(kind, data):
     seq = make(lambda k: bad if k == j else good(k))
     with pytest.raises(error):
         seq.at(j + data.draw(st.integers(0, 10)))
+
+
+# ---------------------------------------------------------------------------
+# formula sequences against the memo
+# ---------------------------------------------------------------------------
+
+# spec kind -> (the library's constructor, the memo-backed constructor it
+# replaced, the number of fields)
+FORMULAS = {
+    "ap": (NameStream.affine, lambda a, b: NameStream(lambda k: a * k + b, label=f"{a}k+{b}"), 2),
+    "affine": (Modulus.affine, lambda a, b: Modulus(lambda n: a * n + b, label=f"{a}n+{b}"), 2),
+    "shift": (Modulus.shift, lambda c: Modulus(lambda n: n + c, label=f"n+{c}"), 1),
+    "pow2": (
+        Modulus.power2,
+        lambda c: Modulus(lambda n: 1 << (n + c), label=f"2^(n+{c})"),
+        1,
+    ),
+}
+
+
+def _reads(seq):
+    """``read(op, *args)``: what ``seq``'s method ``op`` returns on ``args``,
+    or the type and message of the error it raises."""
+
+    def read(op, *args):
+        try:
+            return getattr(seq, op)(*args)
+        except (ValueError, MonotonicityViolation) as e:
+            return type(e), str(e)
+
+    return read
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(FORMULAS)), data=st.data())
+def test_formula_sequences_match_the_memo(kind, data):
+    new, old, arity = FORMULAS[kind]
+    fields = data.draw(st.lists(st.integers(0, 12), min_size=arity, max_size=arity))
+    seq, oracle = new(*fields), old(*fields)
+    assert isinstance(seq, type(oracle))
+    assert (seq.label, seq.horizon) == (oracle.label, None)
+    got, want = _reads(seq), _reads(oracle)
+    assert got("at", -1) == want("at", -1) == (ValueError, "sequence index must be a natural number")
+    for k in data.draw(st.lists(st.integers(-1, 60), max_size=20)):  # in any order
+        assert got("at", k) == want("at", k)
+    for count in range(-2, 61):
+        assert got("values", count) == want("values", count)
+    if kind != "ap":
+        n_max, k = data.draw(st.integers(0, 20)), data.draw(st.integers(0, 20))
+        assert seq.strictly_increasing_on(n_max) == oracle.strictly_increasing_on(n_max)
+        assert seq.shifted(k).label == oracle.shifted(k).label
+        assert seq.shifted(k).values(30) == oracle.shifted(k).values(30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(FORMULAS)), data=st.data())
+def test_formula_sequences_refuse_negative_fields_when_built(kind, data):
+    new, old, arity = FORMULAS[kind]
+    fields = data.draw(
+        st.lists(st.integers(-12, 12), min_size=arity, max_size=arity).filter(
+            lambda fs: min(fs) < 0
+        )
+    )
+    label = old(*fields).label
+    with pytest.raises(ValueError) as refused:
+        new(*fields)
+    what = "name" if kind == "ap" else "rate"
+    assert str(refused.value) == f"{what} {label!r} needs natural fields"
+    # the memo refused the same fields too, only later: at the first bad value
+    with pytest.raises((ValueError, MonotonicityViolation)):
+        old(*fields).values(max(map(abs, fields)) + 2)
