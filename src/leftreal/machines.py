@@ -47,7 +47,7 @@ from .foundations import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
-    from typing import Callable, Iterable, Iterator, Optional, Sequence
+    from typing import Callable, Iterable, Iterator, Optional
 
 INFINITE = float("inf")  # order sentinel for "no program"; never used in arithmetic
 
@@ -363,43 +363,6 @@ def _headers(op: Opcode, L: int, nums: tuple = ()) -> Iterator[tuple[int, ...]]:
         n += 1
 
 
-def _classes(m: Interpreter, L: int) -> Iterator[tuple[int, int, Sequence[int]]]:
-    """Every literal and table-call program of at most ``L`` bits, in
-    classes of headers that share a program length and a body length.
-
-    Yields ``(program length, body length, sorted output lengths)`` with one
-    header per output length, so a class stands for ``2**body length``
-    programs per header.  A table call is a class per auxiliary table and
-    key length.
-    """
-    for nums in _headers(LITERAL, L):
-        blen, olen = LITERAL.lengths(*nums)
-        yield LITERAL.header_length(*nums) + blen, blen, (olen,)
-    for i, aux in enumerate(m.aux, start=1):
-        head = CALL.header_length(i)
-        for klen, olens in aux.output_lengths.items():
-            if head + klen <= L:
-                yield head + klen, 0, olens
-
-
-def _repeat_classes(L: int) -> Iterator[tuple[int, int, int]]:
-    """Every repeat program of at most ``L`` bits, in classes of headers
-    that share a program length and a pattern length.
-
-    Yields ``(program length, pattern length, low)``: a repeat's output
-    length is its count, which sets nothing else, so the counts ``low ..
-    2*low - 1``, which share a gamma length, form one class of ``low``
-    headers with ``2**pattern length`` programs each.
-    """
-    plen = 1
-    while REPEAT.header_length(1, plen) + plen <= L:
-        low = 1
-        while (length := REPEAT.header_length(low, plen) + plen) <= L:
-            yield length, plen, low
-            low *= 2
-        plen += 1
-
-
 def domain_census(
     machine: PrefixMachine, budget: Budget
 ) -> tuple[dict[int, int], frozenset[int]]:
@@ -409,32 +372,57 @@ def domain_census(
     budget, and the lengths at which the step budget cut a program.  A run
     takes one step per program bit and per output bit, so every body of a
     header halts in the same number of steps.  The interpreter's census
-    walks fewer than ``L**2`` header classes, guarded like a listing.
+    walks its header classes in gamma-length arithmetic, without building a
+    header: a literal per header number, a table call per table and key
+    length, and a repeat class per pattern length and bit length of the
+    count.  That is fewer than ``L**2`` classes, guarded like a listing.
     """
     if isinstance(machine, TableMachine):
         lengths = machine.output_lengths.items()
         return {l: len(olens) for l, olens in lengths if l <= budget.L}, frozenset()
-    if budget.L * budget.L > MAX_BUILT and not budget.allow_large:
+    L, t = budget.L, budget.t
+    if L * L > MAX_BUILT and not budget.allow_large:
         raise BudgetGuard(
-            f"the census at L={budget.L} would walk up to L*L header classes, above "
+            f"the census at L={L} would walk up to L*L header classes, above "
             f"the {MAX_BUILT}-class guard; pass allow_large=True (--force) to override"
         )
+    # |gamma(k)| = 2 * k.bit_length() - 1
     counts: dict[int, int] = defaultdict(int)
     cut = set()
-    for length, blen, olens in _classes(machine, budget.L):
-        halting = bisect_right(olens, budget.t - length)
-        if halting:
-            counts[length] += halting << blen
-        if halting < len(olens):
+    # the literal of header number n has 1 + |gamma(n)| + n - 1 bits and
+    # outputs its n - 1 body bits
+    n = 1
+    while (length := n + 2 * n.bit_length() - 1) <= L:
+        if length + n - 1 <= t:
+            counts[length] += 1 << (n - 1)
+        else:
             cut.add(length)
-    for length, plen, low in _repeat_classes(budget.L):
-        # the counts from low up to t - length halt; past L = 130 a class
-        # holds 2**63 counts or more, so it is counted, never sized
-        fit = budget.t - length - low + 1
-        if fit > 0:
-            counts[length] += (fit if fit < low else low) << plen
-        if fit < low:
-            cut.add(length)
+        n += 1
+    for i, aux in enumerate(machine.aux, start=1):
+        head = CALL.header_length(i)
+        for klen, olens in aux.output_lengths.items():
+            if (length := head + klen) <= L:
+                halting = bisect_right(olens, t - length)
+                if halting:
+                    counts[length] += halting
+                if halting < len(olens):
+                    cut.add(length)
+    # a repeat of pattern length p and count c has 2 + |gamma(c)| +
+    # |gamma(p)| + p bits, and the counts low .. 2*low - 1 share a length
+    p = 1
+    while (length := p + 2 * p.bit_length() + 2) <= L:
+        low = 1
+        while length <= L:
+            # the counts from low up to t - length halt; past L = 130 a
+            # class holds 2**63 counts or more, so it is counted, never sized
+            fit = t - length - low + 1
+            if fit > 0:
+                counts[length] += (fit if fit < low else low) << p
+            if fit < low:
+                cut.add(length)
+            length += 2
+            low <<= 1
+        p += 1
     return dict(counts), frozenset(cut)
 
 

@@ -238,16 +238,52 @@ def test_census_counts_the_listing(machine, budget):
     assert truncated == enum.truncated_lengths
 
 
+def _classes(m, L):
+    """Every literal and table-call program of at most ``L`` bits, in
+    classes of headers that share a program length and a body length.
+
+    Yields ``(program length, body length, sorted output lengths)`` with one
+    header per output length, so a class stands for ``2**body length``
+    programs per header.  A table call is a class per auxiliary table and
+    key length.
+    """
+    for nums in machines._headers(machines.LITERAL, L):
+        blen, olen = machines.LITERAL.lengths(*nums)
+        yield machines.LITERAL.header_length(*nums) + blen, blen, (olen,)
+    for i, aux in enumerate(m.aux, start=1):
+        head = machines.CALL.header_length(i)
+        for klen, olens in aux.output_lengths.items():
+            if head + klen <= L:
+                yield head + klen, 0, olens
+
+
+def _repeat_classes(L):
+    """Every repeat program of at most ``L`` bits, in classes of headers
+    that share a program length and a pattern length.
+
+    Yields ``(program length, pattern length, low)``: a repeat's output
+    length is its count, which sets nothing else, so the counts ``low ..
+    2*low - 1``, which share a gamma length, form one class of ``low``
+    headers with ``2**pattern length`` programs each.
+    """
+    plen = 1
+    while machines.REPEAT.header_length(1, plen) + plen <= L:
+        low = 1
+        while (length := machines.REPEAT.header_length(low, plen) + plen) <= L:
+            yield length, plen, low
+            low *= 2
+        plen += 1
+
+
 def _census_by_bisect(machine, budget):
-    """The census read with ``bisect_right`` and ``len`` on every class's
-    output lengths, a repeat class's as a ``range``, which ``len`` cannot
-    size past L = 130."""
+    """The census as the header classes list it, read with ``bisect_right``
+    and ``len`` on every class's output lengths, a repeat class's as a
+    ``range``, which ``len`` cannot size past L = 130."""
     repeats = [
-        (length, plen, range(low, 2 * low))
-        for length, plen, low in machines._repeat_classes(budget.L)
+        (length, plen, range(low, 2 * low)) for length, plen, low in _repeat_classes(budget.L)
     ]
     counts, cut = collections.defaultdict(int), set()
-    for length, blen, olens in [*machines._classes(machine, budget.L), *repeats]:
+    for length, blen, olens in [*_classes(machine, budget.L), *repeats]:
         halting = bisect_right(olens, budget.t - length)
         if halting:
             counts[length] += halting << blen
@@ -266,6 +302,18 @@ def test_census_reads_repeat_classes_like_bisect(aux, L, t):
     budget = Budget(L, t)
     machine = Interpreter(aux=tuple(aux))
     assert domain_census(machine, budget) == _census_by_bisect(machine, budget)
+
+
+GRID_STEPS = [*range(121), 200, 1000, 5000, 10**4, 10**6, 10**12]
+
+
+@pytest.mark.parametrize("seeds", [(), (1,), (2, 3)])
+def test_census_matches_bisect_on_the_whole_grid(seeds):
+    machine = Interpreter(aux=tuple(random_table(random.Random(s)) for s in seeds))
+    for L in range(41):
+        for t in GRID_STEPS:
+            budget = Budget(L, t)
+            assert domain_census(machine, budget) == _census_by_bisect(machine, budget)
 
 
 def test_census_counts_repeat_classes_past_the_size_limit():
@@ -351,7 +399,8 @@ def test_call_tie_goes_to_the_lexicographically_least_program():
 def _reference_complexity(machine, target, budget):
     """``complexity`` as it was before its interpreter path ran in one frame:
     every candidate carries its header numbers and body, and the value is
-    built by the named tuple's constructor."""
+    built by the named tuple's constructor.  The cut length comes from the
+    header-class census, never from ``domain_census``."""
     check_bits(target)
     if isinstance(machine, TableMachine):
         return machines._table_complexity(machine, target, budget)
@@ -389,7 +438,7 @@ def _reference_complexity(machine, target, budget):
     L_t = (budget.L, budget.t)
     cut = machine._first_cut.get(L_t)
     if cut is None:
-        cut = machine._first_cut[L_t] = min(domain_census(machine, budget)[1], default=INFINITE)
+        cut = machine._first_cut[L_t] = min(_census_by_bisect(machine, budget)[1], default=INFINITE)
     status = KStatus.EXACT if best <= cut else KStatus.UPPER_BOUND
     return ComplexityValue(best, status, budget, op.header(*nums) + body)
 
@@ -463,6 +512,22 @@ def test_interpreter_query_runs_in_one_frame():
     finally:
         sys.setprofile(None)
     assert [f.f_code.co_name for f in frames] == ["complexity"] * len(targets)
+
+
+def test_complexity_takes_one_census_per_budget(monkeypatch):
+    calls = []
+    census = machines.domain_census
+    monkeypatch.setattr(
+        machines, "domain_census", lambda *args: calls.append(args) or census(*args)
+    )
+    interp = Interpreter(aux=(THREE_ENTRY,))
+    budget = Budget(23, 50)
+    assert complexity(interp, "0110101", budget).status is KStatus.EXACT
+    assert calls == [(interp, budget)]
+    calls.clear()
+    for target in ("0110101", "", "01" * 20, "111"):  # the cut length is cached
+        complexity(interp, target, budget)
+    assert calls == []
 
 
 def test_complexity_never_lists_the_domain(monkeypatch):
@@ -625,17 +690,24 @@ def test_omega_s_empty_machine():
     assert iv.lo == ZERO and iv.hi == ZERO
 
 
-def test_budget_guard_trips(monkeypatch):
-    # the census walks fewer than L*L header classes: past 2^20 of them it
-    # refuses before it walks any, unless forced
-    def walk(*args):
+class _UnwalkableTable(TableMachine):
+    """A table whose program lengths cannot be read, so that a census that
+    walks its calls fails loudly."""
+
+    @property
+    def output_lengths(self):
         raise AssertionError("walked the header classes past the census guard")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(machines, "_classes", walk)
-        patch.setattr(machines, "_repeat_classes", walk)
-        with pytest.raises(BudgetGuard, match="L=1025"):
-            domain_census(Interpreter(), Budget(1025, 10**4))
+
+def test_budget_guard_trips():
+    # the census walks fewer than L*L header classes: past 2^20 of them it
+    # refuses before it walks any, unless forced
+    interp = Interpreter(aux=(_UnwalkableTable(THREE_ENTRY.entries),))
+    budget = Budget(1025, 10**4)
+    with pytest.raises(BudgetGuard, match="L=1025"):
+        domain_census(interp, budget)
+    with pytest.raises(BudgetGuard, match="L=1025"):
+        complexity(interp, "0101", budget)
     counts, cut = domain_census(Interpreter(), Budget(1024, 10**4))
     forced, forced_cut = domain_census(Interpreter(), Budget(1025, 10**4, allow_large=True))
     assert {l: c for l, c in forced.items() if l <= 1024} == counts
