@@ -26,7 +26,7 @@ from .names import (
     IncreasingDyadicStream,
     Modulus,
     NameStream,
-    name_from_increasing,
+    block_name,
     sum_exceeds_one,
     tail_sums,
     tail_weight,
@@ -272,7 +272,9 @@ def lc_to_roc(
     complexity values are upper bounds, so the gate is sound.  Each gate
     is decided once per distinct prefix: ``r`` is strictly increasing on
     the search range, so a prefix's length fixes its level, and later
-    stages that share the prefix reuse the verdict.  Block
+    stages that share the prefix reuse the verdict.  The search reads
+    only these bit prefixes (``xs.prefix_bits``), and a stage whose
+    prefix repeats the previous stage's failed one is skipped.  Block
     ``t`` of the name lists the digit exponents of
     ``xs(s(t+1)) - xs(s(t))`` in increasing order.
     """
@@ -302,8 +304,12 @@ def lc_to_roc(
     exhausted_at: Optional[int] = None
     for n in range(n_max):
         found: Optional[int] = None
+        failed = None  # the last stage's prefix, whose gate failed
         for m in range(s_values[-1] + 1, stages + 1):
-            bits = xs.at(m).prefix_bits(rates[n])
+            bits = xs.prefix_bits(m, rates[n])
+            if bits == failed:
+                continue
+            failed = bits
             if all(certified(bits[: rates[k]], k) for k in range(n + 1)):
                 found = m
                 break
@@ -312,10 +318,7 @@ def lc_to_roc(
             break
         s_values.append(found)
 
-    blocks = IncreasingDyadicStream.from_list(
-        [xs.at(v) for v in s_values], label=f"{xs.label}@s"
-    )
-    name = name_from_increasing(blocks, len(s_values) - 1, label=f"roc({xs.label})")
+    name = block_name(map(xs.at, s_values[1:]), f"roc({xs.label})")
     return LcToRocResult(
         s_values=s_values,
         name=name,

@@ -345,9 +345,21 @@ class BitStream(Replayable):
         bits = self._bits
         if n > len(bits):
             self.at(n - 1)
-            bits += "".join(map(str, self._memo[len(bits) : n]))
+            bits += "".join(map("01".__getitem__, self._memo[len(bits) : n]))
             self._bits = bits
         return bits[: max(n, 0)]
+
+    def _read(self, n: int) -> None:
+        """Compute the first ``n`` bits in index order.  Past the horizon
+        this fails as reading bit by bit would: at the horizon's index,
+        where ``at(n - 1)`` would name ``n - 1``."""
+        h = self.horizon
+        if h is not None and n > h:
+            if h:
+                self.at(h - 1)
+            self.at(h)
+        if n > 0:
+            self.at(n - 1)
 
     @staticmethod
     def from_bits(bits: str) -> "BitStream":

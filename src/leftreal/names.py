@@ -22,6 +22,7 @@ from .errors import (
     RangeViolation,
 )
 from .foundations import (
+    BitStream,
     Dyadic,
     NatSetView,
     ONE,
@@ -31,7 +32,7 @@ from .foundations import (
 )
 
 if TYPE_CHECKING:
-    from typing import Callable, Optional, Sequence
+    from typing import Callable, Iterable, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -207,33 +208,59 @@ class IncreasingDyadicStream(Replayable):
             )
         return IncreasingDyadicStream(vals.__getitem__, len(vals), label)
 
+    def prefix_bits(self, m: int, n: int) -> str:
+        """The first ``n`` expansion bits of ``x_m``."""
+        return self.at(m).prefix_bits(n)
+
     @staticmethod
     def from_prefix_sums(
-        stream, bits_per_step: int = 1, label: str = ""
+        stream: BitStream, bits_per_step: int = 1, label: str = ""
     ) -> "IncreasingDyadicStream":
         """Partial values of a bit stream: ``x_t = 0.(first bits_per_step*t bits)``.
 
-        ``x_t`` is ``x_{t-1}`` at scale ``2**-(bits_per_step*(t-1))`` with
-        the next ``bits_per_step`` bits appended, so each bit is read once.
+        ``x_t`` and its expansion prefixes are slices of the stream's own
+        bit string (``BitStream.prefix``), so nothing is stored here.  Each
+        of them asks the stream for all ``bits_per_step*t`` bits of
+        ``x_t`` in index order, even where a shorter expansion prefix is
+        asked for: a stream's error (a non-bit, or a read past its horizon)
+        comes at the first bad index, as it would bit by bit.
         """
         if bits_per_step < 0:
             raise ValueError(
                 f"prefix sums need a step of 0 or more bits, got {bits_per_step}"
             )
+        return _PrefixSums(stream, bits_per_step, label or f"sums({stream.label})")
 
-        def fn(t: int) -> Dyadic:
-            if t == 0:
-                return ZERO
-            start = bits_per_step * (t - 1)
-            new = 0
-            for i in range(start, start + bits_per_step):
-                new = new << 1 | stream.bit(i)
-            prev = xs.at(t - 1)
-            acc = prev.num << (start - prev.exp)
-            return Dyadic.of(acc << bits_per_step | new, start + bits_per_step)
 
-        xs = IncreasingDyadicStream(fn, label=label or f"sums({stream.label})")
-        return xs
+class _PrefixSums(IncreasingDyadicStream):
+    """``x_t = 0.(first step*t bits of a bit stream)``, answered from the
+    stream's bit string; see :meth:`IncreasingDyadicStream.from_prefix_sums`."""
+
+    def __init__(self, stream: BitStream, step: int, label: str):
+        super().__init__(None, label=label)
+        self._stream, self._step = stream, step
+
+    def _read(self, t: int) -> int:
+        """Compute the ``step*t`` bits of ``x_t``; return their number."""
+        if t < 0:
+            raise ValueError("sequence index must be a natural number")
+        k = self._step * t
+        self._stream._read(k)
+        return k
+
+    def at(self, t: int) -> Dyadic:
+        k = self._read(t)
+        return Dyadic.of(int(self._stream.prefix(k), 2), k) if k else ZERO
+
+    def values(self, count: int) -> list[Dyadic]:
+        bits, b = self._stream.prefix(self._read(max(count - 1, 0))), self._step
+        return [
+            Dyadic.of(int(bits[: b * t], 2), b * t) if b * t else ZERO
+            for t in range(count)
+        ]
+
+    def prefix_bits(self, m: int, n: int) -> str:
+        return self._stream.prefix(min(n, self._read(m))).ljust(n, "0")
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +367,24 @@ def name_from_increasing(
     """
     if xs.at(0) != ZERO:
         raise ValueError("increasing stream must start at 0")
-    values: list[int] = []
+    return block_name(map(xs.at, range(1, steps + 1)), label or f"name({xs.label})")
+
+
+def block_name(values: Iterable[Dyadic], label: str) -> NameStream:
+    """The name of the run ``0, x_1, x_2, ...`` given ``x_1, x_2, ...``:
+    block ``t`` lists the digit exponents of ``x_{t+1} - x_t``."""
+    out: list[int] = []
     boundaries = [0]
-    for t in range(steps):
-        d = xs.at(t + 1) - xs.at(t)
+    prev = ZERO
+    for t, cur in enumerate(values):
+        d = cur - prev
         if d.num < 0:
             raise MonotonicityViolation(f"stream decreases at step {t}")
-        values.extend(digit_exponents(d))
-        boundaries.append(len(values))
+        out.extend(digit_exponents(d))
+        boundaries.append(len(out))
+        prev = cur
     return NameStream(
-        values.__getitem__,
-        length=len(values),
-        label=label or f"name({xs.label})",
-        block_boundaries=boundaries,
+        out.__getitem__, length=len(out), label=label, block_boundaries=boundaries
     )
 
 

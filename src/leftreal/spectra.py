@@ -52,9 +52,9 @@ class ComplexityProfile(NamedTuple):
 def profile(
     machine: PrefixMachine, x: BitStream, n_max: int, budget: Budget
 ) -> ComplexityProfile:
-    entries = [
-        (n, complexity(machine, x.prefix(n), budget)) for n in range(n_max + 1)
-    ]
+    x._read(n_max)
+    bits = x.prefix(n_max)
+    entries = [(n, complexity(machine, bits[:n], budget)) for n in range(n_max + 1)]
     return ComplexityProfile(
         machine_id=getattr(machine, "id", "?"),
         entries=entries,

@@ -19,7 +19,15 @@ from leftreal.conversions import (
     tail_bound_check,
 )
 from leftreal.errors import HorizonExceeded, InvalidName, PreconditionRefuted, RateError
-from leftreal.foundations import BitStream, Dyadic, ONE, ZERO, floor_scale, half_power
+from leftreal.foundations import (
+    BitStream,
+    Dyadic,
+    NatSetView,
+    ONE,
+    ZERO,
+    floor_scale,
+    half_power,
+)
 from leftreal.jsonio import parse_name, parse_rate, trace_to_json
 from leftreal.kraft_chaitin import kc_build_machine
 from leftreal.machines import Budget, Interpreter
@@ -31,9 +39,11 @@ from leftreal.names import (
     name_from_increasing,
     partial_sum,
     roc_certificate_check,
+    strongly_lc,
     tail_weight,
 )
 from leftreal.randomness import TestKind, covers, level_weight, validate_family
+from test_names import _memo_prefix_sums
 
 TWO_THIRDS = Fraction(2, 3)
 
@@ -403,13 +413,25 @@ def test_roc_to_skt_refutes_the_least_failing_level(level):
     assert roc_to_skt(_block_name(level, 8), RateSpec(Modulus.shift(3)), 8).family
 
 
+def _rarely(rare, common):
+    """``rare`` about one time in ten, else ``common``.  Hypothesis draws
+    an integer's least value about a third of the time, so ``rare`` is
+    taken on the greatest."""
+    return st.integers(0, 7).flatmap(lambda i: rare if i == 7 else common)
+
+
+# r(0) <= 1 leaves f(0) no room below r(0) but a first term of weight 1,
+# so those rates are drawn rarely
+GATE_R0 = _rarely(st.integers(0, 1), st.integers(2, 4))
 GATE_RATES = st.one_of(
-    st.builds("shift:{}".format, st.integers(0, 4)),
-    st.builds("affine:{},{}".format, st.integers(1, 3), st.integers(0, 4)),
+    st.builds("shift:{}".format, GATE_R0),
+    st.builds("affine:{},{}".format, st.integers(1, 3), GATE_R0),
     # rates shorter than the nine certified levels fail part way
     st.builds(
         lambda vs: "values:" + ",".join(map(str, vs)),
-        st.lists(st.integers(1, 30), min_size=1, max_size=12).map(sorted),
+        _rarely(st.integers(1, 30), st.integers(2, 30)).flatmap(
+            lambda v: st.lists(st.integers(v, 30), min_size=1, max_size=12)
+        ).map(sorted),
     ),
 )
 # rates under which a head can refute any level n: r(0) >= 2 leaves f(0) =
@@ -453,16 +475,18 @@ def test_roc_to_skt_gate_matches_ten_scans(refute, stages, data):
         stages = max(stages, len(head) - 1)
         a, b = 3, 40
     else:
-        # f(0) in [r(0) - 2, r(0)], then repeats of a few exponents in
-        # [r(0), r(8)] with up to three terms just below r(0) at any k > 0:
-        # sums past 1, r(0) <= f(0), terms on a threshold and tails past
-        # 2^-n all occur
+        # f(0) in [r(0) - 2, r(0) - 1], or rarely r(0), then
+        # repeats of a few exponents in [r(0), r(8)] with up to three terms
+        # just below r(0) at any k > 0: sums past 1, r(0) <= f(0), terms on
+        # a threshold and tails past 2^-n all occur
         pool = data.draw(st.lists(st.integers(r0, r.at(top)), min_size=1, max_size=3))
         head = data.draw(st.lists(st.sampled_from(pool), max_size=32))
         if r0:
             for e in data.draw(st.lists(st.integers(max(r0 - 2, 0), r0 - 1), max_size=3)):
                 head.insert(data.draw(st.integers(0, len(head))), e)
-        head.insert(0, data.draw(st.integers(max(r0 - 2, 0), r0)))
+        head.insert(0, data.draw(
+            _rarely(st.just(r0), st.integers(max(r0 - 2, 0), max(r0 - 1, 0)))
+        ))
         # seven heads in eight keep their sum at most 1 - 2^-max(head), and
         # a constant tail starts six past the head's exponents: its at most
         # 41 terms weigh under 2^-max(head), so the sum stays below 1 and
@@ -557,6 +581,22 @@ def test_formula_rates_and_names_skip_the_memo(monkeypatch):
     assert len(res.trace.intervals) == 300 and res.family.level_list(3)
     _, _, res = third_pipeline()  # lc_to_roc under Modulus.power2(4)
     assert res.complete and res.s_values == [0, 8, 16, 32, 64]
+
+
+def test_lc_to_roc_reads_prefix_sums_without_the_memo(monkeypatch):
+    at = foundations.Replayable.at
+
+    def memo_at(self, k):
+        if isinstance(self, IncreasingDyadicStream):
+            raise AssertionError("an approximation was read through the memo")
+        return at(self, k)
+
+    monkeypatch.setattr(foundations.Replayable, "at", memo_at)
+    with pytest.raises(AssertionError):
+        IncreasingDyadicStream.from_list([ZERO]).at(0)
+    xs = IncreasingDyadicStream.from_prefix_sums(BitStream.periodic("01"), 2)
+    res = lc_to_roc(xs, Modulus.power2(4), Interpreter(), Budget(22, 10**4), 900, 6)
+    assert res.s_values == [0, 8, 16, 32, 64] and res.exhausted_at == 5
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +721,13 @@ LC_RATES = {
     stream=st.one_of(
         st.builds(BitStream.periodic, st.text("01", min_size=1, max_size=4)),
         st.builds(BitStream.from_bits, st.text("01", max_size=24)),
+        st.builds(  # read through the memo and the base ``prefix_bits``
+            NatSetView.from_elements,
+            st.lists(st.integers(0, 30), unique=True, max_size=8),
+            st.just(31),
+        ),
     ),
-    step=st.integers(1, 3),
+    step=st.integers(0, 3),
     rate=st.sampled_from(sorted(LC_RATES)),
     table=st.one_of(
         st.none(), st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2)), max_size=4)
@@ -691,7 +736,7 @@ LC_RATES = {
         Budget, st.integers(12, 24), st.one_of(st.just(10**4), st.integers(4, 60))
     ),
     n_max=st.integers(0, 6),
-    stages=st.integers(0, 120),
+    stages=st.integers(0, 300),
 )
 @example(  # level 0 meets a new prefix, costing r(0) + 1, in the level-1 search
     stream=BitStream.periodic("01"),
@@ -705,12 +750,14 @@ LC_RATES = {
 def test_lc_to_roc_matches_reference_search(
     stream, step, rate, table, budget, n_max, stages
 ):
-    def approximants():
-        return IncreasingDyadicStream.from_prefix_sums(stream, step)
+    def approximants(prefix_sums):
+        if isinstance(stream, NatSetView):
+            return strongly_lc(stream)
+        return prefix_sums(stream, step)
 
     aux = ()
     if table is not None:  # cheap calls that print x_m's prefix at level k
-        xs, r = approximants(), LC_RATES[rate]()
+        xs, r = approximants(_memo_prefix_sums), LC_RATES[rate]()
         aux = (
             kc_build_machine(
                 [(i + 3, xs.at(m).prefix_bits(r.at(k))) for i, (m, k) in enumerate(table)]
@@ -718,14 +765,18 @@ def test_lc_to_roc_matches_reference_search(
         )
     machine = Interpreter(aux=aux)
 
-    def run(search):
-        return search(approximants(), LC_RATES[rate](), machine, budget, stages, n_max)
+    def run(search, prefix_sums):
+        xs = approximants(prefix_sums)
+        return search(xs, LC_RATES[rate](), machine, budget, stages, n_max)
 
     def fast():
-        res = run(lc_to_roc)
+        res = run(lc_to_roc, IncreasingDyadicStream.from_prefix_sums)
         return _lc_summary(res.s_values, res.exhausted_at, res.name)
 
-    assert _outcome(fast) == _outcome(lambda: _lc_summary(*run(_reference_lc_to_roc)))
+    def reference():
+        return _lc_summary(*run(_reference_lc_to_roc, _memo_prefix_sums))
+
+    assert _outcome(fast) == _outcome(reference)
 
 
 def test_lc_to_roc_asks_complexity_once_per_distinct_prefix(monkeypatch):

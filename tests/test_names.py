@@ -305,25 +305,87 @@ def test_strongly_lc_monotone_bounded():
             prev = cur
 
 
-@settings(max_examples=200, deadline=None)
+def _memo_prefix_sums(stream, bits_per_step=1, label=""):
+    """The memo-backed ``from_prefix_sums`` the slices of the stream's bit
+    string replaced: ``x_t`` is ``x_{t-1}`` with the next bits appended,
+    each bit read once through ``stream.bit`` and every ``x_t`` stored."""
+    if bits_per_step < 0:
+        raise ValueError(
+            f"prefix sums need a step of 0 or more bits, got {bits_per_step}"
+        )
+
+    def fn(t):
+        if t == 0:
+            return ZERO
+        start = bits_per_step * (t - 1)
+        new = 0
+        for i in range(start, start + bits_per_step):
+            new = new << 1 | stream.bit(i)
+        prev = xs.at(t - 1)
+        acc = prev.num << (start - prev.exp)
+        return Dyadic.of(acc << bits_per_step | new, start + bits_per_step)
+
+    xs = IncreasingDyadicStream(fn, label=label or f"sums({stream.label})")
+    return xs
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     bits=st.text("01", max_size=40),
+    finite=st.booleans(),
+    bad=st.one_of(st.none(), st.integers(0, 60)),
+    as_bool=st.booleans(),
     bits_per_step=st.integers(-2, 4),
-    queries=st.lists(st.integers(0, 15), min_size=1, max_size=10),
+    data=st.data(),
 )
-def test_prefix_sums_add_the_next_bits_at_each_step(bits, bits_per_step, queries):
-    stream = BitStream(lambda i: int(bits[i]), len(bits))
+def test_prefix_sums_add_the_next_bits_at_each_step(
+    bits, finite, bad, as_bool, bits_per_step, data
+):
+    """The stream against ``_memo_prefix_sums``: the same values, or the
+    same error, and the same bits read in the same order, after each read."""
+
+    def build(make):
+        reads = []
+
+        def bit(i):  # ``bits`` as ints or bools, repeated or up to a horizon,
+            # with a 2 at ``bad``
+            reads.append(i)
+            b = bits[i % len(bits)] == "1" if bits else False
+            return 2 if i == bad else b if as_bool else int(b)
+
+        stream = BitStream(bit, len(bits) if finite else None, label=bits)
+        return _read_outcome(lambda: make(stream, bits_per_step)), reads
+
+    xs, reads = build(IncreasingDyadicStream.from_prefix_sums)
+    memo, memo_reads = build(_memo_prefix_sums)
     if bits_per_step < 0:
-        with pytest.raises(ValueError, match="step of 0 or more bits"):
-            IncreasingDyadicStream.from_prefix_sums(stream, bits_per_step)
+        assert xs == memo == (
+            ValueError, f"prefix sums need a step of 0 or more bits, got {bits_per_step}"
+        )
         return
-    xs = IncreasingDyadicStream.from_prefix_sums(stream, bits_per_step)
-    for t in queries:
-        if bits_per_step * t > len(bits):
-            with pytest.raises(HorizonExceeded):
-                xs.at(t)
-        else:
-            assert xs.at(t) == Dyadic.from_bits(stream.prefix(bits_per_step * t))
+    assert (xs.label, xs.horizon, xs.eventually_constant) == (
+        memo.label, memo.horizon, memo.eventually_constant
+    )
+    ops = data.draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("at"), st.integers(-1, 15)),  # in any order
+                st.tuples(st.just("values"), st.integers(-2, 40)),
+                st.tuples(  # n below, at and above bits_per_step * m
+                    st.just("prefix_bits"), st.integers(-1, 15), st.integers(-8, 8)
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    ops += [("at", -1)] + [("values", count) for count in range(-2, 41)]
+    for op, *args in ops:
+        if op == "prefix_bits":
+            m, d = args
+            args = [m, max(bits_per_step * m + d, 0)]
+        got = _read_outcome(lambda: getattr(xs, op)(*args))
+        assert got == _read_outcome(lambda: getattr(memo, op)(*args))
+        assert reads == memo_reads
 
 
 def _prefix_by_join(stream: BitStream, n: int) -> str:

@@ -5,6 +5,9 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from leftreal.errors import HorizonExceeded
 from leftreal.foundations import BitStream, charseq, evens
 from leftreal.kraft_chaitin import kc_build_machine
 from leftreal.machines import Budget, Interpreter, KStatus, complexity
@@ -61,6 +64,39 @@ def test_profile_values_antitone_in_budget():
         pb = profile(INTERP, x, 10, big)
         for (n, vs), (_, vb) in zip(ps.entries, pb.entries):
             assert vb.value <= vs.value
+
+
+def _profile_by_prefixes(machine, x, n_max, budget):
+    """The entries ``profile`` built before it read its stream once: one
+    ``x.prefix(n)``, grown by a bit, per n."""
+    return [(n, complexity(machine, x.prefix(n), budget)) for n in range(n_max + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bits=st.text("01", max_size=30),
+    finite=st.booleans(),
+    bad=st.one_of(st.none(), st.integers(0, 40)),
+    n_max=st.integers(-1, 40),
+)
+def test_profile_matches_a_read_per_prefix(bits, finite, bad, n_max):
+    def stream():  # ``bits``, repeated or up to a horizon, with a 2 at ``bad``
+        return BitStream(
+            lambda i: 2 if i == bad else int(bits[i % len(bits)]) if bits else 0,
+            len(bits) if finite else None,
+            label=bits,
+        )
+
+    def outcome(run):
+        try:
+            return run()
+        except (ValueError, HorizonExceeded) as e:
+            return type(e), str(e)
+
+    budget = Budget(16, 10**3)
+    assert outcome(lambda: profile(INTERP, stream(), n_max, budget).entries) == outcome(
+        lambda: _profile_by_prefixes(INTERP, stream(), n_max, budget)
+    )
 
 
 # ---------------------------------------------------------------------------
