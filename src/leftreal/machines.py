@@ -23,6 +23,8 @@ Complexity values are machine-relative and budget-stamped.  A value is
 budget; a cut downgrades affected queries to upper bounds, never silently.
 ``complexity``, the halting-probability sums and ``outputs_of_length`` read
 the instruction set directly; only ``enumerate_domain`` lists programs.
+``complexity`` learns the shortest cut length from a walk that counts
+nothing; the sums and the listing read ``domain_census``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import enum
 from bisect import bisect_right
 from collections import defaultdict
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import BudgetGuard
@@ -168,6 +171,14 @@ class RunOutcome(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _all_bits(strings: Iterable[str]) -> bool:
+    """Whether every item is a bit string, read over all of them joined."""
+    try:
+        return not "".join(strings).encode("utf-8", "surrogatepass").translate(None, b"01")
+    except TypeError:  # an item that is not a str
+        return False
+
+
 def _short_id(kind: str, blob: str) -> str:
     """``kind-`` and the first 12 hex digits of the SHA-256 of ``blob``."""
     import hashlib  # only machine ids hash, and most commands ask for none
@@ -176,38 +187,40 @@ def _short_id(kind: str, blob: str) -> str:
 
 
 class TableMachine(Record):
-    """Finite prefix-free machine given by an explicit program table."""
+    """Finite prefix-free machine given by an explicit program table.
+
+    Validation sorts the keys once, and the same pass builds the summary
+    that queries read: ``mapping``, ``shortest`` (output -> its shortest
+    program, the lexicographically least), ``longest_output`` (program
+    length -> the longest output of its entries) and ``max_program_length``.
+    Only ``entries`` is a field, so equality, hashing and repr read it alone.
+    """
 
     _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[str, str], ...]):
         keys = sorted(k for k, _ in entries)
-        for k, v in entries:
-            check_bits(k)
-            check_bits(v)
-        for a, b in zip(keys, keys[1:]):
-            if a == b:
-                raise ValueError(f"duplicate program {a!r} in table")
-        check_prefix_free(keys)
+        if not (_all_bits(keys) and _all_bits([v for _, v in entries])):
+            for k, v in entries:  # name the first string that is not a bit string
+                check_bits(k)
+                check_bits(v)
+        mapping = dict(entries)
+        if len(mapping) < len(entries):
+            dup = next(a for a, b in zip(keys, keys[1:]) if a == b)
+            raise ValueError(f"duplicate program {dup!r} in table")
+        if any(map(str.startswith, keys[1:], keys)):
+            check_prefix_free(keys)  # names the first pair
         self.entries = entries
-
-    @cached_property
-    def mapping(self) -> dict[str, str]:
-        return dict(self.entries)
-
-    @cached_property
-    def max_program_length(self) -> int:
-        return max((len(k) for k, _ in self.entries), default=0)
-
-    @cached_property
-    def shortest(self) -> dict[str, str]:
-        """Map output -> its shortest program, the lexicographically least."""
-        best: dict[str, str] = {}
-        for key, val in self.entries:
-            cur = best.get(val)
-            if cur is None or (len(key), key) < (len(cur), cur):
-                best[val] = key
-        return best
+        self.mapping = mapping
+        keys.sort(key=len)  # a stable sort, so now in (length, key) order
+        # the last write of an output wins, so the least key is written last
+        least_last = keys[::-1]
+        self.shortest = dict(zip(map(mapping.__getitem__, least_last), least_last))
+        self.longest_output = {
+            klen: max(map(len, map(mapping.__getitem__, group)))
+            for klen, group in groupby(keys, len)
+        }
+        self.max_program_length = len(keys[-1]) if keys else 0
 
     @cached_property
     def output_lengths(self) -> dict[int, list[int]]:
@@ -256,29 +269,6 @@ class Interpreter(Record):
     def _first_cut(self) -> dict[tuple[int, int], Union[int, float]]:
         """Map (L, t) -> the shortest program length t cuts, filled on demand."""
         return {}
-
-    # -- encoding helpers ---------------------------------------------------
-
-    @staticmethod
-    def literal_encode(payload: str) -> str:
-        check_bits(payload)
-        return LITERAL.header(len(payload) + 1) + payload
-
-    @staticmethod
-    def repeat_encode(out_len: int, pattern: str) -> str:
-        check_bits(pattern)
-        if out_len < 1 or not pattern:
-            raise ValueError("repeat needs out_len >= 1 and a nonempty pattern")
-        return REPEAT.header(out_len, len(pattern)) + pattern
-
-    def call_encode(self, index: int, program: str) -> str:
-        if not 1 <= index <= len(self.aux):
-            raise ValueError(f"auxiliary index {index} out of range")
-        return CALL.header(index) + program
-
-    def call_overhead(self, index: int) -> int:
-        """Extra bits a table call adds on top of the auxiliary program."""
-        return CALL.header_length(index)
 
     # -- running ------------------------------------------------------------
 
@@ -363,6 +353,16 @@ def _headers(op: Opcode, L: int, nums: tuple = ()) -> Iterator[tuple[int, ...]]:
         n += 1
 
 
+def _guard_classes(budget: Budget) -> None:
+    """Refuse a walk of the interpreter's header classes past ``MAX_BUILT``."""
+    L = budget.L
+    if L * L > MAX_BUILT and not budget.allow_large:
+        raise BudgetGuard(
+            f"the census at L={L} would walk up to L*L header classes, above "
+            f"the {MAX_BUILT}-class guard; pass allow_large=True (--force) to override"
+        )
+
+
 def domain_census(
     machine: PrefixMachine, budget: Budget
 ) -> tuple[dict[int, int], frozenset[int]]:
@@ -376,16 +376,15 @@ def domain_census(
     header: a literal per header number, a table call per table and key
     length, and a repeat class per pattern length and bit length of the
     count.  That is fewer than ``L**2`` classes, guarded like a listing.
+    ``omega_lower``, ``omega_s_bounds`` and ``enumerate_domain`` read it;
+    ``complexity`` needs only the shortest cut length, which
+    ``_first_cut_length`` finds without counting.
     """
     if isinstance(machine, TableMachine):
         lengths = machine.output_lengths.items()
         return {l: len(olens) for l, olens in lengths if l <= budget.L}, frozenset()
+    _guard_classes(budget)
     L, t = budget.L, budget.t
-    if L * L > MAX_BUILT and not budget.allow_large:
-        raise BudgetGuard(
-            f"the census at L={L} would walk up to L*L header classes, above "
-            f"the {MAX_BUILT}-class guard; pass allow_large=True (--force) to override"
-        )
     # |gamma(k)| = 2 * k.bit_length() - 1
     counts: dict[int, int] = defaultdict(int)
     cut = set()
@@ -424,6 +423,49 @@ def domain_census(
             low <<= 1
         p += 1
     return dict(counts), frozenset(cut)
+
+
+def _first_cut_length(machine: Interpreter, budget: Budget) -> Union[int, float]:
+    """The least program length the step budget cuts, ``INFINITE`` when it
+    cuts none: ``min(domain_census(machine, budget)[1], default=INFINITE)``
+    without the counts.
+
+    It walks the census's header classes under the census's guard, skips
+    every class at or past the shortest cut found so far, and reads one
+    number per table and key length, the longest output.
+    """
+    _guard_classes(budget)
+    t = budget.t
+    best = budget.L + 1  # the cut length to beat
+    # a literal's length and its steps both grow with its header number, so
+    # the first literal cut is the shortest; header number n runs in
+    # 2n + 2 * n.bit_length() - 2 steps, so none below the start is cut
+    n = max(1, t // 2 - t.bit_length())
+    while (length := n + 2 * n.bit_length() - 1) < best:
+        if length + n - 1 > t:
+            best = length
+            break
+        n += 1
+    for i, aux in enumerate(machine.aux, start=1):
+        head = CALL.header_length(i)
+        for klen, olen in aux.longest_output.items():
+            if (length := head + klen) < best and length + olen > t:
+                best = length
+    # the repeat class of counts low .. 2*low - 1 is cut when its largest
+    # count runs past t.  Doubling low adds 2 bits and more steps, so the
+    # classes of one pattern length are cut from some low on: none is when
+    # the last one shorter than best, with low = 2**k, is not
+    p = 1
+    while (length := p + 2 * p.bit_length() + 2) < best:
+        k = (best - 1 - length) // 2
+        if length + 2 * k + (2 << k) - 1 > t:
+            low = 1
+            while length + 2 * low - 1 <= t:
+                length += 2
+                low <<= 1
+            best = length
+        p += 1
+    return best if best <= budget.L else INFINITE
 
 
 class DomainEnumeration(NamedTuple):
@@ -586,7 +628,12 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
     repeat of the target's shortest period (a repeat grows with its
     pattern), and the shortest table call whose entry outputs the target.
     The tags order 0 < 10 < 11, so a later candidate must be strictly
-    shorter to win, except that two calls compare as strings.
+    shorter to win, except that two calls compare as strings.  A table
+    call reads the table's ``shortest``, built when the table was
+    validated.  The value is exact when no program as short as it is cut:
+    the shortest cut length comes, once per (L, t), from a walk of the
+    header classes that counts nothing and reads one longest output per
+    table and key length (``_first_cut_length``), not from the census.
     """
     if target.__class__ is not str or target.strip("01"):
         check_bits(target)
@@ -632,7 +679,7 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
     L_t = (budget.L, budget.t)
     cut = machine._first_cut.get(L_t)
     if cut is None:
-        cut = machine._first_cut[L_t] = min(domain_census(machine, budget)[1], default=INFINITE)
+        cut = machine._first_cut[L_t] = _first_cut_length(machine, budget)
     status = KStatus.EXACT if best <= cut else KStatus.UPPER_BOUND
     return tuple.__new__(ComplexityValue, (best, status, budget, witness))
 

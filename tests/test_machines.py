@@ -2,6 +2,7 @@
 budgeted-exact complexity, halting-probability sums."""
 
 import collections
+import gc
 import itertools
 import random
 import re
@@ -19,6 +20,7 @@ from leftreal.foundations import (
     DyadicInterval,
     ZERO,
     check_bits,
+    check_prefix_free,
     dyadic_weight,
     half_power,
     strings_of_length,
@@ -67,6 +69,24 @@ def random_table(rng: random.Random, max_entries: int = 32) -> TableMachine:
     )
 
 
+def literal_encode(payload: str) -> str:
+    check_bits(payload)
+    return machines.LITERAL.header(len(payload) + 1) + payload
+
+
+def repeat_encode(out_len: int, pattern: str) -> str:
+    check_bits(pattern)
+    if out_len < 1 or not pattern:
+        raise ValueError("repeat needs out_len >= 1 and a nonempty pattern")
+    return machines.REPEAT.header(out_len, len(pattern)) + pattern
+
+
+def call_encode(interp: Interpreter, index: int, program: str) -> str:
+    if not 1 <= index <= len(interp.aux):
+        raise ValueError(f"auxiliary index {index} out of range")
+    return machines.CALL.header(index) + program
+
+
 # ---------------------------------------------------------------------------
 # gamma code
 # ---------------------------------------------------------------------------
@@ -108,6 +128,108 @@ def test_random_prefix_codes_from_allocator_validate():
         random_table(rng)  # constructor validates
 
 
+def _parent_table_init(entries):
+    """``TableMachine.__init__`` before it built the query summary: the
+    oracle for what a malformed table raises."""
+    keys = sorted(k for k, _ in entries)
+    for k, v in entries:
+        check_bits(k)
+        check_bits(v)
+    for a, b in zip(keys, keys[1:]):
+        if a == b:
+            raise ValueError(f"duplicate program {a!r} in table")
+    check_prefix_free(keys)
+
+
+def _parent_shortest(entries):
+    """The lazy ``shortest`` loop that the constructor's summary replaced."""
+    best = {}
+    for key, val in entries:
+        cur = best.get(val)
+        if cur is None or (len(key), key) < (len(cur), cur):
+            best[val] = key
+    return best
+
+
+@st.composite
+def table_entries(draw):
+    """Kraft-Chaitin keys in a drawn order, with outputs from a few short
+    strings, so that many keys share an output."""
+    lengths, weight = [], Fraction(0)
+    for l in draw(st.lists(st.integers(0, 12), max_size=40)):
+        if weight + Fraction(1, 2**l) <= 1:
+            weight += Fraction(1, 2**l)
+            lengths.append(l)
+    keys = kc_allocate(lengths)
+    outs = draw(st.lists(st.text("01", max_size=4), min_size=len(keys), max_size=len(keys)))
+    return tuple(draw(st.permutations(list(zip(keys, outs)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=table_entries())
+def test_table_summary_matches_the_parent_loops(entries):
+    _parent_table_init(entries)
+    m = TableMachine(entries)
+    by_length = collections.defaultdict(list)
+    for key, val in entries:
+        by_length[len(key)].append(len(val))
+    assert m.entries is entries
+    assert m.mapping == dict(entries)
+    assert m.shortest == _parent_shortest(entries)
+    assert m.longest_output == {l: max(olens) for l, olens in by_length.items()}
+    assert m.max_program_length == max((len(k) for k, _ in entries), default=0)
+
+
+def _outcome(build, entries):
+    try:
+        build(entries)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "shorter", None), getattr(e, "longer", None)
+    return None
+
+
+NON_STR = [0, None, b"01", 1.5, ["0"]]
+NON_BIT = ["2", "x", " ", "\u00e9", "\ud800", "\n"]
+
+
+def _malform(entries, kind, i):
+    """``entries`` with one fault of the given kind, placed by ``i``."""
+    entries = list(entries)
+    at, place = i % len(entries), i % (len(entries) + 1)
+    key, val = entries[at]
+    if kind == "empty":
+        return ()
+    if kind == "non-str":
+        junk = NON_STR[i % len(NON_STR)]
+        entries[at] = [junk, (junk, val), (key, junk)][i % 3]
+    elif kind == "non-bit":
+        cut = i % (len(key) + 1)
+        bad = key[:cut] + NON_BIT[i % len(NON_BIT)] + key[cut:]
+        entries[at] = (bad, val) if i % 2 else (key, bad)
+    elif kind == "duplicate":
+        entries.insert(place, (key, val[::-1] + "0"))
+    elif kind == "prefix":
+        entries.insert(place, (key + "01"[i % 2], val) if i % 3 else (key[:-1], val))
+    elif kind == "empty key":
+        entries.insert(place, ("", val))
+    elif kind == "arity":
+        entries.insert(place, [(key,), (key, val, val), key[:1], "010", "01", ()][i % 6])
+    return tuple(entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=table_entries().filter(bool),
+    kind=st.sampled_from(
+        ["non-str", "non-bit", "duplicate", "prefix", "empty key", "empty", "arity"]
+    ),
+    i=st.integers(0, 60),
+)
+def test_malformed_tables_raise_as_the_parent_did(entries, kind, i):
+    bad = _malform(entries, kind, i)
+    assert _outcome(TableMachine, bad) == _outcome(_parent_table_init, bad)
+
+
 # ---------------------------------------------------------------------------
 # interpreter semantics
 # ---------------------------------------------------------------------------
@@ -117,20 +239,20 @@ def test_literal_round_trip_exhaustive():
     interp = Interpreter()
     for n in range(17):
         for tau in strings_of_length(n):
-            prog = interp.literal_encode(tau)
+            prog = literal_encode(tau)
             out = interp.run(prog)
             assert out.status is RunStatus.HALTED and out.output == tau
 
 
 def test_repeat_truncates_pattern():
     interp = Interpreter()
-    assert interp.run(interp.repeat_encode(7, "011")).output == "0110110"
-    assert interp.run(interp.repeat_encode(2, "011")).output == "01"
+    assert interp.run(repeat_encode(7, "011")).output == "0110110"
+    assert interp.run(repeat_encode(2, "011")).output == "01"
 
 
 def test_prefix_or_extension_of_program_never_halts():
     interp = Interpreter()
-    prog = interp.repeat_encode(6, "01")
+    prog = repeat_encode(6, "01")
     for cut in range(len(prog)):
         assert interp.run(prog[:cut]).status is RunStatus.NEVER_HALTS
     assert interp.run(prog + "0").status is RunStatus.NEVER_HALTS
@@ -138,15 +260,14 @@ def test_prefix_or_extension_of_program_never_halts():
 
 def test_table_call_dispatches_to_auxiliary():
     interp = Interpreter(aux=(THREE_ENTRY,))
-    prog = interp.call_encode(1, "11")
+    prog = call_encode(interp, 1, "11")
     assert interp.run(prog).output == "111"
-    assert len(prog) == len("11") + interp.call_overhead(1)
-    assert interp.call_overhead(1) == 3
+    assert len(prog) == len("11") + machines.CALL.header_length(1) == len("11") + 3
 
 
 def test_step_budget_reports_non_halting():
     interp = Interpreter()
-    prog = interp.repeat_encode(1000, "1")
+    prog = repeat_encode(1000, "1")
     out = interp.run(prog, step_budget=50)
     assert out.status is RunStatus.NOT_HALTING_AT_BUDGET
 
@@ -168,7 +289,7 @@ def test_enumerate_interpreter_includes_short_literals():
     outs = {out for _, out in enum.pairs}
     for n in range(3):
         for tau in strings_of_length(n):
-            assert len(interp.literal_encode(tau)) <= 6
+            assert len(literal_encode(tau)) <= 6
             assert tau in outs
 
 
@@ -314,6 +435,37 @@ def test_census_matches_bisect_on_the_whole_grid(seeds):
         for t in GRID_STEPS:
             budget = Budget(L, t)
             assert domain_census(machine, budget) == _census_by_bisect(machine, budget)
+
+
+EMPTY_OUTPUT = validate_table([("0", ""), ("10", "1"), ("110", ""), ("111", "0101")])
+CUT_WALK_MACHINES = [
+    Interpreter(),
+    Interpreter(aux=(random_table(random.Random(1)),)),
+    Interpreter(aux=(random_table(random.Random(2)), random_table(random.Random(3)))),
+    Interpreter(aux=(EMPTY_OUTPUT,)),
+]
+
+
+def _census_first_cut(machine, budget):
+    return min(domain_census(machine, budget)[1], default=INFINITE)
+
+
+@pytest.mark.parametrize("machine", CUT_WALK_MACHINES, ids=["bare", "one", "two", "empty-output"])
+def test_cut_walk_matches_the_census_on_the_whole_grid(machine):
+    for L in range(41):
+        for t in [*range(131), 10**3, 10**4, 10**6]:
+            budget = Budget(L, t)
+            assert machines._first_cut_length(machine, budget) == _census_first_cut(machine, budget)
+
+
+@pytest.mark.parametrize("L", [1025, 2048])
+def test_cut_walk_matches_the_census_at_forced_lengths(L):
+    # a census this long walks about L*L/4 repeat classes, so two step
+    # budgets do; both cut a repeat far below L
+    for machine in CUT_WALK_MACHINES:
+        for t in (77, 10**6):
+            budget = Budget(L, t, allow_large=True)
+            assert machines._first_cut_length(machine, budget) == _census_first_cut(machine, budget)
 
 
 def test_census_counts_repeat_classes_past_the_size_limit():
@@ -505,6 +657,9 @@ def test_interpreter_query_runs_in_one_frame():
     for target in targets:  # the first query fills the caches
         complexity(interp, target, budget)
     frames = []
+    # a collection in the window would profile the gc callbacks that
+    # Hypothesis registers, so start with an empty young generation
+    gc.collect()
     sys.setprofile(lambda frame, event, arg: event == "call" and frames.append(frame))
     try:
         for target in targets:
@@ -514,20 +669,25 @@ def test_interpreter_query_runs_in_one_frame():
     assert [f.f_code.co_name for f in frames] == ["complexity"] * len(targets)
 
 
-def test_complexity_takes_one_census_per_budget(monkeypatch):
-    calls = []
-    census = machines.domain_census
+def test_complexity_takes_one_cut_walk_per_budget(monkeypatch):
+    walks, censuses = [], []
+    walk = machines._first_cut_length
     monkeypatch.setattr(
-        machines, "domain_census", lambda *args: calls.append(args) or census(*args)
+        machines, "_first_cut_length", lambda *args: walks.append(args) or walk(*args)
     )
+    monkeypatch.setattr(machines, "domain_census", lambda *args: censuses.append(args))
     interp = Interpreter(aux=(THREE_ENTRY,))
     budget = Budget(23, 50)
     assert complexity(interp, "0110101", budget).status is KStatus.EXACT
-    assert calls == [(interp, budget)]
-    calls.clear()
+    assert walks == [(interp, budget)]
+    walks.clear()
     for target in ("0110101", "", "01" * 20, "111"):  # the cut length is cached
         complexity(interp, target, budget)
-    assert calls == []
+    assert walks == []
+    other = Budget(23, 51)
+    complexity(interp, "111", other)
+    assert walks == [(interp, other)]
+    assert censuses == []
 
 
 def test_complexity_never_lists_the_domain(monkeypatch):
@@ -691,12 +851,15 @@ def test_omega_s_empty_machine():
 
 
 class _UnwalkableTable(TableMachine):
-    """A table whose program lengths cannot be read, so that a census that
-    walks its calls fails loudly."""
+    """A table whose output lengths cannot be read, so that a cut walk or a
+    census that walks its calls fails loudly."""
 
-    @property
-    def output_lengths(self):
+    def _refuse(self):
         raise AssertionError("walked the header classes past the census guard")
+
+    # the constructor's write of the longest outputs is dropped
+    longest_output = property(_refuse, lambda self, value: None)
+    output_lengths = property(_refuse)
 
 
 def test_budget_guard_trips():
@@ -708,6 +871,10 @@ def test_budget_guard_trips():
         domain_census(interp, budget)
     with pytest.raises(BudgetGuard, match="L=1025"):
         complexity(interp, "0101", budget)
+    forced = Budget(1025, 10**4, allow_large=True)
+    for walk in (lambda: domain_census(interp, forced), lambda: complexity(interp, "0101", forced)):
+        with pytest.raises(AssertionError, match="past the census guard"):
+            walk()  # past the guard, both read the table
     counts, cut = domain_census(Interpreter(), Budget(1024, 10**4))
     forced, forced_cut = domain_census(Interpreter(), Budget(1025, 10**4, allow_large=True))
     assert {l: c for l, c in forced.items() if l <= 1024} == counts

@@ -19,6 +19,7 @@ from leftreal.errors import (
 from leftreal.foundations import BitStream, Dyadic, strings_of_length
 from leftreal.kraft_chaitin import KCAllocator, kc_allocate, kc_build_machine
 from leftreal.machines import (
+    CALL,
     Budget,
     Interpreter,
     complexity,
@@ -346,7 +347,7 @@ def test_rate_from_skt_round_trip_through_interpreter_embedding():
     # table as the first auxiliary costs exactly 3 extra bits
     x = BitStream.periodic("01")
     fam = singleton_family(x, lambda n: n + 2, 40)
-    interp_overhead = Interpreter().call_overhead(1)
+    interp_overhead = CALL.header_length(1)
     assert interp_overhead == 3
     result = rate_from_skt(fam, overhead=interp_overhead, n_max=5)
     host = Interpreter(aux=(result.machine,))
