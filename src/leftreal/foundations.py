@@ -154,9 +154,6 @@ class Dyadic:
     def __ge__(self, other: "Dyadic") -> bool:
         return self._cmp(other) >= 0
 
-    def is_zero(self) -> bool:
-        return self.num == 0
-
     # -- binary expansion ---------------------------------------------------
 
     def in_unit_interval(self) -> bool:

@@ -58,6 +58,14 @@ class ImmunityVerdict(Record):
         return self.result is Result.REFUTED_AT_HORIZON
 
 
+def _verdict(
+    prop: Property, refuted: bool, horizon: int, threshold: int, **witness
+) -> ImmunityVerdict:
+    """The verdict on ``prop`` at the horizon, with its evidence as ``witness``."""
+    result = Result.REFUTED_AT_HORIZON if refuted else Result.CONSISTENT_AT_HORIZON
+    return ImmunityVerdict(prop, result, horizon, threshold, witness)
+
+
 def _threshold(horizon: int, threshold: Optional[int]) -> int:
     """The witness count that stands for "infinitely many" at the horizon.
 
@@ -100,17 +108,9 @@ def check_immune(
     inside = [n for n in enumerated if a.member(n)]
     subset = len(inside) == len(enumerated)
     refuted = subset and len(enumerated) >= thr
-    return ImmunityVerdict(
-        Property.IMMUNE,
-        Result.REFUTED_AT_HORIZON if refuted else Result.CONSISTENT_AT_HORIZON,
-        horizon=horizon,
-        threshold=thr,
-        witness={
-            "enumerated": len(enumerated),
-            "inside": len(inside),
-            "subset": subset,
-            "witness_set": w.label,
-        },
+    return _verdict(
+        Property.IMMUNE, refuted, horizon, thr,
+        enumerated=len(enumerated), inside=len(inside), subset=subset, witness_set=w.label,
     )
 
 
@@ -123,16 +123,9 @@ def check_hyperimmune(
     thr = _threshold(horizon, horizon)  # every principal value below the horizon counts
     p = principal_function(a, horizon)
     failures = [n for n in range(horizon) if p[n] > f.at(n)]
-    refuted = not failures
-    return ImmunityVerdict(
-        Property.HYPERIMMUNE,
-        Result.REFUTED_AT_HORIZON if refuted else Result.CONSISTENT_AT_HORIZON,
-        horizon=horizon,
-        threshold=thr,
-        witness={
-            "majorizer": getattr(f, "label", "?"),
-            "first_failure": failures[0] if failures else None,
-        },
+    return _verdict(
+        Property.HYPERIMMUNE, not failures, horizon, thr,
+        majorizer=getattr(f, "label", "?"), first_failure=failures[0] if failures else None,
     )
 
 
@@ -155,13 +148,9 @@ def _check_blocks(
         for i, block in enumerate(blocks)
         if not any(n < min(horizon, a.horizon) and a.member(n) for n in block)
     ]
-    refuted = not missed and len(blocks) > 0
-    return ImmunityVerdict(
-        prop,
-        Result.REFUTED_AT_HORIZON if refuted else Result.CONSISTENT_AT_HORIZON,
-        horizon=horizon,
-        threshold=len(blocks),
-        witness={"blocks": len(blocks), "first_missed": missed[0] if missed else None},
+    return _verdict(
+        prop, not missed and len(blocks) > 0, horizon, len(blocks),
+        blocks=len(blocks), first_missed=missed[0] if missed else None,
     )
 
 
@@ -195,13 +184,9 @@ def check_cohesive(
     h = min(horizon, a.horizon, w.horizon)
     inside = sum(1 for n in range(h) if a.member(n) and w.member(n))
     outside = sum(1 for n in range(h) if a.member(n) and not w.member(n))
-    refuted = inside >= thr and outside >= thr
-    return ImmunityVerdict(
-        Property.COHESIVE,
-        Result.REFUTED_AT_HORIZON if refuted else Result.CONSISTENT_AT_HORIZON,
-        horizon=horizon,
-        threshold=thr,
-        witness={"split": w.label, "inside": inside, "outside": outside},
+    return _verdict(
+        Property.COHESIVE, inside >= thr and outside >= thr, horizon, thr,
+        split=w.label, inside=inside, outside=outside,
     )
 
 
@@ -218,14 +203,8 @@ def check_bi_immune(
     """
     side_a = check_immune(a, w_for_a, horizon, threshold)
     side_c = check_immune(a.complement(), w_for_complement, horizon, threshold)
-    refuted = side_a.refuted or side_c.refuted
-    return ImmunityVerdict(
-        Property.BI_IMMUNE,
-        Result.REFUTED_AT_HORIZON if refuted else Result.CONSISTENT_AT_HORIZON,
-        horizon=horizon,
-        threshold=side_a.threshold,
-        witness={
-            "set_side": side_a.witness | {"refuted": side_a.refuted},
-            "complement_side": side_c.witness | {"refuted": side_c.refuted},
-        },
+    return _verdict(
+        Property.BI_IMMUNE, side_a.refuted or side_c.refuted, horizon, side_a.threshold,
+        set_side=side_a.witness | {"refuted": side_a.refuted},
+        complement_side=side_c.witness | {"refuted": side_c.refuted},
     )

@@ -58,12 +58,6 @@ class KCAllocator:
     def free_weight(self) -> Dyadic:
         return dyadic_weight(dict.fromkeys(self._free, 1))
 
-    def check_invariants(self) -> None:
-        """Assert the interval-discipline invariants (used by tests)."""
-        levels = sorted(self._free, reverse=True)
-        positions = [Dyadic.of(self._free[lvl], lvl) for lvl in levels]
-        assert all(a < b for a, b in zip(positions, positions[1:]))
-
 
 def kc_allocate(lengths: Iterable[int]) -> list[str]:
     """Allocate codewords for a whole request sequence in order."""

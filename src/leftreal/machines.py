@@ -24,7 +24,10 @@ budget; a cut downgrades affected queries to upper bounds, never silently.
 ``complexity``, the halting-probability sums and ``outputs_of_length`` read
 the instruction set directly; only ``enumerate_domain`` lists programs.
 ``complexity`` learns the shortest cut length from a walk that counts
-nothing; the sums and the listing read ``domain_census``.
+nothing; the sums and the listing read ``domain_census``.  Each table
+builds its query summary once, when it is validated: the shortest key per
+output and the sorted output lengths per key length, which the census,
+the cut walk, ``complexity`` and ``outputs_of_length`` read.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections import defaultdict
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby
 from typing import TYPE_CHECKING, NamedTuple, Union
 
@@ -171,14 +174,6 @@ class RunOutcome(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _all_bits(strings: Iterable[str]) -> bool:
-    """Whether every item is a bit string, read over all of them joined."""
-    try:
-        return not "".join(strings).encode("utf-8", "surrogatepass").translate(None, b"01")
-    except TypeError:  # an item that is not a str
-        return False
-
-
 def _short_id(kind: str, blob: str) -> str:
     """``kind-`` and the first 12 hex digits of the SHA-256 of ``blob``."""
     import hashlib  # only machine ids hash, and most commands ask for none
@@ -189,46 +184,37 @@ def _short_id(kind: str, blob: str) -> str:
 class TableMachine(Record):
     """Finite prefix-free machine given by an explicit program table.
 
-    Validation sorts the keys once, and the same pass builds the summary
-    that queries read: ``mapping``, ``shortest`` (output -> its shortest
-    program, the lexicographically least), ``longest_output`` (program
-    length -> the longest output of its entries) and ``max_program_length``.
-    Only ``entries`` is a field, so equality, hashing and repr read it alone.
+    Validation checks every string's bits, then sorts the keys once, and
+    the same pass builds the summary that queries read: ``mapping``,
+    ``shortest`` (output -> its shortest program, the lexicographically
+    least), ``output_lengths`` (program length -> the sorted output lengths
+    of its entries) and ``max_program_length``.  Only ``entries`` is a
+    field, so equality, hashing and repr read it alone.
     """
 
     _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[str, str], ...]):
+        for k, v in entries:  # before the sort, which a non-str key breaks
+            check_bits(k)
+            check_bits(v)
         keys = sorted(k for k, _ in entries)
-        if not (_all_bits(keys) and _all_bits([v for _, v in entries])):
-            for k, v in entries:  # name the first string that is not a bit string
-                check_bits(k)
-                check_bits(v)
         mapping = dict(entries)
         if len(mapping) < len(entries):
             dup = next(a for a, b in zip(keys, keys[1:]) if a == b)
             raise ValueError(f"duplicate program {dup!r} in table")
-        if any(map(str.startswith, keys[1:], keys)):
-            check_prefix_free(keys)  # names the first pair
+        check_prefix_free(keys)
         self.entries = entries
         self.mapping = mapping
         keys.sort(key=len)  # a stable sort, so now in (length, key) order
         # the last write of an output wins, so the least key is written last
         least_last = keys[::-1]
         self.shortest = dict(zip(map(mapping.__getitem__, least_last), least_last))
-        self.longest_output = {
-            klen: max(map(len, map(mapping.__getitem__, group)))
+        self.output_lengths = {
+            klen: sorted(map(len, map(mapping.__getitem__, group)))
             for klen, group in groupby(keys, len)
         }
         self.max_program_length = len(keys[-1]) if keys else 0
-
-    @cached_property
-    def output_lengths(self) -> dict[int, list[int]]:
-        """Map program length -> the sorted output lengths of its entries."""
-        by_length = defaultdict(list)
-        for key, val in self.entries:
-            by_length[len(key)].append(len(val))
-        return {l: sorted(outs) for l, outs in by_length.items()}
 
     @property
     def id(self) -> str:
@@ -254,21 +240,15 @@ class Interpreter(Record):
 
     def __init__(self, aux: tuple[TableMachine, ...] = ()):
         self.aux = aux
+        # per table: its call header and its output -> shortest key map
+        self._calls = tuple((CALL.header(i), m.shortest) for i, m in enumerate(aux, 1))
+        # (L, t) -> the shortest program length t cuts, filled on demand
+        self._first_cut: dict[tuple[int, int], Union[int, float]] = {}
 
     @property
     def id(self) -> str:
         blob = "|".join(m.id for m in self.aux)
         return _short_id("interp", blob)
-
-    @cached_property
-    def _calls(self) -> tuple[tuple[str, dict[str, str]], ...]:
-        """Per auxiliary table: its call header and its output -> shortest key map."""
-        return tuple((CALL.header(i), aux.shortest) for i, aux in enumerate(self.aux, 1))
-
-    @cached_property
-    def _first_cut(self) -> dict[tuple[int, int], Union[int, float]]:
-        """Map (L, t) -> the shortest program length t cuts, filled on demand."""
-        return {}
 
     # -- running ------------------------------------------------------------
 
@@ -432,7 +412,8 @@ def _first_cut_length(machine: Interpreter, budget: Budget) -> Union[int, float]
 
     It walks the census's header classes under the census's guard, skips
     every class at or past the shortest cut found so far, and reads one
-    number per table and key length, the longest output.
+    number per table and key length: the last of its sorted
+    ``output_lengths``, the longest output.
     """
     _guard_classes(budget)
     t = budget.t
@@ -448,8 +429,8 @@ def _first_cut_length(machine: Interpreter, budget: Budget) -> Union[int, float]
         n += 1
     for i, aux in enumerate(machine.aux, start=1):
         head = CALL.header_length(i)
-        for klen, olen in aux.longest_output.items():
-            if (length := head + klen) < best and length + olen > t:
+        for klen, olens in aux.output_lengths.items():
+            if (length := head + klen) < best and length + olens[-1] > t:
                 best = length
     # the repeat class of counts low .. 2*low - 1 is cut when its largest
     # count runs past t.  Doubling low adds 2 bits and more steps, so the
@@ -483,11 +464,8 @@ class DomainEnumeration(NamedTuple):
 
 
 def _list_table(m: TableMachine, b: Budget) -> list[tuple[str, str]]:
-    by_length = defaultdict(list)
-    for key, val in m.entries:
-        if len(key) <= b.L:
-            by_length[len(key)].append((key, val))
-    return [kv for l in sorted(by_length) for kv in sorted(by_length[l])]
+    fits = (kv for kv in m.entries if len(kv[0]) <= b.L)
+    return sorted(fits, key=lambda kv: (len(kv[0]), kv[0]))
 
 
 def _list_interpreter(m: Interpreter, b: Budget) -> list[tuple[str, str]]:
@@ -632,8 +610,8 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
     call reads the table's ``shortest``, built when the table was
     validated.  The value is exact when no program as short as it is cut:
     the shortest cut length comes, once per (L, t), from a walk of the
-    header classes that counts nothing and reads one longest output per
-    table and key length (``_first_cut_length``), not from the census.
+    header classes that counts nothing and reads each table's
+    ``output_lengths`` (``_first_cut_length``), not from the census.
     """
     if target.__class__ is not str or target.strip("01"):
         check_bits(target)

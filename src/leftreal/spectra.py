@@ -42,12 +42,6 @@ class ComplexityProfile(NamedTuple):
     budget: Budget
     stream_label: str = ""
 
-    def value_at(self, n: int) -> ComplexityValue:
-        for k, v in self.entries:
-            if k == n:
-                return v
-        raise KeyError(n)
-
 
 def profile(
     machine: PrefixMachine, x: BitStream, n_max: int, budget: Budget

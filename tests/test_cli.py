@@ -60,6 +60,19 @@ def test_usage_error_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+MIXED_KEYS_JSON = {"kind": "table", "entries": [[5, "1"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "doc", [MIXED_KEYS_JSON, {"kind": "interpreter", "aux": [MIXED_KEYS_JSON]}]
+)
+def test_machine_validate_names_a_non_str_key(tmp_path, capsys, doc):
+    # the keys are checked before they are sorted, which a non-str key breaks
+    code = main(["machine", "validate", write(tmp_path, "mixed.json", doc)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: not a bit string: 5\n"
+
+
 # bad fields, each with the spec, request or profile row its error quotes
 QUOTED = {
     "construct join --a evens:x --b evens:4": "evens:x",

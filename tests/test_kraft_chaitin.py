@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from leftreal import kraft_chaitin
 from leftreal.errors import BudgetGuard, WeightExceeded
-from leftreal.foundations import ONE, ZERO, half_power
+from leftreal.foundations import ONE, ZERO, Dyadic, half_power
 from leftreal.kraft_chaitin import KCAllocator, kc_allocate, kc_build_machine
 from leftreal.machines import Budget, complexity
 
@@ -19,6 +19,14 @@ def brute_force_prefix_free(words):
         if a.startswith(b) or b.startswith(a):
             return False
     return True
+
+
+def check_free_blocks(alloc):
+    """The interval discipline: the free blocks, largest first, lie left to
+    right."""
+    levels = sorted(alloc._free, reverse=True)
+    positions = [Dyadic.of(alloc._free[lvl], lvl) for lvl in levels]
+    assert all(a < b for a, b in zip(positions, positions[1:]))
 
 
 def test_leftmost_fit_examples():
@@ -72,7 +80,7 @@ def test_admissible_sequences_always_succeed(lengths):
     words = [alloc.request(l) for l in lengths]
     assert [len(w) for w in words] == lengths
     assert brute_force_prefix_free(words)
-    alloc.check_invariants()
+    check_free_blocks(alloc)
     free = alloc.free_weight()
     assert Fraction(free.num, 2**free.exp) == 1 - sum(Fraction(1, 2**l) for l in lengths)
 
@@ -117,7 +125,7 @@ def outcome(alloc, length):
 def test_allocator_matches_list_ledger_oracle(lengths):
     alloc, oracle = KCAllocator(), ListLedgerAllocator()
     assert [outcome(alloc, l) for l in lengths] == [outcome(oracle, l) for l in lengths]
-    alloc.check_invariants()
+    check_free_blocks(alloc)
     assert alloc.free_weight() == ONE - oracle.committed
 
 

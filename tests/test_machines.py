@@ -129,12 +129,13 @@ def test_random_prefix_codes_from_allocator_validate():
 
 
 def _parent_table_init(entries):
-    """``TableMachine.__init__`` before it built the query summary: the
-    oracle for what a malformed table raises."""
-    keys = sorted(k for k, _ in entries)
+    """``TableMachine.__init__`` before it built the query summary, with the
+    bits checked before the sort: the oracle for what a malformed table
+    raises.  Sorting first raised a ``TypeError`` on a non-str key."""
     for k, v in entries:
         check_bits(k)
         check_bits(v)
+    keys = sorted(k for k, _ in entries)
     for a, b in zip(keys, keys[1:]):
         if a == b:
             raise ValueError(f"duplicate program {a!r} in table")
@@ -176,7 +177,7 @@ def test_table_summary_matches_the_parent_loops(entries):
     assert m.entries is entries
     assert m.mapping == dict(entries)
     assert m.shortest == _parent_shortest(entries)
-    assert m.longest_output == {l: max(olens) for l, olens in by_length.items()}
+    assert m.output_lengths == {l: sorted(olens) for l, olens in by_length.items()}
     assert m.max_program_length == max((len(k) for k, _ in entries), default=0)
 
 
@@ -857,9 +858,8 @@ class _UnwalkableTable(TableMachine):
     def _refuse(self):
         raise AssertionError("walked the header classes past the census guard")
 
-    # the constructor's write of the longest outputs is dropped
-    longest_output = property(_refuse, lambda self, value: None)
-    output_lengths = property(_refuse)
+    # the constructor's write of the output lengths is dropped
+    output_lengths = property(_refuse, lambda self, value: None)
 
 
 def test_budget_guard_trips():

@@ -16,7 +16,7 @@ from leftreal.errors import (
     RateError,
     WeightExceeded,
 )
-from leftreal.foundations import BitStream, Dyadic, strings_of_length
+from leftreal.foundations import ZERO, BitStream, Dyadic, strings_of_length
 from leftreal.kraft_chaitin import KCAllocator, kc_allocate, kc_build_machine
 from leftreal.machines import (
     CALL,
@@ -83,8 +83,8 @@ def test_level_weight_small_example():
 
 def test_level_weight_empty_level():
     fam = TestFamily.explicit([[]], TestKind.MARTIN_LOF)
-    assert level_weight(fam, 0).is_zero()
-    assert level_weight(fam, 7).is_zero()
+    assert level_weight(fam, 0) == ZERO
+    assert level_weight(fam, 7) == ZERO
 
 
 def test_level_weight_deduplicates():

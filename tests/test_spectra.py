@@ -41,7 +41,7 @@ def third_approximants():
 
 def test_profile_empty_prefix_is_cheap():
     p = profile(INTERP, BitStream.periodic("01"), 0, Budget(10, 100))
-    v = p.value_at(0)
+    v = dict(p.entries)[0]
     assert v.value == 2  # the empty-payload literal
 
 
