@@ -133,7 +133,11 @@ class _Output:
 
 
 def _load_json(out: _Output, path: str) -> Any:
-    return json.loads(out.record_input(path))
+    data = out.record_input(path)
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise SpecError(f"{path} nests its JSON too deeply to read") from None
 
 
 def _registry_resolver(out: _Output):
@@ -213,10 +217,12 @@ def _load_requests(out: _Output, path: str) -> list:
         raise SpecError("KC request lengths must be integers")
     parsed = []
     for l, p in requests:
-        spec = json.dumps([l, p])
         if not isinstance(p, str) or p.strip("01"):
+            spec = json.dumps([l, p])
             raise SpecError(f"KC request {spec!r} has a payload that is not a bit string")
-        parsed.append((_ints(str(l), spec, 1)[0], p))
+        if type(l) is not int:  # a string, or a bool, which _ints refuses
+            l = _ints(str(l), json.dumps([l, p]), 1)[0]
+        parsed.append((l, p))
     return parsed
 
 
@@ -339,7 +345,6 @@ def _cmd_dim(out: _Output, args) -> int:
     text = out.record_input(args.profile).decode()
     statuses = {s.value: s for s in KStatus}
     entries = []
-    budget = Budget(0, 0)
     for line in text.splitlines():
         if line.startswith("#") or line.startswith("n,") or not line.strip():
             continue
@@ -350,11 +355,8 @@ def _cmd_dim(out: _Output, args) -> int:
         value = float("inf") if fields[1] == "inf" else _ints(fields[1], line, 1)[0]
         if min(n, value, l, t) < 0:
             raise SpecError(f"profile row {line!r} has a negative field")
-        budget = Budget(l, t)
-        entries.append((n, ComplexityValue(value, statuses[fields[2]], budget)))
-    est = dim_window(
-        ComplexityProfile("from-csv", entries, budget), args.n0, args.n1
-    )
+        entries.append((n, ComplexityValue(value, statuses[fields[2]], Budget(l, t))))
+    est = dim_window(ComplexityProfile(entries), args.n0, args.n1)
     out.emit_json({"dim_estimate": dim_to_json(est)})
     return 0
 

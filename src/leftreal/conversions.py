@@ -248,8 +248,6 @@ class LcToRocResult(NamedTuple):
     exhausted_at: Optional[int] = None
     dyadic_shortcut: bool = False
     reason: str = ""
-    machine_id: str = ""
-    rate_label: str = ""
 
     @property
     def complete(self) -> bool:
@@ -319,13 +317,7 @@ def lc_to_roc(
         s_values.append(found)
 
     name = block_name(map(xs.at, s_values[1:]), f"roc({xs.label})")
-    return LcToRocResult(
-        s_values=s_values,
-        name=name,
-        exhausted_at=exhausted_at,
-        machine_id=getattr(machine, "id", ""),
-        rate_label=r.label,
-    )
+    return LcToRocResult(s_values=s_values, name=name, exhausted_at=exhausted_at)
 
 
 class TailBound(NamedTuple):

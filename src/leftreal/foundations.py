@@ -129,9 +129,6 @@ class Dyadic:
             (self.num << (e - self.exp)) - (other.num << (e - other.exp)), e
         )
 
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.num, self.exp)
-
     def shift(self, k: int) -> "Dyadic":
         """Multiply by ``2**k`` (``k`` may be negative)."""
         return Dyadic.of(self.num, self.exp - k)

@@ -93,32 +93,41 @@ def machine_to_json(m: PrefixMachine) -> dict:
     return {"kind": "interpreter", "aux": [machine_to_json(a) for a in m.aux]}
 
 
-def machine_from_json(obj: Any, resolver=None) -> PrefixMachine:
-    """Decode a machine document; ``aux`` entries may be inline documents
-    or id strings handed to ``resolver``."""
-    from .machines import Interpreter, TableMachine
-
+def _machine_document(obj: Any, resolver) -> dict:
+    """``obj``, or the document its id string names through ``resolver``,
+    checked to have a known ``kind``."""
     if isinstance(obj, str):
         if resolver is None:
             raise SpecError(f"machine id {obj!r} given but no registry available")
-        return machine_from_json(resolver(obj), resolver)
+        obj = resolver(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError("machine document needs a 'kind' field")
-    if obj["kind"] == "table":
-        entries = pairs_from_json(obj.get("entries", []), "table entries")
+    if obj["kind"] not in ("table", "interpreter"):
+        raise SpecError(f"unknown machine kind {obj['kind']!r}")
+    return obj
+
+
+def machine_from_json(obj: Any, resolver=None) -> PrefixMachine:
+    """Decode a machine document; it and its ``aux`` entries may be inline
+    documents or id strings handed to ``resolver``.  An ``aux`` entry is
+    decoded only as a table, so an id never resolves past the second level
+    and a registry cycle ends in an error."""
+    from .machines import Interpreter, TableMachine
+
+    doc = _machine_document(obj, resolver)
+    if doc["kind"] == "table":
+        entries = pairs_from_json(doc.get("entries", []), "table entries")
         return TableMachine(tuple((k, v) for k, v in entries))
-    if obj["kind"] == "interpreter":
-        aux = []
-        subs = obj.get("aux", [])
-        if not isinstance(subs, list):
-            raise SpecError("interpreter 'aux' must be a list of machines")
-        for sub in subs:
-            sub_m = machine_from_json(sub, resolver)
-            if not isinstance(sub_m, TableMachine):
-                raise SpecError("interpreter auxiliaries must be table machines")
-            aux.append(sub_m)
-        return Interpreter(aux=tuple(aux))
-    raise SpecError(f"unknown machine kind {obj['kind']!r}")
+    subs = doc.get("aux", [])
+    if not isinstance(subs, list):
+        raise SpecError("interpreter 'aux' must be a list of machines")
+    aux = []
+    for sub in subs:
+        sub = _machine_document(sub, resolver)
+        if sub["kind"] != "table":
+            raise SpecError("interpreter auxiliaries must be table machines")
+        aux.append(machine_from_json(sub))
+    return Interpreter(aux=tuple(aux))
 
 
 # ---------------------------------------------------------------------------

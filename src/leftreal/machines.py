@@ -5,14 +5,16 @@ Two machine flavors:
 * ``TableMachine`` -- a finite map with prefix-free key set.
 * ``Interpreter`` -- a fixed reference machine whose halting programs are
   prefix-free by construction (every read is self-delimiting).  Its
-  instruction set is bit-exact:
+  instruction set is bit-exact, a tag and gamma-coded header numbers
+  (``header``) followed by a body:
 
-  - ``0``  literal: gamma(len(payload) + 1), then the payload bits.
-  - ``10`` repeat: gamma(output length), gamma(pattern length), pattern
-    bits; the output is the first *output length* bits of the pattern
-    repeated forever.
-  - ``11`` table call: gamma(1-based index of a registered auxiliary
-    table machine), then one program of that machine.
+  - ``LITERAL`` ``0``: gamma(len(payload) + 1), then the payload bits
+    (``literal_length``).
+  - ``REPEAT`` ``10``: gamma(output length), gamma(pattern length), pattern
+    bits (``repeat_length``); the output is the first *output length* bits
+    of the pattern repeated forever (``repeat_output``).
+  - ``CALL`` ``11``: gamma(1-based index of a registered auxiliary table
+    machine), then one program of that machine.
 
   Elias gamma of ``n >= 1`` is ``floor(log2 n)`` zeros followed by the
   binary digits of ``n``; it is itself a prefix code, which keeps every
@@ -53,7 +55,7 @@ from .foundations import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
-    from typing import Callable, Iterable, Iterator, Optional
+    from typing import Iterable, Optional
 
 INFINITE = float("inf")  # order sentinel for "no program"; never used in arithmetic
 
@@ -94,48 +96,28 @@ def gamma_parse(s: str, pos: int) -> Optional[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-class Opcode(Record):
-    """One instruction: ``tag``, a gamma-coded number per header field, a body.
-
-    For a literal or a repeat, ``lengths(*nums)`` is the body length and the
-    output length that the header numbers fix, and ``outputs(bodies, *nums)``
-    lists the output of each body.  A table call's body is a program of the
-    table its header names, so it has neither.
-    """
-
-    __slots__ = _fields = ("tag", "fields", "lengths", "outputs")
-    __eq__ = object.__eq__  # each opcode is its own singleton
-    __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        tag: str,
-        fields: tuple[str, ...],
-        lengths: Optional[Callable[..., tuple[int, int]]] = None,
-        outputs: Optional[Callable[..., list[str]]] = None,
-    ):
-        self.tag = tag
-        self.fields = fields
-        self.lengths = lengths
-        self.outputs = outputs
-
-    @lru_cache(maxsize=4096)  # short headers recur: witnesses and listings rebuild them
-    def header(self, *nums: int) -> str:
-        return self.tag + "".join(map(gamma_encode, nums))
-
-    def header_length(self, *nums: int) -> int:
-        return len(self.tag) + sum(map(gamma_length, nums))
+LITERAL, REPEAT, CALL = "0", "10", "11"  # the tags, a complete prefix code
 
 
-def _repeat(patterns: list[str], count: int, plen: int) -> list[str]:
-    reps = -(-count // plen)
-    return [(pattern * reps)[:count] for pattern in patterns]
+@lru_cache(maxsize=4096)  # short headers recur: witnesses and listings rebuild them
+def header(tag: str, *nums: int) -> str:
+    """An instruction's header: its tag, then each header number gamma-coded."""
+    return tag + "".join(map(gamma_encode, nums))
 
 
-LITERAL = Opcode("0", ("len(payload) + 1",), lambda n: (n - 1, n - 1), lambda ps, n: ps)
-REPEAT = Opcode("10", ("output length", "pattern length"), lambda c, p: (p, c), _repeat)
-CALL = Opcode("11", ("auxiliary table index",))
-OPCODES = (LITERAL, REPEAT, CALL)
+def literal_length(n: int) -> int:
+    """Bits of a literal of header number ``n``: tag, gamma(n), ``n - 1`` payload bits."""
+    return len(LITERAL) + gamma_length(n) + n - 1
+
+
+def repeat_length(count: int, plen: int) -> int:
+    """Bits of a repeat: tag, gamma(count), gamma(plen), ``plen`` pattern bits."""
+    return len(REPEAT) + gamma_length(count) + gamma_length(plen) + plen
+
+
+def repeat_output(pattern: str, count: int) -> str:
+    """The first ``count`` bits of ``pattern`` repeated forever."""
+    return (pattern * -(-count // len(pattern)))[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +223,7 @@ class Interpreter(Record):
     def __init__(self, aux: tuple[TableMachine, ...] = ()):
         self.aux = aux
         # per table: its call header and its output -> shortest key map
-        self._calls = tuple((CALL.header(i), m.shortest) for i, m in enumerate(aux, 1))
+        self._calls = tuple((header(CALL, i), m.shortest) for i, m in enumerate(aux, 1))
         # (L, t) -> the shortest program length t cuts, filled on demand
         self._first_cut: dict[tuple[int, int], Union[int, float]] = {}
 
@@ -261,22 +243,23 @@ class Interpreter(Record):
         """
         # the tags form a complete prefix code, so no match means s is a
         # proper prefix of a tag
-        op = next((op for op in OPCODES if s.startswith(op.tag)), None)
-        if op is None:
+        tag = next((tag for tag in (LITERAL, REPEAT, CALL) if s.startswith(tag)), None)
+        if tag is None:
             return "incomplete", None, 0
         nums = []
-        pos = len(op.tag)
-        for _ in op.fields:
+        pos = len(tag)
+        for _ in range(2 if tag == REPEAT else 1):
             g = gamma_parse(s, pos)
             if g is None:
                 return "incomplete", None, 0
             n, pos = g
             nums.append(n)
-        if op is not CALL:
-            end = pos + op.lengths(*nums)[0]
+        if tag != CALL:
+            end = pos + (nums[0] - 1 if tag == LITERAL else nums[1])
             if len(s) < end:
                 return "incomplete", None, 0
-            return "ok", op.outputs([s[pos:end]], *nums)[0], end
+            body = s[pos:end]
+            return "ok", body if tag == LITERAL else repeat_output(body, nums[0]), end
         (idx,) = nums
         if not 1 <= idx <= len(self.aux):
             return "undefined", None, 0
@@ -317,22 +300,6 @@ PrefixMachine = Union[TableMachine, Interpreter]
 # ---------------------------------------------------------------------------
 
 
-def _headers(op: Opcode, L: int, nums: tuple = ()) -> Iterator[tuple[int, ...]]:
-    """Header numbers of every ``op`` program of at most ``L`` bits.
-
-    Program length grows with each header number, so each number counts up
-    from 1 until the program, with the later numbers at 1, stops fitting.
-    """
-    if len(nums) == len(op.fields):
-        yield nums
-        return
-    ones = (1,) * (len(op.fields) - len(nums) - 1)
-    n = 1
-    while op.header_length(*nums, n, *ones) + op.lengths(*nums, n, *ones)[0] <= L:
-        yield from _headers(op, L, nums + (n,))
-        n += 1
-
-
 def _guard_classes(budget: Budget) -> None:
     """Refuse a walk of the interpreter's header classes past ``MAX_BUILT``."""
     L = budget.L
@@ -365,20 +332,20 @@ def domain_census(
         return {l: len(olens) for l, olens in lengths if l <= budget.L}, frozenset()
     _guard_classes(budget)
     L, t = budget.L, budget.t
-    # |gamma(k)| = 2 * k.bit_length() - 1
     counts: dict[int, int] = defaultdict(int)
     cut = set()
-    # the literal of header number n has 1 + |gamma(n)| + n - 1 bits and
-    # outputs its n - 1 body bits
-    n = 1
-    while (length := n + 2 * n.bit_length() - 1) <= L:
+    # the literal of header number n outputs its n - 1 body bits; the next
+    # n adds a body bit, and two gamma bits when it is a power of 2
+    n, length = 1, literal_length(1)
+    while length <= L:
         if length + n - 1 <= t:
             counts[length] += 1 << (n - 1)
         else:
             cut.add(length)
         n += 1
+        length += 1 if n & (n - 1) else 3
     for i, aux in enumerate(machine.aux, start=1):
-        head = CALL.header_length(i)
+        head = len(header(CALL, i))
         for klen, olens in aux.output_lengths.items():
             if (length := head + klen) <= L:
                 halting = bisect_right(olens, t - length)
@@ -386,11 +353,11 @@ def domain_census(
                     counts[length] += halting
                 if halting < len(olens):
                     cut.add(length)
-    # a repeat of pattern length p and count c has 2 + |gamma(c)| +
-    # |gamma(p)| + p bits, and the counts low .. 2*low - 1 share a length
-    p = 1
-    while (length := p + 2 * p.bit_length() + 2) <= L:
-        low = 1
+    # the repeat counts low .. 2*low - 1 share a gamma length, so a class of
+    # pattern length p; doubling low adds 2 bits, and p steps like n above
+    p, shortest = 1, repeat_length(1, 1)
+    while shortest <= L:
+        length, low = shortest, 1
         while length <= L:
             # the counts from low up to t - length halt; past L = 130 a
             # class holds 2**63 counts or more, so it is counted, never sized
@@ -402,6 +369,7 @@ def domain_census(
             length += 2
             low <<= 1
         p += 1
+        shortest += 1 if p & (p - 1) else 3
     return dict(counts), frozenset(cut)
 
 
@@ -413,7 +381,9 @@ def _first_cut_length(machine: Interpreter, budget: Budget) -> Union[int, float]
     It walks the census's header classes under the census's guard, skips
     every class at or past the shortest cut found so far, and reads one
     number per table and key length: the last of its sorted
-    ``output_lengths``, the longest output.
+    ``output_lengths``, the longest output.  It runs on every query at a
+    fresh (L, t), so it inlines ``literal_length`` and ``repeat_length`` in
+    bit-length arithmetic, ``|gamma(k)| = 2 * k.bit_length() - 1``.
     """
     _guard_classes(budget)
     t = budget.t
@@ -422,13 +392,13 @@ def _first_cut_length(machine: Interpreter, budget: Budget) -> Union[int, float]
     # the first literal cut is the shortest; header number n runs in
     # 2n + 2 * n.bit_length() - 2 steps, so none below the start is cut
     n = max(1, t // 2 - t.bit_length())
-    while (length := n + 2 * n.bit_length() - 1) < best:
+    while (length := n + 2 * n.bit_length() - 1) < best:  # literal_length(n)
         if length + n - 1 > t:
             best = length
             break
         n += 1
     for i, aux in enumerate(machine.aux, start=1):
-        head = CALL.header_length(i)
+        head = len(header(CALL, i))
         for klen, olens in aux.output_lengths.items():
             if (length := head + klen) < best and length + olens[-1] > t:
                 best = length
@@ -437,7 +407,7 @@ def _first_cut_length(machine: Interpreter, budget: Budget) -> Union[int, float]
     # classes of one pattern length are cut from some low on: none is when
     # the last one shorter than best, with low = 2**k, is not
     p = 1
-    while (length := p + 2 * p.bit_length() + 2) < best:
+    while (length := p + 2 * p.bit_length() + 2) < best:  # repeat_length(1, p)
         k = (best - 1 - length) // 2
         if length + 2 * k + (2 << k) - 1 > t:
             low = 1
@@ -472,15 +442,24 @@ def _list_interpreter(m: Interpreter, b: Budget) -> list[tuple[str, str]]:
     # Headers are prefix-free, so at one program length the order of the
     # headers is the order of their programs, and a header's bodies come
     # out in lexicographic order: only the headers need sorting.
+    # length -> (header, body length, repeat count or None for a literal),
+    # or (table call program, None, its output)
     by_length: dict[int, list] = defaultdict(list)
-    for op in (LITERAL, REPEAT):
-        for nums in _headers(op, b.L):
-            head = op.header(*nums)
-            blen, olen = op.lengths(*nums)
-            if len(head) + blen + olen <= b.t:
-                by_length[len(head) + blen].append((head, op, nums))
+    n = 1
+    while (length := literal_length(n)) <= b.L:
+        if length + n - 1 <= b.t:
+            by_length[length].append((header(LITERAL, n), n - 1, None))
+        n += 1
+    plen = 1
+    while repeat_length(1, plen) <= b.L:
+        count = 1
+        while (length := repeat_length(count, plen)) <= b.L:
+            if length + count <= b.t:
+                by_length[length].append((header(REPEAT, count, plen), plen, count))
+            count += 1
+        plen += 1
     for i, aux in enumerate(m.aux, start=1):
-        head = CALL.header(i)
+        head = header(CALL, i)
         for key, val in aux.entries:
             length = len(head) + len(key)
             if length <= b.L and length + len(val) <= b.t:
@@ -488,12 +467,13 @@ def _list_interpreter(m: Interpreter, b: Budget) -> list[tuple[str, str]]:
 
     pairs: list[tuple[str, str]] = []
     for length in sorted(by_length):
-        for head, op, x in sorted(by_length[length]):  # headers are distinct
-            if op is None:
+        for head, blen, x in sorted(by_length[length]):  # headers are distinct
+            if blen is None:  # a table call, whole, with its output
                 pairs.append((head, x))
-            else:
-                bodies = strings_of_length(op.lengths(*x)[0])
-                pairs += zip([head + p for p in bodies], op.outputs(bodies, *x))
+                continue
+            bodies = strings_of_length(blen)
+            outs = bodies if x is None else [repeat_output(p, x) for p in bodies]
+            pairs += zip([head + p for p in bodies], outs)
     return pairs
 
 
@@ -533,21 +513,24 @@ def outputs_of_length(machine: PrefixMachine, out_len: int, max_len: int, t: int
         calls, fit, plens = machine._calls, min(max_len, t - out_len), range(1, max_len)
     found, size = [], 0  # (program length, repeat header or call program, plen or output)
     for plen in plens:  # program length grows with the pattern length
-        if (length := REPEAT.header_length(out_len, plen) + plen) > fit:
+        if (length := repeat_length(out_len, plen)) > fit:
             break
         if (size := size + (1 << plen)) > MAX_BUILT:
             raise BudgetGuard(
                 f"a level of {out_len}-bit strings would hold over {MAX_BUILT}; "
                 "no budget lifts this guard"
             )
-        found.append((length, REPEAT.header(out_len, plen), plen))
+        found.append((length, header(REPEAT, out_len, plen), plen))
     for head, shortest in calls:
         for out, key in shortest.items():
             if len(out) == out_len and len(head) + len(key) <= fit:
                 found.append((len(head) + len(key), head + key, out))
     outs: list[str] = []
     for _, _, x in sorted(found):  # programs are distinct; a repeat's tag sorts first
-        outs += [x] if isinstance(x, str) else REPEAT.outputs(strings_of_length(x), out_len, x)
+        if isinstance(x, str):
+            outs.append(x)
+        else:
+            outs += [repeat_output(p, out_len) for p in strings_of_length(x)]
     return list(dict.fromkeys(outs))
 
 
@@ -619,18 +602,19 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
         return _table_complexity(machine, target, budget)
     # A program fits when it has at most L bits and runs within t steps, one
     # per program bit and per output bit; ``best`` is the length to beat.
-    # Gamma lengths are |gamma(k)| = 2 * k.bit_length() - 1.  Only the
-    # winning opcode is kept; its witness is built once, at the end.
+    # The body runs in one frame, so it inlines ``literal_length`` and
+    # ``repeat_length`` with |gamma(k)| = 2 * k.bit_length() - 1.  Only the
+    # winning tag is kept; its witness is built once, at the end.
     n = len(target)
     best = budget.t - n
     if budget.L < best:
         best = budget.L
     best += 1
-    op = None
-    length = n + 2 * (n + 1).bit_length()  # the literal, 1 + |gamma(n + 1)| + n bits
+    tag = None
+    length = n + 2 * (n + 1).bit_length()  # literal_length(n + 1)
     if length < best:
-        best, op = length, LITERAL
-    # the repeat of period q has 2 + |gamma(n)| + |gamma(q)| + q bits
+        best, tag = length, LITERAL
+    # the repeat of period q has repeat_length(n, q) bits
     qmax = best - 3 - 2 * n.bit_length()  # |gamma(q)| >= 1 bounds the period that fits
     if qmax >= n:
         qmax = n - 1
@@ -640,20 +624,20 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
         while q != -1 and not target.startswith(target[q:]):
             q = target.find(start, q + 1)
         if q != -1 and (length := 2 * (n.bit_length() + q.bit_length()) + q) < best:
-            best, op = length, REPEAT
+            best, tag = length, REPEAT
     for head, shortest in machine._calls:
         key = shortest.get(target)
         if key is None:
             continue
         length = len(head) + len(key)
-        if length < best or (length == best and op is CALL and head + key < witness):
-            best, op, witness = length, CALL, head + key
-    if op is None:
+        if length < best or (length == best and tag == CALL and head + key < witness):
+            best, tag, witness = length, CALL, head + key
+    if tag is None:
         return tuple.__new__(ComplexityValue, (INFINITE, KStatus.UNKNOWN, budget, None))
-    if op is LITERAL:
-        witness = op.header(n + 1) + target
-    elif op is REPEAT:
-        witness = op.header(n, q) + target[:q]
+    if tag == LITERAL:
+        witness = header(LITERAL, n + 1) + target
+    elif tag == REPEAT:
+        witness = header(REPEAT, n, q) + target[:q]
     L_t = (budget.L, budget.t)
     cut = machine._first_cut.get(L_t)
     if cut is None:

@@ -294,7 +294,6 @@ class KurtzStatus(enum.Enum):
 class KurtzReport(NamedTuple):
     status: KurtzStatus
     witness: Optional[str] = None
-    total_weight: Optional[Dyadic] = None
 
 
 def kurtz_witness_check(
@@ -327,5 +326,5 @@ def kurtz_witness_check(
         )
     witness = next((s for s in collected if x.prefix(len(s)) == s), None)
     if witness is None:
-        return KurtzReport(KurtzStatus.NOT_FOUND_AT_STAGE, total_weight=total)
-    return KurtzReport(KurtzStatus.PREFIX_FOUND, witness=witness, total_weight=total)
+        return KurtzReport(KurtzStatus.NOT_FOUND_AT_STAGE)
+    return KurtzReport(KurtzStatus.PREFIX_FOUND, witness=witness)

@@ -35,12 +35,9 @@ if TYPE_CHECKING:
 
 
 class ComplexityProfile(NamedTuple):
-    """Per-prefix complexity entries ``(n, value)`` under one budget."""
+    """Per-prefix complexity entries ``(n, value)``; each value carries its budget."""
 
-    machine_id: str
     entries: list[tuple[int, ComplexityValue]]
-    budget: Budget
-    stream_label: str = ""
 
 
 def profile(
@@ -49,12 +46,7 @@ def profile(
     x._read(n_max)
     bits = x.prefix(n_max)
     entries = [(n, complexity(machine, bits[:n], budget)) for n in range(n_max + 1)]
-    return ComplexityProfile(
-        machine_id=getattr(machine, "id", "?"),
-        entries=entries,
-        budget=budget,
-        stream_label=x.label,
-    )
+    return ComplexityProfile(entries)
 
 
 class DimEstimate(NamedTuple):

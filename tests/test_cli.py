@@ -84,6 +84,7 @@ QUOTED = {
     "immunity hhi --set evens:10 --block 1,x --horizon 10": "1,x",
     "kc alloc {str_length}": '["x", "0"]',
     "kc alloc {bad_payload}": "[5, 7]",
+    "kc alloc {bool_length}": '[true, "0"]',
     "dim {negative_l_row} --n0 0 --n1 1": "1,2,exact,-3,4",
     "dim {negative_t_row} --n0 0 --n1 1": "1,2,exact,3,-4",
     "dim {negative_k_row} --n0 1 --n1 5": "1,-2,exact,3,4",
@@ -148,6 +149,7 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
         "int_payload": [[5, 7]],  # a payload must be a bit string
         "bad_levels": {"family": {"kind": "strong-kurtz", "levels": 5}},
         "str_length": [["x", "0"]],
+        "bool_length": [[1, "1"], [True, "0"]],
         "bad_payload": [[5, 7], [2, "0x"]],
         "overlong": [[1048577, "0"]],
         "short_row": "1,2\n",
@@ -185,6 +187,13 @@ def test_malformed_spec_error_quotes_the_spec(capsys, name, rate):
     bad = name if rate == "shift:2" else rate
     assert code == 1 and err.count("\n") == 1
     assert err.startswith(f"error: spec {bad!r} ")
+
+
+def test_kc_alloc_reads_integer_string_lengths(tmp_path, capsys):
+    as_ints = write(tmp_path, "ints.json", [[1, "0"], [2, "01"], [2, "10"]])
+    as_strs = write(tmp_path, "strs.json", [["1", "0"], [2, "01"], [" 2", "10"]])
+    codes = [json.loads(run(capsys, "kc", "alloc", p)[1])["codewords"] for p in (as_ints, as_strs)]
+    assert codes[0] == codes[1] == [["0", "0"], ["10", "01"], ["11", "10"]]
 
 
 def test_kc_alloc_weight_exceeded_exits_two(tmp_path, capsys):
@@ -470,6 +479,38 @@ def test_machine_registry_env(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, "machine", "k", "id:three", "--target", "00")
     assert code == 0
     assert json.loads(out)["complexity"]["value"] == 1
+
+
+@pytest.mark.parametrize(
+    "docs",
+    [
+        {"loop": {"kind": "interpreter", "aux": ["loop"]}},
+        {"a": {"kind": "interpreter", "aux": ["b"]}, "b": {"kind": "interpreter", "aux": ["a"]}},
+    ],
+    ids=["self", "pair"],
+)
+def test_registry_cycle_exits_one(tmp_path, capsys, monkeypatch, docs):
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("LEFTREAL_MACHINE_REGISTRY", str(tmp_path))
+    first = next(iter(docs))
+    assert main(["machine", "k", f"id:{first}", "--target", "01"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: interpreter auxiliaries must be table machines\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["kc", "alloc"], "[" * 100_000 + "]" * 100_000),
+        (["machine", "validate"], '{"kind": "table", "entries": ' + "[" * 5000 + "]" * 5000 + "}"),
+    ],
+    ids=["kc-alloc", "machine-validate"],
+)
+def test_deeply_nested_json_exits_one(tmp_path, capsys, argv, text):
+    path = write(tmp_path, "deep.json", text)
+    assert main([*argv, path]) == 1
+    assert capsys.readouterr().err == f"error: {path} nests its JSON too deeply to read\n"
 
 
 def test_block_name_spec(capsys):

@@ -71,20 +71,20 @@ def random_table(rng: random.Random, max_entries: int = 32) -> TableMachine:
 
 def literal_encode(payload: str) -> str:
     check_bits(payload)
-    return machines.LITERAL.header(len(payload) + 1) + payload
+    return machines.header(machines.LITERAL, len(payload) + 1) + payload
 
 
 def repeat_encode(out_len: int, pattern: str) -> str:
     check_bits(pattern)
     if out_len < 1 or not pattern:
         raise ValueError("repeat needs out_len >= 1 and a nonempty pattern")
-    return machines.REPEAT.header(out_len, len(pattern)) + pattern
+    return machines.header(machines.REPEAT, out_len, len(pattern)) + pattern
 
 
 def call_encode(interp: Interpreter, index: int, program: str) -> str:
     if not 1 <= index <= len(interp.aux):
         raise ValueError(f"auxiliary index {index} out of range")
-    return machines.CALL.header(index) + program
+    return machines.header(machines.CALL, index) + program
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def test_table_call_dispatches_to_auxiliary():
     interp = Interpreter(aux=(THREE_ENTRY,))
     prog = call_encode(interp, 1, "11")
     assert interp.run(prog).output == "111"
-    assert len(prog) == len("11") + machines.CALL.header_length(1) == len("11") + 3
+    assert len(prog) == len("11") + len(machines.header(machines.CALL, 1)) == len("11") + 3
 
 
 def test_step_budget_reports_non_halting():
@@ -334,6 +334,26 @@ def test_enumeration_matches_brute_force_runs(aux, budget):
     assert enum.truncated_lengths == cut
 
 
+@pytest.mark.parametrize(
+    "machine",
+    [Interpreter(), Interpreter(aux=(THREE_ENTRY, random_table(random.Random(1))))],
+    ids=["bare", "two-tables"],
+)
+def test_enumeration_matches_every_run_up_to_13_bits(machine):
+    # each string runs once, unbudgeted; a step budget t then keeps the
+    # runs of at most t steps and cuts the lengths of the others
+    runs = []
+    for n in range(14):
+        for s in strings_of_length(n):
+            out = machine.run(s)
+            if out.status is RunStatus.HALTED:
+                runs.append((s, out.output, out.steps))
+    for t in [*range(41), 10**4]:
+        enum = enumerate_domain(machine, Budget(13, t))
+        assert enum.pairs == [(s, out) for s, out, steps in runs if steps <= t]
+        assert enum.truncated_lengths == {len(s) for s, _, steps in runs if steps > t}
+
+
 MACHINE_KINDS = st.builds(
     lambda aux, table: aux[0] if table and aux else Interpreter(aux=tuple(aux)),
     st.lists(KC_TABLES, max_size=2),
@@ -369,11 +389,12 @@ def _classes(m, L):
     programs per header.  A table call is a class per auxiliary table and
     key length.
     """
-    for nums in machines._headers(machines.LITERAL, L):
-        blen, olen = machines.LITERAL.lengths(*nums)
-        yield machines.LITERAL.header_length(*nums) + blen, blen, (olen,)
+    n = 1  # the literal of header number n has and outputs n - 1 body bits
+    while (length := len(machines.header(machines.LITERAL, n)) + n - 1) <= L:
+        yield length, n - 1, (n - 1,)
+        n += 1
     for i, aux in enumerate(m.aux, start=1):
-        head = machines.CALL.header_length(i)
+        head = len(machines.header(machines.CALL, i))
         for klen, olens in aux.output_lengths.items():
             if head + klen <= L:
                 yield head + klen, 0, olens
@@ -389,9 +410,9 @@ def _repeat_classes(L):
     headers with ``2**pattern length`` programs each.
     """
     plen = 1
-    while machines.REPEAT.header_length(1, plen) + plen <= L:
+    while len(machines.header(machines.REPEAT, 1, plen)) + plen <= L:
         low = 1
-        while (length := machines.REPEAT.header_length(low, plen) + plen) <= L:
+        while (length := len(machines.header(machines.REPEAT, low, plen)) + plen) <= L:
             yield length, plen, low
             low *= 2
         plen += 1
@@ -562,10 +583,10 @@ def _reference_complexity(machine, target, budget):
     if budget.L < best:
         best = budget.L
     best += 1
-    op = None
+    tag = None
     length = n + 2 * (n + 1).bit_length()
     if length < best:
-        best, op, nums, body = length, machines.LITERAL, (n + 1,), target
+        best, tag, nums, body = length, machines.LITERAL, (n + 1,), target
     qmax = best - 3 - 2 * n.bit_length()
     if qmax >= n:
         qmax = n - 1
@@ -575,7 +596,7 @@ def _reference_complexity(machine, target, budget):
         while q != -1 and not target.startswith(target[q:]):
             q = target.find(start, q + 1)
         if q != -1 and (length := 2 * (n.bit_length() + q.bit_length()) + q) < best:
-            best, op, nums, body = length, machines.REPEAT, (n, q), target[:q]
+            best, tag, nums, body = length, machines.REPEAT, (n, q), target[:q]
     if machine._calls:
         for i, (head, shortest) in enumerate(machine._calls, start=1):
             key = shortest.get(target)
@@ -583,17 +604,19 @@ def _reference_complexity(machine, target, budget):
                 continue
             length = len(head) + len(key)
             if length < best or (
-                length == best and op is machines.CALL and head + key < op.header(*nums) + body
+                length == best
+                and tag == machines.CALL
+                and head + key < machines.header(tag, *nums) + body
             ):
-                best, op, nums, body = length, machines.CALL, (i,), key
-    if op is None:
+                best, tag, nums, body = length, machines.CALL, (i,), key
+    if tag is None:
         return ComplexityValue(INFINITE, KStatus.UNKNOWN, budget)
     L_t = (budget.L, budget.t)
     cut = machine._first_cut.get(L_t)
     if cut is None:
         cut = machine._first_cut[L_t] = min(_census_by_bisect(machine, budget)[1], default=INFINITE)
     status = KStatus.EXACT if best <= cut else KStatus.UPPER_BOUND
-    return ComplexityValue(best, status, budget, op.header(*nums) + body)
+    return ComplexityValue(best, status, budget, machines.header(tag, *nums) + body)
 
 
 def _assert_matches_reference(machine, targets, budget):

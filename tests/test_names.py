@@ -469,7 +469,7 @@ SEQUENCES = {
         lambda k: ONE - half_power(k + 1),
         [
             (ONE + ONE, 0, RangeViolation),
-            (-half_power(1), 0, RangeViolation),
+            (ZERO - half_power(1), 0, RangeViolation),
             (ZERO, 1, MonotonicityViolation),
         ],
     ),

@@ -24,6 +24,7 @@ from leftreal.machines import (
     Interpreter,
     complexity,
     enumerate_domain,
+    header,
     outputs_of_length,
     validate_table,
 )
@@ -347,7 +348,7 @@ def test_rate_from_skt_round_trip_through_interpreter_embedding():
     # table as the first auxiliary costs exactly 3 extra bits
     x = BitStream.periodic("01")
     fam = singleton_family(x, lambda n: n + 2, 40)
-    interp_overhead = CALL.header_length(1)
+    interp_overhead = len(header(CALL, 1))
     assert interp_overhead == 3
     result = rate_from_skt(fam, overhead=interp_overhead, n_max=5)
     host = Interpreter(aux=(result.machine,))

@@ -14,7 +14,7 @@ import leftreal
 from leftreal import cli
 from leftreal.foundations import ONE, ZERO, Dyadic, DyadicInterval, half_power
 from leftreal.immunity import ImmunityVerdict, Property, Result
-from leftreal.machines import LITERAL, Budget, Interpreter, Opcode, TableMachine
+from leftreal.machines import Budget, Interpreter, TableMachine
 
 SRC = Path(leftreal.__file__).resolve().parents[1]
 
@@ -172,13 +172,9 @@ def test_records_compare_hash_and_show_like_generated_classes(cls, values, froze
             hash(new[0])
 
 
-def test_dyadic_and_opcode_keep_their_equality_and_hashing():
+def test_dyadic_and_machines_keep_their_equality_and_hashing():
     assert Dyadic(3, 2) == Dyadic.of(6, 3) and Dyadic(3, 2) != Dyadic(3, 1)
     assert Dyadic(1, 0) != (1, 0)
     assert hash(Dyadic(3, 2)) == hash((3, 2))
     assert repr(Dyadic(3, 2)) == "Dyadic(3/2^2)"
     assert Interpreter() != TableMachine(())  # equal fields, other class
-    # each opcode is its own singleton
-    twin = Opcode(LITERAL.tag, LITERAL.fields, LITERAL.lengths, LITERAL.outputs)
-    assert LITERAL == LITERAL and twin != LITERAL
-    assert repr(twin) == repr(LITERAL)
