@@ -145,6 +145,9 @@ def _registry_resolver(out: _Output):
         registry = os.environ.get(REGISTRY_ENV)
         if not registry:
             raise SpecError(f"machine id given but {REGISTRY_ENV} is not set")
+        # an id names a file in the registry, never a path out of it
+        if machine_id in ("", ".", "..") or Path(machine_id).name != machine_id:
+            raise SpecError(f"machine id {machine_id!r} is not a file name in {REGISTRY_ENV}")
         return _load_json(out, str(Path(registry) / (machine_id + ".json")))
 
     return resolve

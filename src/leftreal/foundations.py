@@ -359,20 +359,58 @@ class BitStream(Replayable):
     def from_bits(bits: str) -> "BitStream":
         """The stream ``bits`` followed by zeros."""
         check_bits(bits)
-        return BitStream(
-            lambda i: int(bits[i]) if i < len(bits) else 0, label=f"{bits}0*"
-        )
+        return _PatternStream(bits, "0", f"{bits}0*")
 
     @staticmethod
     def periodic(pattern: str) -> "BitStream":
         check_bits(pattern)
         if not pattern:
             raise ValueError("pattern must be nonempty")
-        return BitStream(lambda i: int(pattern[i % len(pattern)]), label=f"({pattern})*")
+        return _PatternStream("", pattern, f"({pattern})*")
 
     @staticmethod
     def constant(b: int) -> "BitStream":
-        return BitStream(lambda i: b, label=str(b) * 3 + "...")
+        label = str(b) * 3 + "..."
+        if b in (0, 1):
+            return _PatternStream("", "01"[b], label)
+        # any other value is no bit: the memo stream fails at its first read
+        return BitStream(lambda i: b, label=label)
+
+
+class _PatternStream(BitStream):
+    """The bits ``head`` followed by ``cycle`` repeated forever.
+
+    A bit is read off by index arithmetic and a prefix is a slice of
+    ``head + cycle * k``, so no bit passes through the memo; such a
+    stream holds only bits and cannot fail.
+    """
+
+    def __init__(self, head: str, cycle: str, label: str):
+        super().__init__(None, label=label)
+        self._head, self._cycle = head, cycle
+
+    def at(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("sequence index must be a natural number")
+        head = self._head
+        if k < len(head):
+            return int(head[k])
+        cycle = self._cycle
+        return int(cycle[(k - len(head)) % len(cycle)])
+
+    bit = at
+
+    def prefix(self, n: int) -> str:
+        bits = self._bits
+        if n > len(bits):  # grow to over 2n bits, so a growing reader rarely rebuilds
+            bits = self._bits = self._head + self._cycle * (2 * n // len(self._cycle) + 1)
+        return bits[: max(n, 0)]
+
+    def values(self, count: int) -> list[int]:
+        return list(map(int, self.prefix(count)))
+
+    def _read(self, n: int) -> None:
+        pass
 
 
 # ---------------------------------------------------------------------------

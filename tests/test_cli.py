@@ -481,6 +481,27 @@ def test_machine_registry_env(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["complexity"]["value"] == 1
 
 
+@pytest.mark.parametrize("form", ["validate-aux", "k-id"])
+@pytest.mark.parametrize("where", ["parent", "absolute", "dot"])
+def test_registry_id_names_a_file_in_the_registry(tmp_path, capsys, monkeypatch, form, where):
+    registry, other = tmp_path / "registry", tmp_path / "other"
+    registry.mkdir()
+    other.mkdir()
+    (other / "x.json").write_text(json.dumps(THREE_ENTRY_JSON))
+    monkeypatch.setenv("LEFTREAL_MACHINE_REGISTRY", str(registry))
+    machine_id = {"parent": "../other/x", "absolute": str(other / "x"), "dot": "."}[where]
+    if form == "validate-aux":
+        doc = write(tmp_path, "outer.json", {"kind": "interpreter", "aux": [machine_id]})
+        argv = ["machine", "validate", doc]
+    else:
+        argv = ["machine", "k", f"id:{machine_id}", "--target", "00"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: machine id {machine_id!r} is not a file name in LEFTREAL_MACHINE_REGISTRY\n",
+    )
+
+
 @pytest.mark.parametrize(
     "docs",
     [

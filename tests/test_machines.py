@@ -2,6 +2,7 @@
 budgeted-exact complexity, halting-probability sums."""
 
 import collections
+import dis
 import gc
 import itertools
 import random
@@ -693,6 +694,15 @@ def test_interpreter_query_runs_in_one_frame():
     assert [f.f_code.co_name for f in frames] == ["complexity"] * len(targets)
 
 
+def test_query_code_reads_statuses_from_module_constants():
+    # an Enum member read such as ``KStatus.EXACT`` skips CPython's
+    # specialized attribute path and costs about ten global reads
+    for fn in (complexity, machines._table_complexity):
+        loads = {i.argval for i in dis.get_instructions(fn) if i.opname == "LOAD_GLOBAL"}
+        assert "KStatus" not in loads, fn.__name__
+        assert {"_EXACT", "_UNKNOWN"} <= loads, fn.__name__
+
+
 def test_complexity_takes_one_cut_walk_per_budget(monkeypatch):
     walks, censuses = [], []
     walk = machines._first_cut_length
@@ -734,6 +744,16 @@ def test_table_complexity_exact_lookup():
 def test_table_complexity_exact_infinity():
     v = complexity(THREE_ENTRY, "0101", Budget(10, 0))
     assert v.value == INFINITE and v.status is KStatus.EXACT
+
+
+@given(
+    value=st.one_of(st.integers(-40, 40), st.just(INFINITE)),
+    status=st.sampled_from(KStatus),
+    bound=st.integers(-40, 40),
+)
+def test_at_most_compares_the_value_with_the_bound(value, status, bound):
+    v = ComplexityValue(value, status, Budget(8, 100))
+    assert v.at_most(bound) == (v.is_finite and v.value <= bound)
 
 
 def test_literal_envelope_holds():

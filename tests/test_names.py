@@ -521,6 +521,60 @@ def test_sequences_reject_bad_indices_and_values(kind, data):
 
 
 # ---------------------------------------------------------------------------
+# pattern streams against the memo
+# ---------------------------------------------------------------------------
+
+# spec kind -> (the library's constructor, the memo-backed constructor it
+# replaced, a strategy for its field)
+PATTERNS = {
+    "periodic": (
+        BitStream.periodic,
+        lambda p: BitStream(lambda i: int(p[i % len(p)]), label=f"({p})*"),
+        st.text("01", min_size=1, max_size=6),
+    ),
+    "bits": (
+        BitStream.from_bits,
+        lambda b: BitStream(lambda i: int(b[i]) if i < len(b) else 0, label=f"{b}0*"),
+        st.text("01", max_size=6),
+    ),
+    "const": (
+        BitStream.constant,
+        lambda b: BitStream(lambda i: b, label=str(b) * 3 + "..."),
+        st.integers(-3, 3),
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(PATTERNS)), data=st.data())
+def test_pattern_streams_match_the_memo(kind, data):
+    new, old, fields = PATTERNS[kind]
+    field = data.draw(fields)
+    stream, oracle = new(field), old(field)
+    assert (stream.label, stream.horizon) == (oracle.label, None)
+    got, want = _reads(stream), _reads(oracle)
+    # at most six head bits and a cycle of at most six: 25 bits pass three cycles
+    reads = st.tuples(st.sampled_from(["at", "bit", "prefix", "values"]), st.integers(-2, 25))
+    ops = data.draw(st.lists(reads, max_size=20))  # in any order
+    ops += [("at", -1), ("bit", -1)]
+    ops += [(op, n) for op in ("prefix", "values") for n in range(-2, 26)]
+    for op, n in ops:
+        assert got(op, n) == want(op, n), (op, n)
+    if kind != "const" or field in (0, 1):  # a pattern stream never fills the memo
+        assert stream._memo == []
+    step = data.draw(st.integers(0, 3))
+    xs = IncreasingDyadicStream.from_prefix_sums(new(field), step)
+    memo = IncreasingDyadicStream.from_prefix_sums(old(field), step)
+    got, want = _reads(xs), _reads(memo)
+    for t in data.draw(st.lists(st.integers(-1, 12), max_size=10)):
+        assert got("at", t) == want("at", t)
+    for count in range(-2, 13):
+        assert got("values", count) == want("values", count)
+    for m, n in data.draw(st.lists(st.tuples(st.integers(-1, 12), st.integers(0, 40)))):
+        assert got("prefix_bits", m, n) == want("prefix_bits", m, n)
+
+
+# ---------------------------------------------------------------------------
 # formula sequences against the memo
 # ---------------------------------------------------------------------------
 
