@@ -40,14 +40,15 @@ from .jsonio import (
     family_to_json,
     machine_from_json,
     machine_to_json,
-    pairs_from_json,
     parse_fraction,
     parse_increasing,
     parse_name,
     parse_rate,
     parse_stream,
     parse_view,
+    profile_from_csv,
     profile_to_csv,
+    requests_from_json,
     trace_to_json,
     verdict_to_json,
     view_to_json,
@@ -212,27 +213,10 @@ def _cmd_machine_k(out: _Output, args) -> int:
     return 0
 
 
-def _load_requests(out: _Output, path: str) -> list:
-    """A KC request file: a JSON list of ``[length, payload]`` pairs, each
-    payload a bit string."""
-    requests = pairs_from_json(_load_json(out, path), "KC requests")
-    if not all(isinstance(l, (int, str)) for l, _ in requests):
-        raise SpecError("KC request lengths must be integers")
-    parsed = []
-    for l, p in requests:
-        if not isinstance(p, str) or p.strip("01"):
-            spec = json.dumps([l, p])
-            raise SpecError(f"KC request {spec!r} has a payload that is not a bit string")
-        if type(l) is not int:  # a string, or a bool, which _ints refuses
-            l = _ints(str(l), json.dumps([l, p]), 1)[0]
-        parsed.append((l, p))
-    return parsed
-
-
 def _cmd_kc_alloc(out: _Output, args) -> int:
     from .kraft_chaitin import kc_allocate
 
-    requests = _load_requests(out, args.requests)
+    requests = requests_from_json(_load_json(out, args.requests))
     codewords = kc_allocate(l for l, _ in requests)
     out.emit_json({"codewords": [[c, p] for c, (_, p) in zip(codewords, requests)]})
     return 0
@@ -241,7 +225,7 @@ def _cmd_kc_alloc(out: _Output, args) -> int:
 def _cmd_kc_build(out: _Output, args) -> int:
     from .kraft_chaitin import kc_build_machine
 
-    requests = _load_requests(out, args.requests)
+    requests = requests_from_json(_load_json(out, args.requests))
     m = kc_build_machine(requests)
     out.emit_json({"machine": machine_to_json(m), "id": m.id})
     return 0
@@ -342,24 +326,10 @@ def _cmd_profile(out: _Output, args) -> int:
 
 
 def _cmd_dim(out: _Output, args) -> int:
-    from .machines import Budget, ComplexityValue, KStatus
-    from .spectra import ComplexityProfile, dim_window
+    from .spectra import dim_window
 
     text = out.record_input(args.profile).decode()
-    statuses = {s.value: s for s in KStatus}
-    entries = []
-    for line in text.splitlines():
-        if line.startswith("#") or line.startswith("n,") or not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 5 or fields[2] not in statuses:
-            raise SpecError(f"profile row {line!r} is not 'n,K,status,L,t'")
-        n, l, t = (_ints(f, line, 1)[0] for f in (fields[0], *fields[3:]))
-        value = float("inf") if fields[1] == "inf" else _ints(fields[1], line, 1)[0]
-        if min(n, value, l, t) < 0:
-            raise SpecError(f"profile row {line!r} has a negative field")
-        entries.append((n, ComplexityValue(value, statuses[fields[2]], Budget(l, t))))
-    est = dim_window(ComplexityProfile(entries), args.n0, args.n1)
+    est = dim_window(profile_from_csv(text), args.n0, args.n1)
     out.emit_json({"dim_estimate": dim_to_json(est)})
     return 0
 
@@ -591,20 +561,22 @@ def _fill_group(group: _Parser, paths: list[str]) -> None:
         return
     leaves = group.add_subparsers(dest="cmd", required=True)
     for path in paths:
-        _add_command(leaves.add_parser(path.partition(" ")[2]), path)
+        leaf = leaves.add_parser(path.partition(" ")[2], allow_abbrev=False)
+        _add_command(leaf, path)
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="leftreal",
         description="exact-arithmetic workbench for left-computable reals",
+        allow_abbrev=False,
     )
     groups = top.add_subparsers(dest="group", required=True)
     paths: dict[str, list[str]] = {}
     for path in COMMANDS:
         paths.setdefault(path.partition(" ")[0], []).append(path)
     for name, group_paths in paths.items():
-        group = groups.add_parser(name)
+        group = groups.add_parser(name, allow_abbrev=False)
         group.fill = partial(_fill_group, group, group_paths)
     return top
 

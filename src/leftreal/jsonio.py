@@ -85,6 +85,24 @@ def pairs_from_json(obj: Any, what: str) -> list:
     return obj
 
 
+def requests_from_json(obj: Any) -> list[tuple[int, str]]:
+    """Decode a KC request file: a JSON list of ``[length, payload]``
+    pairs, each length an integer or an integer string and each payload a
+    bit string."""
+    requests = pairs_from_json(obj, "KC requests")
+    if not all(isinstance(l, (int, str)) for l, _ in requests):
+        raise SpecError("KC request lengths must be integers")
+    parsed = []
+    for l, p in requests:
+        if not isinstance(p, str) or p.strip("01"):
+            spec = json.dumps([l, p])
+            raise SpecError(f"KC request {spec!r} has a payload that is not a bit string")
+        if type(l) is not int:  # a string, or a bool, which _ints refuses
+            l = _ints(str(l), json.dumps([l, p]), 1)[0]
+        parsed.append((l, p))
+    return parsed
+
+
 def machine_to_json(m: PrefixMachine) -> dict:
     from .machines import TableMachine
 
@@ -312,6 +330,28 @@ def profile_to_csv(p: ComplexityProfile) -> str:
         k = "inf" if not v.is_finite else str(int(v.value))
         lines.append(f"{n},{k},{v.status.value},{v.budget.L},{v.budget.t}")
     return "\n".join(lines) + "\n"
+
+
+def profile_from_csv(text: str) -> ComplexityProfile:
+    """Decode the rows ``profile_to_csv`` writes; comment, header and blank
+    lines are skipped."""
+    from .machines import Budget, ComplexityValue, KStatus
+    from .spectra import ComplexityProfile
+
+    statuses = {s.value: s for s in KStatus}
+    entries = []
+    for line in text.splitlines():
+        if line.startswith("#") or line.startswith("n,") or not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 5 or fields[2] not in statuses:
+            raise SpecError(f"profile row {line!r} is not 'n,K,status,L,t'")
+        n, l, t = (_ints(f, line, 1)[0] for f in (fields[0], *fields[3:]))
+        value = float("inf") if fields[1] == "inf" else _ints(fields[1], line, 1)[0]
+        if min(n, value, l, t) < 0:
+            raise SpecError(f"profile row {line!r} has a negative field")
+        entries.append((n, ComplexityValue(value, statuses[fields[2]], Budget(l, t))))
+    return ComplexityProfile(entries)
 
 
 def dim_to_json(est: DimEstimate) -> dict:

@@ -55,11 +55,6 @@ def test_machine_validate_prefix_violation_exits_two(tmp_path, capsys):
     assert json.loads(out)["error"] == "PrefixViolation"
 
 
-def test_usage_error_exits_one(tmp_path, capsys):
-    code, _ = run(capsys, "machine", "validate", str(tmp_path / "missing.json"))
-    assert code == 1
-
-
 MIXED_KEYS_JSON = {"kind": "table", "entries": [[5, "1"], ["0", "1"]]}
 
 
@@ -100,6 +95,12 @@ QUOTED = {
     "convert roc-to-skt --name ap:-1,9 --rate shift:2 --stages 50": "-1k+9",
 }
 
+# bad inputs whose whole error line is pinned
+EXACT = {
+    # a constant stream of a non-bit fails at its first read
+    "profile --stream const:2 --nmax 4 --budget-l 12": "stream produced non-bit 2 at index 0",
+}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -118,6 +119,8 @@ QUOTED = {
         "kc build {flat}",
         "machine validate {bad_table}",
         "machine validate {bad_aux}",
+        "machine validate {nonbit_key}",
+        "machine validate {missing}",
         "kc build {int_payload}",
         "skt validate {bad_levels} --nmax 1",
         "skt from-rate ref --rate pow2:4 --nmax 5 --force",
@@ -137,7 +140,13 @@ QUOTED = {
         "immunity immune --set evens:100 --witness elements::100 --horizon 100 --threshold 0",
         "immunity bi-immune --set evens:100 --witness evens:100 --witness-complement odds:100"
         " --horizon 0",
+        # long options are spelled in full: an abbreviation is refused, not
+        # recorded as typed in the manifest
+        "machine k ref --target 01 --ou {out}",
+        "machine k ref --target 01 --o={out}",
+        "machine k ref --targ 01",
         *QUOTED,
+        *EXACT,
     ],
 )
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
@@ -146,6 +155,7 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
         "flat": [1, 2],  # requests that are not [length, payload] pairs
         "bad_table": {"kind": "table", "entries": [1]},
         "bad_aux": {"kind": "interpreter", "aux": 5},
+        "nonbit_key": {"kind": "table", "entries": [["0x", "1"]]},
         "int_payload": [[5, 7]],  # a payload must be a bit string
         "bad_levels": {"family": {"kind": "strong-kurtz", "levels": 5}},
         "str_length": [["x", "0"]],
@@ -161,13 +171,16 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
         "negative_n_row": "-1,2,exact,3,4\n",
     }
     paths = {key: write(tmp_path, key + ".json", doc) for key, doc in docs.items()}
-    code = main(argv.format(**paths).split())
+    out, missing = tmp_path / "out.json", tmp_path / "missing.json"
+    code = main(argv.format(**paths, out=out, missing=missing).split())
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
     if argv in QUOTED:
         assert repr(QUOTED[argv]) in err
+    if argv in EXACT:
+        assert err == f"error: {EXACT[argv]}\n"
 
 
 @pytest.mark.parametrize(
@@ -350,13 +363,23 @@ def test_machine_k_answers_past_length_40_unforced(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", ["omega ref", "omega-s ref --s 2/3", "machine k ref --target 01"]
+    "argv",
+    [
+        "omega ref",
+        "omega-s ref --s 2/3",
+        "machine k ref --target 01",
+        "machine k ref --target 0101 --budget-l 1025",  # past the census guard
+    ],
 )
 def test_forced_length_budgets_past_130_answer(capsys, argv):
     # a repeat class at L = 140 holds more counts than ``len`` can report
-    code, out = run(capsys, *argv.split(), "--budget-l", "140", "--force")
+    argv = argv.split()
+    if "--budget-l" not in argv:
+        argv += ["--budget-l", "140"]
+    code, out = run(capsys, *argv, "--force")
     assert code == 0
-    assert json.loads(out)["manifest"]["budgets"]["L"] == 140
+    budget = int(argv[argv.index("--budget-l") + 1])
+    assert json.loads(out)["manifest"]["budgets"]["L"] == budget
 
 
 def test_convert_roc_to_skt_shortcut(capsys):
@@ -398,6 +421,14 @@ def test_convert_lc_to_roc_pipeline(capsys):
     )
     assert code == 0
     assert json.loads(out)["s_values"] == [0, 8, 16, 32]
+    # asked for more levels than the length budget reaches, the search is
+    # exhausted part way, which exits 2
+    code, out = run(
+        capsys, "convert", "lc-to-roc", "--stream", "prefix-sums:01:2",
+        "--rate", "pow2:4", "--budget-l", "22", "--stages", "900", "--nmax", "6",
+    )
+    assert code == 2
+    assert json.loads(out)["exhausted_at"] == 5
 
 
 def test_convert_lc_to_roc_dyadic_shortcut(capsys):
@@ -432,6 +463,9 @@ def test_omega_commands(tmp_path, capsys):
     assert code == 0
     iv = json.loads(out)["interval"]
     assert iv["lo"] == {"num": "3", "exp": 3} and iv["hi"] == {"num": "3", "exp": 3}
+    # past the listing guard, the sum is counted from the instruction set
+    code, _ = run(capsys, "omega", "ref", "--budget-l", "30")
+    assert code == 0
 
 
 def test_immunity_command_exit_codes(capsys):
