@@ -200,23 +200,19 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
         intervals.append(new(StageInterval, (t, Dyadic(x >> z, scale - z), exp, m)))
 
     trace = StageTrace(intervals, stages, name_label=f.label, rate_label=r.label)
-    lows: dict[int, list[Dyadic]] = {}  # length_exp -> interval left ends
-    levels: dict[int, list[str]] = {}
+    levels: dict[int, list[str]] = {}  # level -> its strings, built on first read
 
-    def level_fn(n: int):
-        exp = rate.s(n)
-        if exp not in levels:
-            if not lows:
-                for iv in intervals:
-                    lows.setdefault(iv.length_exp, []).append(iv.lo)
-            cells = {j for lo in lows.get(exp, ()) for j in _cells_touching(lo, exp)}
-            levels[exp] = [format(j, f"0{exp}b") for j in sorted(cells)]
-        return levels[exp]
+    def level_fn(n: int) -> list[str]:
+        if n not in levels:
+            exp = rate.s(n)
+            left_ends = [iv.lo for iv in intervals if iv.length_exp == exp]
+            cells = {j for lo in left_ends for j in _cells_touching(lo, exp)}
+            levels[n] = [format(j, f"0{exp}b") for j in sorted(cells)]
+        return levels[n]
 
     family = TestFamily(
         level_fn,
         TestKind.STRONG_KURTZ,
-        label="skt-from-name",
         meta={"stages": stages, "rate": r.label, "name": f.label},
     )
     return RocToSktResult(trace=trace, family=family)

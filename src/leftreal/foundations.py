@@ -129,10 +129,6 @@ class Dyadic:
             (self.num << (e - self.exp)) - (other.num << (e - other.exp)), e
         )
 
-    def shift(self, k: int) -> "Dyadic":
-        """Multiply by ``2**k`` (``k`` may be negative)."""
-        return Dyadic.of(self.num, self.exp - k)
-
     def _cmp(self, other: "Dyadic") -> int:
         e = max(self.exp, other.exp)
         a = self.num << (e - self.exp)

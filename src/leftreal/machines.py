@@ -623,9 +623,9 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
     if length < best:
         best, tag = length, LITERAL
     # the repeat of period q has repeat_length(n, q) bits
-    qmax = best - 3 - 2 * n.bit_length()  # |gamma(q)| >= 1 bounds the period that fits
-    if qmax >= n:
-        qmax = n - 1
+    # |gamma(q)| >= 1 bounds the period that fits; qmax <= n - 1, as best is
+    # at most the literal's n + 2 * bitlen(n + 1) <= n + 2 * bitlen(n) + 2
+    qmax = best - 3 - 2 * n.bit_length()
     if qmax > 0:
         start = target[: n - qmax]  # each period q <= qmax starts a copy of it
         q = target.find(start, 1)

@@ -1,16 +1,15 @@
 """Level-indexed randomness-test families with exact weight accounting.
 
-A family assigns to each level ``n`` an enumerable set of strings.  A
-Martin-Löf family must keep the level weight ``sum(2**-len(s))`` at or
-below ``2**-n``; a strong Kurtz family additionally keeps each level
-length-uniform.  Levels are deduplicated on enumeration, so repeated
-emissions never double-count weight.
+A family assigns to each level ``n`` a finite list of strings, each
+listed once, in enumeration order.  A Martin-Löf family must keep the
+level weight ``sum(2**-len(s))`` at or below ``2**-n``; a strong Kurtz
+family additionally keeps each level length-uniform.  Explicit families
+drop repeated strings once, when built, so no string counts twice.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -45,46 +44,37 @@ class TestKind(enum.Enum):
 
 
 class TestFamily:
-    """Replayable level enumerators plus kind."""
+    """Level lists of distinct strings plus kind.
+
+    ``level_fn(n)`` returns level ``n``'s distinct strings, in enumeration
+    order, as a list; the family may cache it, so readers slice it.
+    """
 
     __test__ = False  # keep pytest from collecting the Test* name
 
     def __init__(
         self,
-        level_fn: Callable[[int], Iterable[str]],
+        level_fn: Callable[[int], list[str]],
         kind: TestKind,
-        label: str = "",
         meta: Optional[dict] = None,
     ):
         self._level_fn = level_fn
         self.kind = kind
-        self.label = label
         self.meta = meta or {}
 
-    def level(self, n: int) -> Iterator[str]:
-        """Fresh deduplicated enumeration of level ``n``."""
-        seen: set[str] = set()
-        for s in self._level_fn(n):
-            if s not in seen:
-                seen.add(s)
-                yield s
-
     def level_list(self, n: int, stage: Optional[int] = None) -> list[str]:
-        it = self.level(n)
-        if stage is None:
-            return list(it)
-        return list(itertools.islice(it, stage))
+        """The first ``stage`` strings of level ``n`` (all when None), as a copy."""
+        return self._level_fn(n)[:stage]
 
     @staticmethod
-    def explicit(
-        levels: Sequence[Sequence[str]], kind: TestKind, label: str = ""
-    ) -> "TestFamily":
-        frozen = [list(lv) for lv in levels]
+    def explicit(levels: Sequence[Sequence[str]], kind: TestKind) -> "TestFamily":
+        """A family of the given levels, each with its repeats dropped."""
+        frozen = [list(dict.fromkeys(lv)) for lv in levels]
 
-        def level_fn(n: int) -> Iterable[str]:
+        def level_fn(n: int) -> list[str]:
             return frozen[n] if n < len(frozen) else []
 
-        return TestFamily(level_fn, kind, label=label)
+        return TestFamily(level_fn, kind)
 
 
 def weight_of(strings: Iterable[str]) -> Dyadic:
@@ -93,10 +83,10 @@ def weight_of(strings: Iterable[str]) -> Dyadic:
 
 
 def level_weight(family: TestFamily, n: int, stage: Optional[int] = None) -> Dyadic:
-    """Weight of the first ``stage`` deduplicated strings of level ``n``.
+    """Weight of the first ``stage`` strings of level ``n``.
 
     A stage-truncated weight is a lower bound of the true level weight;
-    it is exact when the enumerator exhausts within the stage.
+    it is exact when the level holds at most ``stage`` strings.
     """
     return weight_of(family.level_list(n, stage))
 
@@ -143,7 +133,6 @@ def validate_family(
 class CoverageReport(NamedTuple):
     level: int
     witness: Optional[str]
-    stage: Optional[int]
 
     @property
     def covered(self) -> bool:
@@ -153,13 +142,11 @@ class CoverageReport(NamedTuple):
 def covers(
     family: TestFamily, x: BitStream, n: int, stage: Optional[int] = None
 ) -> CoverageReport:
-    """Search level ``n`` for a prefix of ``x``."""
-    for count, s in enumerate(family.level(n)):
-        if stage is not None and count >= stage:
-            break
+    """Search the first ``stage`` strings of level ``n`` for a prefix of ``x``."""
+    for s in family.level_list(n, stage):
         if x.prefix(len(s)) == s:
-            return CoverageReport(level=n, witness=s, stage=stage)
-    return CoverageReport(level=n, witness=None, stage=stage)
+            return CoverageReport(level=n, witness=s)
+    return CoverageReport(level=n, witness=None)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +184,7 @@ def skt_from_rate(
             )
         levels.append(level)
     census = Budget(max(r.at(n_max) - n_max, budget.L), budget.t, budget.allow_large)
-    family = TestFamily.explicit(levels, TestKind.STRONG_KURTZ, label="skt-from-rate")
+    family = TestFamily.explicit(levels, TestKind.STRONG_KURTZ)
     family.meta.update(
         {
             "complete": not domain_census(machine, census)[1],

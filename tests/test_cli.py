@@ -99,6 +99,13 @@ QUOTED = {
 EXACT = {
     # a constant stream of a non-bit fails at its first read
     "profile --stream const:2 --nmax 4 --budget-l 12": "stream produced non-bit 2 at index 0",
+    "machine validate {no_kind}": "machine document needs a 'kind' field",
+    "machine validate {turing}": "unknown machine kind 'turing'",
+    "kc alloc {float_length}": "KC request lengths must be integers",
+    "convert lc-to-roc --stream dyadics:1/2^1,x --rate shift:2 --stages 5 --nmax 1":
+        "not a dyadic literal: 'x' (want 'num' or 'num/2^exp')",
+    "omega-s ref --s 1 --budget-l 12": "s must lie strictly between 0 and 1",
+    "dim {profile} --n0 2 --n1 1": "window must satisfy 1 <= n0 <= n1",
 }
 
 
@@ -169,6 +176,10 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
         "negative_t_row": "1,2,exact,3,-4\n",
         "negative_k_row": "1,-2,exact,3,4\n",
         "negative_n_row": "-1,2,exact,3,4\n",
+        "no_kind": {"entries": []},
+        "turing": {"kind": "turing"},
+        "float_length": [[1.5, "01"]],
+        "profile": "1,2,exact,3,4\n",  # a valid row: only the window is bad
     }
     paths = {key: write(tmp_path, key + ".json", doc) for key, doc in docs.items()}
     out, missing = tmp_path / "out.json", tmp_path / "missing.json"
@@ -503,6 +514,10 @@ def test_construct_commands(capsys):
     assert code == 0
     vals = json.loads(out)["values"]
     assert vals[-1] == {"num": "1", "exp": 0}
+    code, out = run(capsys, "construct", "join", "--a", "squares-1:10", "--b", "evens:4")
+    assert code == 0
+    assert json.loads(out)["bits"] == "11000110"
+    assert json.loads(out)["join"]["elements"] == [0, 1, 5, 6]
 
 
 def test_machine_registry_env(tmp_path, capsys, monkeypatch):
@@ -513,6 +528,12 @@ def test_machine_registry_env(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, "machine", "k", "id:three", "--target", "00")
     assert code == 0
     assert json.loads(out)["complexity"]["value"] == 1
+    monkeypatch.delenv("LEFTREAL_MACHINE_REGISTRY")
+    assert main(["machine", "k", "id:x", "--target", "01"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: machine id given but LEFTREAL_MACHINE_REGISTRY is not set\n",
+    )
 
 
 @pytest.mark.parametrize("form", ["validate-aux", "k-id"])
@@ -586,11 +607,12 @@ def test_block_name_spec(capsys):
 
 def test_identical_manifests_give_identical_bytes(tmp_path, capsys):
     req = write(tmp_path, "req.json", [[1, "0"], [2, "01"], [2, "10"]])
-    out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    out1, out2, out3 = (str(tmp_path / name) for name in ("a.json", "b.json", "c.json"))
     assert main(["kc", "alloc", req, "--out", out1]) == 0
     assert main(["kc", "alloc", req, "--out", out2]) == 0
-    b1, b2 = Path(out1).read_bytes(), Path(out2).read_bytes()
-    assert b1 == b2
+    assert main(["kc", "alloc", req, f"--out={out3}"]) == 0
+    b1, b2, b3 = (Path(p).read_bytes() for p in (out1, out2, out3))
+    assert b1 == b2 == b3
     capsys.readouterr()
 
 
@@ -602,8 +624,18 @@ def test_out_replaces_an_existing_file_atomically(tmp_path, capsys):
     target.write_text("old artifact, longer than the new one " * 100)
     assert main(["kc", "alloc", req, "--out", str(target)]) == 0
     assert main(["kc", "alloc", req]) == 0
-    assert target.read_text() == capsys.readouterr().out
+    artifact = capsys.readouterr().out
+    assert target.read_text() == artifact
     assert [p.name for p in out_dir.iterdir()] == ["a.json"]
+    # a failed rename leaves the target as it was and no temporary file
+    # beside it; the error names that file, whose name holds the pid
+    assert main(["kc", "alloc", req, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert [p.name for p in out_dir.iterdir()] == ["a.json"]
+    assert target.read_text() == artifact
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "req.json"]
 
 
 def test_profile_golden_bytes(tmp_path, capsys):
