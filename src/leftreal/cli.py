@@ -123,14 +123,17 @@ class _Output:
         # the old artifact or the new one, never a part-written file
         target = Path(self.out)
         tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        fh = open(tmp, "x", encoding="utf-8")
         try:
-            with fh:
-                fh.write(text)
-            os.replace(tmp, target)
-        except BaseException:
-            tmp.unlink()
-            raise
+            fh = open(tmp, "x", encoding="utf-8")
+            try:
+                with fh:
+                    fh.write(text)
+                os.replace(tmp, target)
+            except BaseException:
+                tmp.unlink()
+                raise
+        except OSError as e:  # name the target, not the temporary file
+            raise OSError(e.errno, e.strerror, self.out) from None
 
 
 def _load_json(out: _Output, path: str) -> Any:
@@ -139,6 +142,8 @@ def _load_json(out: _Output, path: str) -> Any:
         return json.loads(data)
     except RecursionError:
         raise SpecError(f"{path} nests its JSON too deeply to read") from None
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise SpecError(f"{path}: {e}") from None
 
 
 def _registry_resolver(out: _Output):
@@ -328,7 +333,10 @@ def _cmd_profile(out: _Output, args) -> int:
 def _cmd_dim(out: _Output, args) -> int:
     from .spectra import dim_window
 
-    text = out.record_input(args.profile).decode()
+    try:
+        text = out.record_input(args.profile).decode()
+    except UnicodeDecodeError as e:
+        raise SpecError(f"{args.profile}: {e}") from None
     est = dim_window(profile_from_csv(text), args.n0, args.n1)
     out.emit_json({"dim_estimate": dim_to_json(est)})
     return 0

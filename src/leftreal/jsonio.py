@@ -201,7 +201,10 @@ def parse_rate(text: str) -> Modulus:
     else:
         raise SpecError(f"unknown rate spec {text!r}")
     if shift:
-        r = r.shifted(*_ints(shift, text, 1))
+        (k,) = _ints(shift, text, 1)
+        if k < 0:
+            raise SpecError(f"spec {text!r} re-indexes by a negative k {shift!r}")
+        r = r.shifted(k)
     return r
 
 

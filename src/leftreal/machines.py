@@ -84,15 +84,11 @@ def gamma_length(n: int) -> int:
 
 def gamma_parse(s: str, pos: int) -> Optional[tuple[int, int]]:
     """Decode a gamma number at ``pos``; None when ``s`` is too short."""
-    z = 0
-    while pos + z < len(s) and s[pos + z] == "0":
-        z += 1
-    if pos + z >= len(s):
+    one = s.find("1", pos)
+    end = 2 * one - pos + 1  # one - pos zeros, then the 1 and as many digits again
+    if one == -1 or end > len(s):
         return None
-    end = pos + z + z + 1
-    if end > len(s):
-        return None
-    return int(s[pos + z : end], 2), end
+    return int(s[one:end], 2), end
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +148,6 @@ class RunOutcome(NamedTuple):
     status: RunStatus
     output: Optional[str] = None
     steps: Optional[int] = None
-    reason: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +205,7 @@ class TableMachine(Record):
     def run(self, program: str, step_budget: Optional[int] = None) -> RunOutcome:
         out = self.mapping.get(program)
         if out is None:
-            return RunOutcome(RunStatus.NEVER_HALTS, reason="not in table")
+            return RunOutcome(RunStatus.NEVER_HALTS)
         return RunOutcome(RunStatus.HALTED, output=out, steps=len(program) + len(out))
 
 
@@ -238,61 +233,40 @@ class Interpreter(Record):
 
     # -- running ------------------------------------------------------------
 
-    def _parse(self, s: str) -> tuple[str, Optional[str], int]:
-        """Parse one program from the start of ``s``.
-
-        Returns ``(state, output, consumed)`` with state one of ``"ok"``,
-        ``"incomplete"`` (a longer input could halt) or ``"undefined"``
-        (no extension halts).
-        """
-        # the tags form a complete prefix code, so no match means s is a
-        # proper prefix of a tag
-        tag = next((tag for tag in (LITERAL, REPEAT, CALL) if s.startswith(tag)), None)
-        if tag is None:
-            return "incomplete", None, 0
-        nums = []
-        pos = len(tag)
-        for _ in range(2 if tag == REPEAT else 1):
-            g = gamma_parse(s, pos)
-            if g is None:
-                return "incomplete", None, 0
-            n, pos = g
-            nums.append(n)
-        if tag != CALL:
-            end = pos + (nums[0] - 1 if tag == LITERAL else nums[1])
-            if len(s) < end:
-                return "incomplete", None, 0
-            body = s[pos:end]
-            return "ok", body if tag == LITERAL else repeat_output(body, nums[0]), end
-        (idx,) = nums
-        if not 1 <= idx <= len(self.aux):
-            return "undefined", None, 0
-        rest = s[pos:]
-        for key, val in self.aux[idx - 1].entries:
-            if rest.startswith(key):
-                return "ok", val, pos + len(key)
-        if any(key.startswith(rest) for key, _ in self.aux[idx - 1].entries):
-            return "incomplete", None, 0
-        return "undefined", None, 0
+    def _decode(self, program: str) -> Optional[str]:
+        """The output of ``program``, None unless it is exactly one program."""
+        if program.startswith(LITERAL):
+            g = gamma_parse(program, len(LITERAL))
+            if g is None or len(program) - g[1] != g[0] - 1:
+                return None
+            return program[g[1] :]
+        g = gamma_parse(program, len(REPEAT))  # a REPEAT's or a CALL's first number
+        if g is None:
+            return None  # no tag, or that number cut short
+        if program.startswith(REPEAT):
+            p = gamma_parse(program, g[1])
+            if p is None or len(program) - p[1] != p[0]:
+                return None
+            return repeat_output(program[p[1] :], g[0])
+        if g[0] > len(self.aux):  # a CALL of no table
+            return None
+        return self.aux[g[0] - 1].mapping.get(program[g[1] :])
 
     def run(self, program: str, step_budget: Optional[int] = None) -> RunOutcome:
-        """Run on exactly ``program``; halting requires consuming every bit.
+        """Run on exactly ``program``, which halts only when it is one whole
+        program.
 
         Micro-steps count bits read plus bits written.  A run that would
         exceed the step budget reports non-halting-at-budget, never a
         divergence verdict.
         """
         check_bits(program)
-        state, output, consumed = self._parse(program)
-        if state == "incomplete":
-            return RunOutcome(RunStatus.NEVER_HALTS, reason="program incomplete")
-        if state == "undefined":
-            return RunOutcome(RunStatus.NEVER_HALTS, reason="no halting extension")
-        if consumed < len(program):
-            return RunOutcome(RunStatus.NEVER_HALTS, reason="trailing bits")
-        steps = consumed + len(output)
+        output = self._decode(program)
+        if output is None:
+            return RunOutcome(RunStatus.NEVER_HALTS)
+        steps = len(program) + len(output)
         if step_budget is not None and steps > step_budget:
-            return RunOutcome(RunStatus.NOT_HALTING_AT_BUDGET, reason=f"steps {steps}")
+            return RunOutcome(RunStatus.NOT_HALTING_AT_BUDGET)
         return RunOutcome(RunStatus.HALTED, output=output, steps=steps)
 
 
@@ -670,17 +644,15 @@ def floor_nth_root(x: int, n: int) -> int:
         raise ValueError("need x >= 0 and n >= 1")
     if x == 0:
         return 0
+    # r starts at 2**ceil(bitlen(x)/n), above the root.  By AM-GM an integer
+    # Newton step never drops below floor(x ** (1/n)), and from any r above
+    # that floor it strictly decreases, so the loop ends exactly there.
     r = 1 << -(-x.bit_length() // n)
     while True:
         nr = ((n - 1) * r + x // r ** (n - 1)) // n
         if nr >= r:
-            break
+            return r
         r = nr
-    while r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
 
 
 def omega_s_bounds(

@@ -108,6 +108,13 @@ EXACT = {
     "dim {profile} --n0 2 --n1 1": "window must satisfy 1 <= n0 <= n1",
 }
 
+# inputs that cannot be read, each with the file its error line names
+UNREADABLE = {
+    "kc alloc {empty}": "empty",
+    "kc alloc {not_utf8}": "not_utf8",
+    "dim {not_utf8} --n0 1 --n1 2": "not_utf8",
+}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -154,6 +161,7 @@ EXACT = {
         "machine k ref --targ 01",
         *QUOTED,
         *EXACT,
+        *UNREADABLE,
     ],
 )
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
@@ -180,8 +188,11 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
         "turing": {"kind": "turing"},
         "float_length": [[1.5, "01"]],
         "profile": "1,2,exact,3,4\n",  # a valid row: only the window is bad
+        "empty": "",
     }
     paths = {key: write(tmp_path, key + ".json", doc) for key, doc in docs.items()}
+    paths["not_utf8"] = str(tmp_path / "not_utf8.json")
+    Path(paths["not_utf8"]).write_bytes(b"\xff")  # no UTF-8 text starts with 0xff
     out, missing = tmp_path / "out.json", tmp_path / "missing.json"
     code = main(argv.format(**paths, out=out, missing=missing).split())
     err = capsys.readouterr().err
@@ -192,6 +203,8 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
         assert repr(QUOTED[argv]) in err
     if argv in EXACT:
         assert err == f"error: {EXACT[argv]}\n"
+    if argv in UNREADABLE:
+        assert err.startswith(f"error: {paths[UNREADABLE[argv]]}: ")
 
 
 @pytest.mark.parametrize(
@@ -201,6 +214,7 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
         ("ap:2,1", "affine:1"),
         ("ap:2,1", "values:3,x"),
         ("ap:2,1", "shift:2>>x"),
+        ("ap:2,1", "shift:2>>-1"),
         ("ap:x,1", "shift:2"),
         ("blocks:x:dyadics:0", "shift:2"),
     ],
@@ -628,13 +642,17 @@ def test_out_replaces_an_existing_file_atomically(tmp_path, capsys):
     assert target.read_text() == artifact
     assert [p.name for p in out_dir.iterdir()] == ["a.json"]
     # a failed rename leaves the target as it was and no temporary file
-    # beside it; the error names that file, whose name holds the pid
+    # beside it; the error names the target, not the temporary file
     assert main(["kc", "alloc", req, "--out", str(out_dir)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err == f"error: [Errno 21] Is a directory: {str(out_dir)!r}\n"
     assert [p.name for p in out_dir.iterdir()] == ["a.json"]
     assert target.read_text() == artifact
+    # so does a temporary file that cannot be made
+    no_dir = tmp_path / "no-dir" / "a.json"
+    assert main(["kc", "alloc", req, "--out", str(no_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {str(no_dir)!r}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "req.json"]
 
 

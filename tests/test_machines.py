@@ -872,6 +872,9 @@ def test_floor_nth_root_exact():
         n = rng.randint(1, 7)
         r = floor_nth_root(x, n)
         assert r**n <= x < (r + 1) ** n
+    for x, n in itertools.product(range(1 << 12), range(1, 8)):
+        r = floor_nth_root(x, n)
+        assert r**n <= x < (r + 1) ** n
 
 
 def test_omega_s_half_is_exact():

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from leftreal.errors import (
     DegenerateMachine,
+    HorizonExceeded,
     LevelEmpty,
     PrefixViolation,
     PreconditionRefuted,
@@ -311,6 +312,8 @@ def test_rate_from_skt_singleton_levels():
         tau = x.prefix(r_n)
         v = complexity(result.machine, tau, b)
         assert v.value == r_n - n  # requested length, realized exactly
+    with pytest.raises(HorizonExceeded):
+        result.rate.at(len(result.rate.values))
 
 
 def test_rate_from_skt_weight_chain_fits_in_unit_interval():
@@ -475,6 +478,7 @@ def test_kurtz_witness_complete_codes_exhaustive():
 def test_kurtz_witness_examples():
     x = BitStream.periodic("10")
     assert kurtz_witness_check(["0", "10", "11"], x, 10).witness == "10"
+    assert kurtz_witness_check(["0", "10", "11"], x, 3).witness == "10"  # exhausts at the stage
     assert (
         kurtz_witness_check(["00", "01", "10", "11"], x, 10).status
         is KurtzStatus.PREFIX_FOUND
@@ -484,6 +488,8 @@ def test_kurtz_witness_examples():
 def test_kurtz_witness_rejects_underweight():
     with pytest.raises(PreconditionRefuted):
         kurtz_witness_check(["00", "01"], BitStream.periodic("0"), 10)
+    with pytest.raises(PreconditionRefuted, match="did not exhaust within 2"):
+        kurtz_witness_check(["0", "10", "11"], BitStream.periodic("0"), 2)
 
 
 def test_kurtz_witness_rejects_prefix_violation():

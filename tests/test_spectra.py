@@ -5,12 +5,13 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from leftreal.errors import HorizonExceeded
 from leftreal.foundations import BitStream, charseq, evens
 from leftreal.kraft_chaitin import kc_build_machine
-from leftreal.machines import Budget, Interpreter, KStatus, complexity
+from leftreal.machines import Budget, Interpreter, KStatus, TableMachine, complexity
 from leftreal.names import CheckStatus, IncreasingDyadicStream
 from leftreal.randomness import covers, validate_family, skt_from_rate
 from leftreal.spectra import (
@@ -151,6 +152,9 @@ def test_dim_window_excludes_unknown_entries():
     est = dim_window(p, 1, 20)
     assert est.excluded  # long prefixes are unreachable at L = 10
     assert all(n > 4 for n in est.excluded)
+    assert f"; {len(est.excluded)} entries without witnesses excluded;" in est.caveat
+    with pytest.raises(ValueError, match="no usable entries in the window"):
+        dim_window(p, 19, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +290,11 @@ def test_ce_log_bound_refuted_at_zero_constant():
     verdict = ce_log_bound_check(a, INTERP, c=0, n_max=16, budget=Budget(20, 10**4))
     assert verdict.status is CheckStatus.REFUTED
     assert verdict.failing_n == 4
+    # a table whose keys all fit L but output no prefix refutes exactly
+    table = TableMachine((("0", "1"),))
+    verdict = ce_log_bound_check(a, table, c=8, n_max=16, budget=Budget(20, 10**4))
+    assert (verdict.status, verdict.failing_n) == (CheckStatus.REFUTED, 4)
+    assert verdict.details == "no program at all produces the length-4 prefix"
 
 
 def test_ce_log_bound_vacuous_below_four():
