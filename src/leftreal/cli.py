@@ -601,6 +601,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (SpecError, LeftrealError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:  # what held the memory is freed as the stack unwinds
+        print("error: out of memory; retry with a smaller budget or input", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -268,9 +268,12 @@ def lc_to_roc(
     the search range, so a prefix's length fixes its level, and later
     stages that share the prefix reuse the verdict.  The search reads
     only these bit prefixes (``xs.prefix_bits``), and a stage whose
-    prefix repeats the previous stage's failed one is skipped.  Block
-    ``t`` of the name lists the digit exponents of
-    ``xs(s(t+1)) - xs(s(t))`` in increasing order.
+    prefix repeats the previous stage's failed one is skipped.  When that
+    stage is at or past ``xs.settled_from(r(n))``, every later stage
+    repeats it too, so the level's search ends there, after reading
+    ``xs(stages)``, so that a stream that fails before ``stages`` fails as
+    the whole search would.  Block ``t`` of the name lists the digit
+    exponents of ``xs(s(t+1)) - xs(s(t))`` in increasing order.
     """
     if xs.eventually_constant:
         return LcToRocResult(
@@ -299,9 +302,13 @@ def lc_to_roc(
     for n in range(n_max):
         found: Optional[int] = None
         failed = None  # the last stage's prefix, whose gate failed
+        settled = xs.settled_from(rates[n])
         for m in range(s_values[-1] + 1, stages + 1):
             bits = xs.prefix_bits(m, rates[n])
             if bits == failed:
+                if settled is not None and m >= settled:  # so are all later stages
+                    xs.prefix_bits(stages, 0)  # raises what reading them would
+                    break
                 continue
             failed = bits
             if all(certified(bits[: rates[k]], k) for k in range(n + 1)):

@@ -34,6 +34,17 @@ per-query code reads each ``KStatus`` member from a module constant:
 ``enum``'s class ``__getattr__`` keeps CPython from specializing an
 attribute read such as ``KStatus.EXACT``, which then costs over ten
 times a global read, up to a tenth of a cached query.
+
+A query whose literal fits and has fewer than ``LITERAL_ROWS`` payload
+bits reads it from ``_LITERALS``, built at import from ``literal_length``
+and ``header``: the literal's length and header, and the tight period
+bound, the longest period whose repeat is shorter than the literal.  No
+longer period can win, so the period search starts from a longer prefix
+of the target and mostly ends after one ``str.find``.  Any other query
+computes the literal's length and bounds the period loosely.  A caller
+that knows the target's smallest period passes it as ``complexity``'s
+private ``_period`` (``spectra.profile`` does, from one prefix-function
+pass), and the query searches for none.
 """
 
 from __future__ import annotations
@@ -118,6 +129,28 @@ def repeat_length(count: int, plen: int) -> int:
 def repeat_output(pattern: str, count: int) -> str:
     """The first ``count`` bits of ``pattern`` repeated forever."""
     return (pattern * -(-count // len(pattern)))[:count]
+
+
+LITERAL_ROWS = 32  # rows for every literal of up to 43 bits, so for every L <= 43
+
+
+def _literal_row(n: int) -> tuple[int, str, int]:
+    """The literal of an ``n``-bit target: its length and header, and the
+    tight period bound, the largest ``q <= n - 1`` whose repeat is shorter
+    (0 when none is): ``q + 2 * bitlen(q) <= literal_length(n + 1) - 1 -
+    2 * bitlen(n)``, as ``repeat_length(n, q) = 2 * bitlen(n) + 2 *
+    bitlen(q) + q``."""
+    length = literal_length(n + 1)
+    room = length - 1 - 2 * n.bit_length()
+    q = n - 1
+    while q > 0 and q + 2 * q.bit_length() > room:
+        q -= 1
+    return length, header(LITERAL, n + 1), max(q, 0)
+
+
+_LITERALS = tuple(map(_literal_row, range(LITERAL_ROWS)))
+
+_NOT_BITS = str.maketrans("", "", "01")  # ``s.translate(_NOT_BITS)`` is empty iff s is bits
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +311,6 @@ PrefixMachine = Union[TableMachine, Interpreter]
 # ---------------------------------------------------------------------------
 
 
-def _guard_classes(budget: Budget) -> None:
-    """Refuse a walk of the interpreter's header classes past ``MAX_BUILT``."""
-    L = budget.L
-    if L * L > MAX_BUILT and not budget.allow_large:
-        raise BudgetGuard(
-            f"the census at L={L} would walk up to L*L header classes, above "
-            f"the {MAX_BUILT}-class guard; pass allow_large=True (--force) to override"
-        )
-
-
 def domain_census(
     machine: PrefixMachine, budget: Budget
 ) -> tuple[dict[int, int], frozenset[int]]:
@@ -308,8 +331,12 @@ def domain_census(
     if isinstance(machine, TableMachine):
         lengths = machine.output_lengths.items()
         return {l: len(olens) for l, olens in lengths if l <= budget.L}, frozenset()
-    _guard_classes(budget)
     L, t = budget.L, budget.t
+    if L * L > MAX_BUILT and not budget.allow_large:
+        raise BudgetGuard(
+            f"the census at L={L} would walk up to L*L header classes, above "
+            f"the {MAX_BUILT}-class guard; pass allow_large=True (--force) to override"
+        )
     counts: dict[int, int] = defaultdict(int)
     cut = set()
     # the literal of header number n outputs its n - 1 body bits; the next
@@ -356,14 +383,21 @@ def _first_cut_length(machine: Interpreter, budget: Budget) -> Union[int, float]
     cuts none: ``min(domain_census(machine, budget)[1], default=INFINITE)``
     without the counts.
 
-    It walks the census's header classes under the census's guard, skips
-    every class at or past the shortest cut found so far, and reads one
-    number per table and key length: the last of its sorted
-    ``output_lengths``, the longest output.  It runs on every query at a
-    fresh (L, t), so it inlines ``literal_length`` and ``repeat_length`` in
-    bit-length arithmetic, ``|gamma(k)| = 2 * k.bit_length() - 1``.
+    It walks the census's header classes, skips every class at or past the
+    shortest cut found so far, and reads one number per table and key
+    length: the last of its sorted ``output_lengths``, the longest output.
+    It holds nothing and takes about L steps per tag (a found repeat cut
+    adds log t), so it is guarded by ``L`` itself, not by the census's
+    ``L*L`` classes.  It runs on every query at a fresh (L, t), so it
+    inlines ``literal_length`` and ``repeat_length`` in bit-length
+    arithmetic, ``|gamma(k)| = 2 * k.bit_length() - 1``.
     """
-    _guard_classes(budget)
+    if budget.L > MAX_BUILT and not budget.allow_large:
+        raise BudgetGuard(
+            f"the cut walk at L={budget.L} would walk up to L header classes per "
+            f"tag, above the {MAX_BUILT}-class guard; pass allow_large=True "
+            "(--force) to override"
+        )
     t = budget.t
     best = budget.L + 1  # the cut length to beat
     # a literal's length and its steps both grow with its header number, so
@@ -535,8 +569,9 @@ class ComplexityValue(NamedTuple):
     machines.  A named tuple, since every query builds one and a class
     that guards its fields against assignment takes three times as long
     to build.  ``complexity``'s interpreter path builds it with
-    ``tuple.__new__(ComplexityValue, fields)``, all four fields given, so
-    that no constructor frame runs: the same type with the same fields.
+    ``tuple.__new__(ComplexityValue, fields)`` (read once, as ``_NEW``), all
+    four fields given, so that no constructor frame runs: the same type
+    with the same fields.
     """
 
     value: Union[int, float]
@@ -553,6 +588,9 @@ class ComplexityValue(NamedTuple):
         return self.value <= bound  # INFINITE exceeds every bound
 
 
+_NEW = tuple.__new__
+
+
 def _table_complexity(m: TableMachine, target: str, budget: Budget) -> ComplexityValue:
     key = m.shortest.get(target)
     if key is not None and len(key) <= budget.L:
@@ -562,7 +600,9 @@ def _table_complexity(m: TableMachine, target: str, budget: Budget) -> Complexit
     return ComplexityValue(INFINITE, _UNKNOWN, budget)
 
 
-def complexity(machine: PrefixMachine, target: str, budget: Budget) -> ComplexityValue:
+def complexity(
+    machine: PrefixMachine, target: str, budget: Budget, *, _period: Optional[int] = None
+) -> ComplexityValue:
     """Shortest-program length for ``target`` under the given budget.
 
     The witness is the length-lex least shortest program of the budgeted
@@ -577,10 +617,16 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
     the shortest cut length comes, once per (L, t), from a walk of the
     header classes that counts nothing and reads each table's
     ``output_lengths`` (``_first_cut_length``), not from the census.
+
+    ``_period`` is private to callers that already know the target's
+    smallest period (``len(target)`` when it has none shorter, 0 for the
+    empty target), such as ``spectra.profile``; the query then skips its
+    search for one.  A table machine ignores it.
     """
-    if target.__class__ is not str or target.strip("01"):
+    if target.__class__ is not str or target.translate(_NOT_BITS):
         check_bits(target)
-    if isinstance(machine, TableMachine):
+    # an Interpreter passes one identity test, not an isinstance call
+    if machine.__class__ is not Interpreter and isinstance(machine, TableMachine):
         return _table_complexity(machine, target, budget)
     # A program fits when it has at most L bits and runs within t steps, one
     # per program bit and per output bit; ``best`` is the length to beat.
@@ -588,24 +634,38 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
     # ``repeat_length`` with |gamma(k)| = 2 * k.bit_length() - 1.  Only the
     # winning tag is kept; its witness is built once, at the end.
     n = len(target)
+    nbits = n.bit_length()
     best = budget.t - n
     if budget.L < best:
         best = budget.L
     best += 1
     tag = None
-    length = n + 2 * (n + 1).bit_length()  # literal_length(n + 1)
-    if length < best:
-        best, tag = length, LITERAL
-    # the repeat of period q has repeat_length(n, q) bits
-    # |gamma(q)| >= 1 bounds the period that fits; qmax <= n - 1, as best is
-    # at most the literal's n + 2 * bitlen(n + 1) <= n + 2 * bitlen(n) + 2
-    qmax = best - 3 - 2 * n.bit_length()
+    # The repeat of period q has repeat_length(n, q) bits; ``qmax`` bounds
+    # the period that can win.  A fitting literal of a target of fewer than
+    # LITERAL_ROWS bits reads its length, its header and the tight bound
+    # from its row.  Else |gamma(q)| >= 1 gives qmax <= n - 1, as best is at
+    # most the literal's n + 2 * bitlen(n + 1) <= n + 2 * bitlen(n) + 2
+    literal_header = None
+    if n < LITERAL_ROWS and (row := _LITERALS[n])[0] < best:
+        best, literal_header, qmax = row
+        tag = LITERAL
+    else:
+        length = n + 2 * (n + 1).bit_length()  # literal_length(n + 1)
+        if length < best:  # so n >= LITERAL_ROWS
+            best, tag = length, LITERAL
+        qmax = best - 3 - 2 * nbits
     if qmax > 0:
-        start = target[: n - qmax]  # each period q <= qmax starts a copy of it
-        q = target.find(start, 1)
-        while q != -1 and not target.startswith(target[q:]):
-            q = target.find(start, q + 1)
-        if q != -1 and (length := 2 * (n.bit_length() + q.bit_length()) + q) < best:
+        if _period is None:
+            # each period q <= qmax starts a copy of the first m bits at q,
+            # which find checks; the bits past that copy are checked after
+            m = n - qmax
+            start = target[:m]
+            q = target.find(start, 1)
+            while q != -1 and not target.startswith(target[m : n - q], q + m):
+                q = target.find(start, q + 1)
+        else:
+            q = _period if _period <= qmax else -1
+        if q != -1 and (length := 2 * (nbits + q.bit_length()) + q) < best:
             best, tag = length, REPEAT
     for head, shortest in machine._calls:
         key = shortest.get(target)
@@ -615,9 +675,9 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
         if length < best or (length == best and tag == CALL and head + key < witness):
             best, tag, witness = length, CALL, head + key
     if tag is None:
-        return tuple.__new__(ComplexityValue, (INFINITE, _UNKNOWN, budget, None))
+        return _NEW(ComplexityValue, (INFINITE, _UNKNOWN, budget, None))
     if tag == LITERAL:
-        witness = header(LITERAL, n + 1) + target
+        witness = (literal_header or header(LITERAL, n + 1)) + target
     elif tag == REPEAT:
         witness = header(REPEAT, n, q) + target[:q]
     L_t = (budget.L, budget.t)
@@ -625,7 +685,7 @@ def complexity(machine: PrefixMachine, target: str, budget: Budget) -> Complexit
     if cut is None:
         cut = machine._first_cut[L_t] = _first_cut_length(machine, budget)
     status = _EXACT if best <= cut else _UPPER_BOUND
-    return tuple.__new__(ComplexityValue, (best, status, budget, witness))
+    return _NEW(ComplexityValue, (best, status, budget, witness))
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,11 @@ class IncreasingDyadicStream(Replayable):
         """The first ``n`` expansion bits of ``x_m``."""
         return self.at(m).prefix_bits(n)
 
+    def settled_from(self, n: int) -> Optional[int]:
+        """A stage from which ``prefix_bits(m, n)`` no longer changes, or
+        None when the stream cannot tell."""
+        return None
+
     @staticmethod
     def from_prefix_sums(
         stream: BitStream, bits_per_step: int = 1, label: str = ""
@@ -261,6 +266,10 @@ class _PrefixSums(IncreasingDyadicStream):
 
     def prefix_bits(self, m: int, n: int) -> str:
         return self._stream.prefix(min(n, self._read(m))).ljust(n, "0")
+
+    def settled_from(self, n: int) -> int:
+        """From stage ``ceil(n / step)`` on, ``x_m`` holds all ``n`` bits."""
+        return -(-n // self._step) if self._step else 0
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,30 @@ class ComplexityProfile(NamedTuple):
 def profile(
     machine: PrefixMachine, x: BitStream, n_max: int, budget: Budget
 ) -> ComplexityProfile:
+    """``complexity`` of each prefix of ``x`` up to ``n_max`` bits.
+
+    The stream is read once.  One pass of the prefix function of Knuth,
+    Morris and Pratt gives every prefix's smallest period, ``n - pi(n - 1)``,
+    where ``pi(i)`` is the length of the longest proper border of the
+    first ``i + 1`` bits; each query takes it as its private ``_period``
+    and so searches for none.
+    """
     x._read(n_max)
     bits = x.prefix(n_max)
-    entries = [(n, complexity(machine, bits[:n], budget)) for n in range(n_max + 1)]
+    pi = [0] * len(bits)
+    k = 0
+    for i in range(1, len(bits)):
+        c = bits[i]
+        while k and bits[k] != c:
+            k = pi[k - 1]
+        if bits[k] == c:
+            k += 1
+        pi[i] = k
+    periods = [0, *(n - b for n, b in enumerate(pi, 1))]  # the empty prefix's is 0
+    entries = [
+        (n, complexity(machine, bits[:n], budget, _period=q))
+        for n, q in zip(range(n_max + 1), periods)
+    ]
     return ComplexityProfile(entries)
 
 

@@ -5,12 +5,15 @@ import hashlib
 import io
 import json
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import leftreal
 from leftreal import machines, randomness
 from leftreal.cli import COMMANDS, build_parser, main, natural
 from leftreal.jsonio import canonical_dumps, machine_from_json, machine_to_json
@@ -146,7 +149,8 @@ UNREADABLE = {
         # a listed stream that decreases, and one above 1
         "convert lc-to-roc --stream dyadics:1/2^1,1/2^2 --rate shift:2 --stages 10 --nmax 2",
         "convert lc-to-roc --stream dyadics:3/2^1 --rate shift:2 --stages 10 --nmax 2",
-        "machine k ref --target 0101 --budget-l 1025",  # past the census guard
+        "machine k ref --target 0101 --budget-l 1048577",  # past the cut walk's guard
+        "omega ref --budget-l 2100",  # past the census guard
         "kc alloc {overlong}",  # a codeword past the 2^20-bit guard
         # a horizon or threshold of 0 would refute on no elements at all
         "immunity hyperimmune --set evens:1000 --rate affine:0,0 --horizon 0",
@@ -387,13 +391,56 @@ def test_machine_k_answers_past_length_40_unforced(capsys):
     assert (k["value"], k["status"], k["witness"]) == (10, "exact", "0001010101")
 
 
+OUT_OF_MEMORY = "error: out of memory; retry with a smaller budget or input\n"
+
+
+def test_out_of_memory_exits_one_with_one_line(capsys, monkeypatch):
+    def exhaust(out, args):
+        raise MemoryError
+
+    monkeypatch.setitem(COMMANDS, "machine k", (exhaust, COMMANDS["machine k"][1]))
+    code = main(["machine", "k", "ref", "--target", "01"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", OUT_OF_MEMORY)
+
+
+def test_out_of_memory_in_a_child_exits_one_with_one_line():
+    # a forced listing at L = 30 holds 3.75 M pairs, over 1 GB; the child
+    # alone gets a 256 MB address-space limit, so it runs out within seconds
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    argv = ["machine", "enumerate", "ref", "--budget-l", "30", "--force"]
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", "import sys; from leftreal.cli import main; sys.exit(main())",
+         *argv],
+        env={"PYTHONPATH": str(Path(leftreal.__file__).resolve().parents[1])},
+        preexec_fn=limit, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", OUT_OF_MEMORY)
+
+
+def test_profile_past_the_census_guard_runs_unforced(capsys):
+    # a query walks about L header classes per tag, so only L guards it;
+    # ``omega ref --budget-l 2100`` still needs --force for the census
+    argv = ["profile", "--stream", "periodic:01", "--nmax", "2048", "--budget-l", "2100"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    forced_code, forced = run(capsys, *argv, "--force")
+    assert forced_code == 0
+    rows = out.splitlines()[1:]  # below the manifest, which records the argv
+    assert len(rows) == 2050 and rows == forced.splitlines()[1:]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         "omega ref",
         "omega-s ref --s 2/3",
         "machine k ref --target 01",
-        "machine k ref --target 0101 --budget-l 1025",  # past the census guard
+        "machine k ref --target 0101 --budget-l 1025",
     ],
 )
 def test_forced_length_budgets_past_130_answer(capsys, argv):

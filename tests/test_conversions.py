@@ -799,6 +799,54 @@ def test_lc_to_roc_asks_complexity_once_per_distinct_prefix(monkeypatch):
     assert len(fast) < len(targets)
 
 
+def _counted_prefix_sums(stream, step, reads):
+    """``from_prefix_sums`` that records the stage of each ``prefix_bits``."""
+    xs = IncreasingDyadicStream.from_prefix_sums(stream, step)
+    read = xs.prefix_bits
+    xs.prefix_bits = lambda m, n: reads.append(m) or read(m, n)
+    return xs
+
+
+def test_lc_to_roc_ends_a_level_at_its_settled_prefix(monkeypatch):
+    # k-warm's early search: x_m holds level 0's 16 bits from stage 8 on,
+    # and they fail, so the level ends at the first repeat after that
+    # instead of skipping the other ~890 stages one by one
+    def search(reads):
+        xs = _counted_prefix_sums(BitStream.periodic("0110"), 2, reads)
+        res = lc_to_roc(xs, Modulus.power2(4), Interpreter(), Budget(22, 10**4), 900, 6)
+        return res.s_values, res.exhausted_at
+
+    settled = []
+    assert search(settled) == ([0], 1)
+    monkeypatch.setattr(names._PrefixSums, "settled_from", lambda self, n: None)
+    every = []
+    assert search(every) == ([0], 1)
+    assert every == list(range(1, 901))
+    assert settled == [*range(1, 10), 900]  # the last reads x_900, for its errors
+    assert len(settled) * 50 < len(every)
+
+
+def test_lc_to_roc_reads_to_stages_after_a_settled_prefix():
+    # level 0's 2 bits are settled from stage 2 and fail, so the search ends
+    # there; the stream's horizon at bit 40 lies before stage 60, and the
+    # search still fails there as a scan of every stage does
+    bits = "".join(random.Random(99).choice("01") for _ in range(60))
+
+    def stream(horizon):
+        return BitStream(lambda i: int(bits[i]), horizon, label="bits")
+
+    args = (Modulus.shift(2), Interpreter(), Budget(14, 10**4), 60, 3)
+    for horizon, expected in ((40, None), (None, ([0], 1))):
+        reads = []
+        fast = _outcome(lambda: lc_to_roc(_counted_prefix_sums(stream(horizon), 1, reads), *args))
+        ref = _outcome(lambda: _reference_lc_to_roc(_memo_prefix_sums(stream(horizon)), *args))
+        if expected is None:
+            assert fast == ref == (HorizonExceeded, "bits queried at 40 beyond horizon 40")
+        else:
+            assert (fast.s_values, fast.exhausted_at) == ref[:2] == expected
+        assert len(reads) <= 4 and reads[-1] == 60
+
+
 # ---------------------------------------------------------------------------
 # tail and carry fixtures
 # ---------------------------------------------------------------------------

@@ -624,10 +624,10 @@ def _assert_matches_reference(machine, targets, budget):
     # the oracle runs on an equal machine of its own, so it reads no cut
     # length that ``complexity`` cached
     twin = type(machine)(*machine._key())
-    for target in targets:
-        v = complexity(machine, target, budget)
-        assert type(v) is ComplexityValue
-        assert tuple(v) == tuple(_reference_complexity(twin, target, budget))
+    got = [complexity(machine, target, budget) for target in targets]
+    assert {type(v) for v in got} <= {ComplexityValue}
+    want = [_reference_complexity(twin, target, budget) for target in targets]
+    assert list(map(tuple, got)) == list(map(tuple, want))
 
 
 def _call_tie(w, k):
@@ -656,14 +656,92 @@ def test_complexity_matches_the_reference(machine, budget, data):
     _assert_matches_reference(machine, targets, budget)
 
 
+STEPS = (0, 1, 5, 20, 40, 10**4)
+
+
+def _near_periodic(lengths):
+    """Each pattern of 1 to 4 bits repeated to each length, as is and with
+    one bit flipped, early or late: the repeats that a period search must
+    find, and the near misses it must reject."""
+    patterns = [s for n in range(1, 5) for s in strings_of_length(n)]
+    out = []
+    for p in patterns:
+        for n in lengths:
+            s = (p * n)[:n]
+            out.append(s)
+            for i in (n // 3, n - 2):
+                out.append(s[:i] + "10"[int(s[i])] + s[i + 1 :])
+    return out
+
+
 @pytest.mark.parametrize("machine", [Interpreter(), Interpreter(aux=(THREE_ENTRY,))])
 def test_complexity_matches_the_reference_exhaustively(machine):
-    targets = [s for n in range(11) for s in strings_of_length(n)]
-    patterns = [s for n in range(1, 5) for s in strings_of_length(n)]
-    targets += [(p * 60)[:n] for p in patterns for n in range(11, 61)]  # long repeats
-    for L in range(0, 28, 3):
-        for t in (5, 20, 40, 10**4):
+    # every string of up to 12 bits (10 with the table, whose outputs have
+    # at most 3), then the repeats of every length up to 60, at every L up
+    # to 40
+    width = 10 if machine.aux else 12
+    targets = [s for n in range(width + 1) for s in strings_of_length(n)]
+    targets += _near_periodic(range(width + 1, 61))
+    for L in range(41):
+        for t in STEPS:
             _assert_matches_reference(machine, targets, Budget(L, t))
+
+
+def test_complexity_matches_the_reference_past_the_literal_rows():
+    # targets of LITERAL_ROWS - 1 and LITERAL_ROWS bits and a little past,
+    # and of 127 to 256 bits, at budgets where their literal fits and where
+    # it does not.  Past L = 130 ``len`` cannot size a repeat class, so the
+    # oracle's twin reads its cut length from the forced census instead of
+    # the bisect
+    rows = machines.LITERAL_ROWS
+    rng = random.Random(5)
+    lengths = (rows - 1, rows, rows + 1, 127, 128, 129, 256)
+    targets = _near_periodic(lengths)
+    targets += ["".join(rng.choice("01") for _ in range(n)) for n in lengths for _ in range(4)]
+    for aux in ((), (THREE_ENTRY,)):
+        machine, twin = Interpreter(aux=aux), Interpreter(aux=aux)
+        for L in (24, rows + 10, rows + 11, rows + 12, rows + 13, 142, 143, 144, 145, 274, 300):
+            for t in (*STEPS, 272, 10**6):
+                budget = Budget(L, t)
+                twin._first_cut[L, t] = _census_first_cut(twin, Budget(L, t, allow_large=True))
+                for target in targets:
+                    v = complexity(machine, target, budget)
+                    assert tuple(v) == tuple(_reference_complexity(twin, target, budget))
+
+
+def test_complexity_finds_periods_up_to_the_tight_bound():
+    # For each length and budget, the longest period whose repeat beats the
+    # literal and the budget, by brute force: a target of that smallest
+    # period is a repeat, and one of the next period is not
+    machine = Interpreter()
+    t = 10**6
+    for n in range(1, 150):
+        literal = machines.literal_length(n + 1)
+        for L in range(literal + 2):
+            best = min(literal, L + 1)  # a program shorter than this wins
+            fits = [q for q in range(1, n) if machines.repeat_length(n, q) < best]
+            qmax = max(fits, default=0)
+            assert fits == list(range(1, qmax + 1))  # repeats grow with their period
+            for q in (qmax, qmax + 1):
+                if not 1 <= q < n:
+                    continue
+                target = machines.repeat_output("0" * (q - 1) + "1", n)  # its smallest period is q
+                v = complexity(machine, target, Budget(L, t))
+                if q == qmax:
+                    assert v.value == machines.repeat_length(n, q)
+                    assert v.witness == machines.header(machines.REPEAT, n, q) + target[:q]
+                else:
+                    assert v.witness is None or v.witness[0] == machines.LITERAL
+
+
+def test_literal_rows_match_the_instruction_set():
+    assert len(machines._LITERALS) == machines.LITERAL_ROWS
+    for n, (length, head, qmax) in enumerate(machines._LITERALS):
+        assert length == machines.literal_length(n + 1)
+        assert head == machines.header(machines.LITERAL, n + 1)
+        # the periods whose repeat is shorter than the literal, by brute force
+        shorter = [q for q in range(1, n) if machines.repeat_length(n, q) < length]
+        assert shorter == list(range(1, qmax + 1))
 
 
 @pytest.mark.parametrize("machine", [Interpreter(aux=(THREE_ENTRY,)), THREE_ENTRY])
@@ -678,8 +756,12 @@ def test_complexity_rejects_non_bit_targets(machine, target):
 def test_interpreter_query_runs_in_one_frame():
     interp = Interpreter(aux=(THREE_ENTRY,))
     budget = Budget(24, 10**4)
-    targets = ["", "0110101", "111", "01" * 60, "0" * 30]
+    # past the literal rows too: a 130-bit literal fits in 300 bits
+    wide = Budget(300, 10**4)
+    counting = "".join(format(i, "b") for i in range(1, 40))[:130]  # its literal wins
+    targets = ["", "0110101", "111", "01" * 60, "0" * 30, "0110" * 32, counting]
     for target in targets:  # the first query fills the caches
+        complexity(interp, target, wide)
         complexity(interp, target, budget)
     frames = []
     # a collection in the window would profile the gc callbacks that
@@ -689,9 +771,12 @@ def test_interpreter_query_runs_in_one_frame():
     try:
         for target in targets:
             complexity(interp, target, budget)
+            complexity(interp, target, wide)
     finally:
         sys.setprofile(None)
-    assert [f.f_code.co_name for f in frames] == ["complexity"] * len(targets)
+    assert [f.f_code.co_name for f in frames] == ["complexity"] * 2 * len(targets)
+    literal = machines.header(machines.LITERAL, 131) + counting
+    assert complexity(interp, counting, wide).witness == literal
 
 
 def test_query_code_reads_statuses_from_module_constants():
@@ -902,7 +987,7 @@ class _UnwalkableTable(TableMachine):
     census that walks its calls fails loudly."""
 
     def _refuse(self):
-        raise AssertionError("walked the header classes past the census guard")
+        raise AssertionError("walked the header classes to a table call")
 
     # the constructor's write of the output lengths is dropped
     output_lengths = property(_refuse, lambda self, value: None)
@@ -915,13 +1000,31 @@ def test_budget_guard_trips():
     budget = Budget(1025, 10**4)
     with pytest.raises(BudgetGuard, match="L=1025"):
         domain_census(interp, budget)
-    with pytest.raises(BudgetGuard, match="L=1025"):
-        complexity(interp, "0101", budget)
     forced = Budget(1025, 10**4, allow_large=True)
-    for walk in (lambda: domain_census(interp, forced), lambda: complexity(interp, "0101", forced)):
-        with pytest.raises(AssertionError, match="past the census guard"):
-            walk()  # past the guard, both read the table
+    with pytest.raises(AssertionError, match="to a table call"):
+        domain_census(interp, forced)  # past the guard, it reads the table
     counts, cut = domain_census(Interpreter(), Budget(1024, 10**4))
     forced, forced_cut = domain_census(Interpreter(), Budget(1025, 10**4, allow_large=True))
     assert {l: c for l, c in forced.items() if l <= 1024} == counts
     assert {l for l in forced_cut if l <= 1024} == cut
+
+
+def test_cut_walk_is_guarded_by_its_length():
+    # the cut walk takes about L steps per tag and holds nothing, so it
+    # refuses only an L past 2^20; the census's L*L guard does not apply
+    interp = Interpreter(aux=(_UnwalkableTable(THREE_ENTRY.entries),))
+    with pytest.raises(AssertionError, match="to a table call"):
+        complexity(interp, "0101", Budget(1025, 10**4))  # walked, unforced
+    big = machines.MAX_BUILT + 1
+    with pytest.raises(BudgetGuard, match=f"cut walk at L={big}"):
+        complexity(interp, "0101", Budget(big, 10**4))
+    with pytest.raises(AssertionError, match="to a table call"):
+        complexity(interp, "0101", Budget(big, 10**4, allow_large=True))
+    target = "01" * 1024
+    v = complexity(Interpreter(), target, Budget(2100, 10**4))
+    forced = complexity(Interpreter(), target, Budget(2100, 10**4, allow_large=True))
+    assert v[:2] == forced[:2] and v.witness == forced.witness
+    assert v.status is KStatus.EXACT
+    assert machines._first_cut_length(Interpreter(), Budget(2100, 10**4)) == _census_first_cut(
+        Interpreter(), Budget(2100, 10**4, allow_large=True)
+    )

@@ -643,3 +643,16 @@ def test_formula_sequences_refuse_negative_fields_when_built(kind, data):
     # the memo refused the same fields too, only later: at the first bad value
     with pytest.raises((ValueError, MonotonicityViolation)):
         old(*fields).values(max(map(abs, fields)) + 2)
+
+
+def test_prefix_sums_settle_from_the_stage_that_holds_the_bits():
+    xs = IncreasingDyadicStream.from_prefix_sums(BitStream.periodic("011"), 3)
+    assert [xs.settled_from(n) for n in (0, 1, 3, 4, 16)] == [0, 1, 1, 2, 6]
+    ones = IncreasingDyadicStream.from_prefix_sums(BitStream.periodic("1"), 3)
+    for n in (1, 4, 16):
+        m = xs.settled_from(n)
+        assert len({xs.prefix_bits(m + k, n) for k in range(6)}) == 1
+        # the stage before it still lacks a bit: ``ones`` shows it as a 0
+        assert ones.settled_from(n) == m and "0" in ones.prefix_bits(m - 1, n)
+    assert IncreasingDyadicStream.from_prefix_sums(BitStream.periodic("1"), 0).settled_from(9) == 0
+    assert IncreasingDyadicStream.from_list([ZERO]).settled_from(4) is None

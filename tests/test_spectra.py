@@ -73,14 +73,34 @@ def _profile_by_prefixes(machine, x, n_max, budget):
     return [(n, complexity(machine, x.prefix(n), budget)) for n in range(n_max + 1)]
 
 
+def _flipped(bits, flips):
+    for i in flips:
+        if i < len(bits):
+            bits = bits[:i] + "10"[int(bits[i])] + bits[i + 1 :]
+    return bits
+
+
+NEAR_PERIODIC = st.builds(
+    lambda pattern, n, flips: _flipped((pattern * n)[:n], flips),
+    st.text("01", min_size=1, max_size=5),
+    st.integers(0, 300),
+    st.lists(st.integers(0, 299), max_size=2),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    bits=st.text("01", max_size=30),
+    bits=st.text("01", max_size=30) | st.text("01", max_size=300) | NEAR_PERIODIC,
     finite=st.booleans(),
-    bad=st.one_of(st.none(), st.integers(0, 40)),
-    n_max=st.integers(-1, 40),
+    bad=st.one_of(st.none(), st.integers(0, 300)),
+    n_max=st.integers(-1, 300),
+    kind=st.sampled_from(["bare", "calls", "table"]),
+    calls=st.lists(st.integers(0, 300), max_size=4),
+    budget=st.builds(
+        Budget, st.integers(0, 40) | st.integers(120, 330), st.sampled_from([5, 40, 10**3, 10**4])
+    ),
 )
-def test_profile_matches_a_read_per_prefix(bits, finite, bad, n_max):
+def test_profile_matches_a_read_per_prefix(bits, finite, bad, n_max, kind, calls, budget):
     def stream():  # ``bits``, repeated or up to a horizon, with a 2 at ``bad``
         return BitStream(
             lambda i: 2 if i == bad else int(bits[i % len(bits)]) if bits else 0,
@@ -88,16 +108,34 @@ def test_profile_matches_a_read_per_prefix(bits, finite, bad, n_max):
             label=bits,
         )
 
+    # a KC-built table whose entries print prefixes of the stream's bits
+    repeated = (bits * 301)[:300] if bits else "0" * 300
+    table = kc_build_machine([(i + 4, repeated[:n]) for i, n in enumerate(calls)])
+    machine = {"bare": INTERP, "calls": Interpreter(aux=(table,)), "table": table}[kind]
+
     def outcome(run):
         try:
             return run()
         except (ValueError, HorizonExceeded) as e:
             return type(e), str(e)
 
-    budget = Budget(16, 10**3)
-    assert outcome(lambda: profile(INTERP, stream(), n_max, budget).entries) == outcome(
-        lambda: _profile_by_prefixes(INTERP, stream(), n_max, budget)
+    assert outcome(lambda: profile(machine, stream(), n_max, budget).entries) == outcome(
+        lambda: _profile_by_prefixes(machine, stream(), n_max, budget)
     )
+
+
+@pytest.mark.parametrize("budget", [Budget(24, 10**4), Budget(40, 50), Budget(330, 10**4)])
+def test_profile_matches_a_read_per_prefix_on_every_short_pattern(budget):
+    # periods that the prefix function finds only by falling back along a
+    # border, as in 0010 0010 (the border 001 falls back to 0 at the 1)
+    for k in range(1, 6):
+        for pattern in map("".join, itertools.product("01", repeat=k)):
+            bits = (pattern * 160)[:160]
+            for flips in ((), (70,), (5, 120)):
+                x = BitStream.from_bits(_flipped(bits, flips))
+                assert profile(INTERP, x, 160, budget).entries == _profile_by_prefixes(
+                    INTERP, x, 160, budget
+                ), (pattern, flips)
 
 
 # ---------------------------------------------------------------------------
