@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -136,14 +138,49 @@ class _Output:
             raise OSError(e.errno, e.strerror, self.out) from None
 
 
+# Arrays and objects nest at most this deep in an input.  CPython 3.11's
+# decoder stops a little deeper (its recursion limit of 1000, less the frames
+# already on the stack) and later versions decode far deeper, so every
+# version stops at this limit with the same message.
+MAX_JSON_DEPTH = 900
+
+_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')
+_SQUARE = bytes.maketrans(b"{}", b"[]")
+_NOT_MARK = bytes(sorted(set(range(256)).difference(b'[]{}"')))
+_DEPTH_STEP = {ord("["): 1, ord("]"): -1}
+
+
+def _nests_too_deep(data: bytes) -> bool:
+    """Whether the valid JSON document ``data`` nests arrays and objects
+    more than ``MAX_JSON_DEPTH`` deep, in time linear in its length.
+
+    Only brackets outside strings count.  Without a backslash, a string is
+    the text between a quote and the next one: deleting every byte but
+    brackets and quotes, and then each pair of adjacent quotes, keeps every
+    bracket on its side of the quotes, and the bracket-free strings vanish.
+    """
+    encoding = json.detect_encoding(data)
+    if not encoding.startswith("utf-8"):  # UTF-16 or UTF-32: read it as json does
+        data = data.decode(encoding, "surrogatepass").encode("utf-8", "surrogatepass")
+    if b"\\" in data:
+        data = _JSON_STRING.sub(b"", data)
+    marks = data.translate(_SQUARE, _NOT_MARK).replace(b'""', b"")
+    if b'"' in marks:
+        marks = b"".join(marks.split(b'"')[::2])
+    return max(accumulate(map(_DEPTH_STEP.__getitem__, marks)), default=0) > MAX_JSON_DEPTH
+
+
 def _load_json(out: _Output, path: str) -> Any:
     data = out.record_input(path)
     try:
-        return json.loads(data)
+        doc = json.loads(data)
+        if not _nests_too_deep(data):
+            return doc
     except RecursionError:
-        raise SpecError(f"{path} nests its JSON too deeply to read") from None
+        pass
     except ValueError as e:  # not JSON, or not UTF-8
         raise SpecError(f"{path}: {e}") from None
+    raise SpecError(f"{path} nests its JSON too deeply to read")
 
 
 def _registry_resolver(out: _Output):

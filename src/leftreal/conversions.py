@@ -51,6 +51,10 @@ class RateSpec(NamedTuple):
 class StageInterval(NamedTuple):
     """One enumerated open interval ``]lo, lo + 2**-length_exp[``.
 
+    The left end ``lo = lo_num * 2**-lo_exp`` is kept as its canonical
+    numerator and exponent, which the stage loop computes anyway; ``lo``
+    builds the ``Dyadic`` when read, so the loop builds none.
+
     A named tuple, since every stage builds one and a class that guards
     its fields against assignment takes about three times as long to
     build.  The stage loop builds it with ``tuple.__new__`` on the field
@@ -59,9 +63,14 @@ class StageInterval(NamedTuple):
     """
 
     t: int
-    lo: Dyadic
+    lo_num: int
+    lo_exp: int
     length_exp: int
     m: int
+
+    @property
+    def lo(self) -> Dyadic:
+        return Dyadic(self.lo_num, self.lo_exp)  # both fields are canonical
 
 
 class StageTrace(NamedTuple):
@@ -170,24 +179,26 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     # The cursor len(exps) bounds the indices reset so far.  An index reset
     # at stage t qualifies again at the first later stage whose sum passes
     # x + (one >> s(m)): ``due`` keeps it under that stage, then ``active``
-    # holds it until its next reset.  ``lo`` is x / 2**scale in canonical
-    # form; z tracks the trailing zeros of x (at most scale, as x <= one).
-    s = rate.s
-    exps: list[int] = []  # s(m), read when m is first reset
+    # holds it until its next reset.  The left end x / 2**scale is kept as
+    # (x >> z, scale - z) in canonical form; z tracks the trailing zeros of x
+    # (at most scale, as x <= one).
+    r_at = r.at
+    exps: list[int] = []  # s(m) = r(m + 2) + m + 2, read when m is first reset
     due: dict[int, list[int]] = {}
     active: list[int] = []
     intervals: list[StageInterval] = []
     new = tuple.__new__  # the named tuple's own __new__ adds a Python frame
     z = scale
     for t, x in enumerate(xs):
-        for m in due.pop(t, ()):
-            heappush(active, m)
+        if due:
+            for m in due.pop(t, ()):
+                heappush(active, m)
         if active:
             m = heappop(active)
             exp = exps[m]
         else:
             m = len(exps)
-            exp = s(m)
+            exp = r_at(m + 2) + m + 2  # RateSpec.s(m), inlined
             exps.append(exp)
         threshold = x + (one >> exp)
         if threshold < last:  # else m never comes due within ``stages``
@@ -197,7 +208,7 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
             z = e
         elif e == z:  # a carry out of the lowest set bit
             z = (x & -x).bit_length() - 1
-        intervals.append(new(StageInterval, (t, Dyadic(x >> z, scale - z), exp, m)))
+        intervals.append(new(StageInterval, (t, x >> z, scale - z, exp, m)))
 
     trace = StageTrace(intervals, stages, name_label=f.label, rate_label=r.label)
     levels: dict[int, list[str]] = {}  # level -> its strings, built on first read

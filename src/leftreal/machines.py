@@ -44,7 +44,7 @@ of the target and mostly ends after one ``str.find``.  Any other query
 computes the literal's length and bounds the period loosely.  A caller
 that knows the target's smallest period passes it as ``complexity``'s
 private ``_period`` (``spectra.profile`` does, from one prefix-function
-pass), and the query searches for none.
+pass), and the query searches for none and skips its bit check.
 """
 
 from __future__ import annotations
@@ -620,10 +620,11 @@ def complexity(
 
     ``_period`` is private to callers that already know the target's
     smallest period (``len(target)`` when it has none shorter, 0 for the
-    empty target), such as ``spectra.profile``; the query then skips its
-    search for one.  A table machine ignores it.
+    empty target) and have checked its bits, such as ``spectra.profile``
+    on a ``BitStream``'s prefix; the query then skips its search for one
+    and its bit check.  A table machine ignores the period.
     """
-    if target.__class__ is not str or target.translate(_NOT_BITS):
+    if _period is None and (target.__class__ is not str or target.translate(_NOT_BITS)):
         check_bits(target)
     # an Interpreter passes one identity test, not an isinstance call
     if machine.__class__ is not Interpreter and isinstance(machine, TableMachine):

@@ -49,7 +49,7 @@ def profile(
     Morris and Pratt gives every prefix's smallest period, ``n - pi(n - 1)``,
     where ``pi(i)`` is the length of the longest proper border of the
     first ``i + 1`` bits; each query takes it as its private ``_period``
-    and so searches for none.
+    and so searches for none, nor checks the bits the stream has checked.
     """
     x._read(n_max)
     bits = x.prefix(n_max)

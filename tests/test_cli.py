@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leftreal
-from leftreal import machines, randomness
+from leftreal import cli, machines, randomness
 from leftreal.cli import COMMANDS, build_parser, main, natural
 from leftreal.jsonio import canonical_dumps, machine_from_json, machine_to_json
 
@@ -648,6 +648,44 @@ def test_deeply_nested_json_exits_one(tmp_path, capsys, argv, text):
     path = write(tmp_path, "deep.json", text)
     assert main([*argv, path]) == 1
     assert capsys.readouterr().err == f"error: {path} nests its JSON too deeply to read\n"
+
+
+# strings that hold brackets, quotes and escapes, and characters whose
+# UTF-16 code units hold the bytes of '"' and '['
+JSON_NOISE = st.text(alphabet='[]{}"\\ab\u00e9\u225b\u5b22', max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    depth=st.one_of(
+        st.integers(0, 6), st.integers(cli.MAX_JSON_DEPTH - 3, cli.MAX_JSON_DEPTH + 3)
+    ),
+    arrays=st.lists(st.booleans(), min_size=1, max_size=5),
+    noise=st.lists(JSON_NOISE, min_size=1, max_size=8),
+    encoding=st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "utf-32"]),
+    ensure_ascii=st.booleans(),
+)
+def test_nesting_limit_counts_only_brackets_outside_strings(
+    depth, arrays, noise, encoding, ensure_ascii
+):
+    def string(i):
+        return json.dumps(noise[i % len(noise)], ensure_ascii=ensure_ascii)
+
+    # the text is built level by level, as json.dumps itself recurses per
+    # level; the innermost value is a string of 1,200 brackets
+    heads, tails = [], []
+    for level in range(depth):
+        if arrays[level % len(arrays)]:
+            heads.append(f"[{string(level)}, ")
+            tails.append(f", {string(level + 1)}]")
+        else:
+            heads.append(f"{{{string(level)}: ")
+            tails.append("}")
+    text = "".join(heads) + json.dumps("[{" * 600) + "".join(reversed(tails))
+    data = text.encode(encoding)
+    if depth < 10:  # the decoder recurses per level too
+        json.loads(data)
+    assert cli._nests_too_deep(data) == (depth > cli.MAX_JSON_DEPTH)
 
 
 def test_block_name_spec(capsys):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from leftreal import conversions, foundations, names
 from leftreal.conversions import (
+    CERTIFY_LEVELS,
     RateSpec,
     StageInterval,
     StageTrace,
@@ -134,7 +135,7 @@ def test_count_bound_violated_by_injected_intervals():
     exp = rate.s(1)
     bound = 1 << (rate.r.at(3) + 1)
     fake = res.trace.intervals + [
-        StageInterval(t=1000 + i, lo=ZERO, length_exp=exp, m=1)
+        StageInterval(t=1000 + i, lo_num=0, lo_exp=0, length_exp=exp, m=1)
         for i in range(bound + 1)
     ]
     doctored = StageTrace(fake, 2000)
@@ -223,7 +224,9 @@ def _reference_stage_loop(f, rate, stages):
                 )
         pointers[m] = t + 1
         events.append((m, t + 1, t + 1))
-        intervals.append(StageInterval(t=t, lo=x_t, length_exp=rate.s(m), m=m))
+        intervals.append(
+            StageInterval(t=t, lo_num=x_t.num, lo_exp=x_t.exp, length_exp=rate.s(m), m=m)
+        )
     return intervals, events
 
 
@@ -319,14 +322,52 @@ def test_roc_to_skt_reads_the_rate_lazily(monkeypatch):
     with pytest.raises(HorizonExceeded, match=r" queried at 49 beyond horizon 49$"):
         run(49)
 
-    calls = []
-    real = RateSpec.s
-    monkeypatch.setattr(RateSpec, "s", lambda self, n: calls.append(n) or real(self, n))
+    # the loop reads s(m) = r(m + 2) + m + 2 inline, after the gate's reads
+    # of r(0) and r(0..8)
     for f, stages in ((parse_name("ap:2,1"), 50), (_stepped_name(2, 2), 60)):
-        calls.clear()
-        res = roc_to_skt(f, RateSpec(Modulus.shift(3)), stages)
+        calls = []
+        r = Modulus.shift(3)
+        real = r.at
+        monkeypatch.setattr(r, "at", lambda n: calls.append(n) or real(n))
+        res = roc_to_skt(f, RateSpec(r), stages)
         used = sorted({iv.m for iv in res.trace.intervals})
-        assert calls == used  # once per index, in the order first reached
+        # once per index, in the order first reached
+        assert calls == [0, *range(CERTIFY_LEVELS + 1), *(m + 2 for m in used)]
+
+
+def test_roc_to_skt_builds_no_dyadic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("roc_to_skt built a Dyadic")
+
+    for f, rate in (
+        (parse_name("ap:2,1"), RateSpec(Modulus.shift(2))),
+        (_stepped_name(2, 2), RateSpec(Modulus.shift(3))),  # reuses indices
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(conversions, "Dyadic", refuse)
+            intervals = roc_to_skt(f, rate, 200).trace.intervals
+        # ``lo`` builds the canonical partial sum once Dyadic is back
+        assert [iv.lo for iv in intervals] == [partial_sum(f, t) for t in range(200)]
+
+
+# one name per stage pattern, then the resetting names of _stepped_name
+PINNED_NAMES = ["ap:2,1", "ap:3,1", (2, 2), (2, 2, (0, 1))]
+PINNED_RATES = [
+    "shift:3",
+    "affine:2,3",
+    "pow2:2",
+    "values:" + ",".join(str(n + 4) for n in range(200)),
+]
+
+
+@pytest.mark.parametrize("rate_spec", PINNED_RATES, ids=lambda spec: spec.split(",")[0])
+@pytest.mark.parametrize("name", PINNED_NAMES, ids=str)
+def test_roc_to_skt_inlined_s_matches_rate_s(name, rate_spec):
+    f = parse_name(name) if isinstance(name, str) else _stepped_name(*name)
+    rate = RateSpec(parse_rate(rate_spec))
+    intervals = roc_to_skt(f, rate, 150).trace.intervals
+    assert len(intervals) == 150 and len({iv.m for iv in intervals}) > 1
+    assert all(iv.length_exp == rate.s(iv.m) for iv in intervals)
 
 
 def _greedy_head(exps, bound=1):

@@ -88,6 +88,25 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, extra
     assert got == [str(code), *sorted(expected)]  # never dataclasses
 
 
+def test_python_m_leftreal_runs_the_cli_on_the_base_modules(tmp_path):
+    # -X importtime names on stderr each module the run imports
+    done = subprocess.run(
+        [sys.executable, "-S", "-B", "-X", "importtime", "-m", "leftreal",
+         *"construct join --a elements:0,1:4 --b elements:2:4".split()],
+        cwd=tmp_path, env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["bits"] == "10100100"
+    imported = {
+        line.rpartition("|")[2].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    loaded = {m for m in imported if m.partition(".")[0] in ("leftreal", "dataclasses")}
+    assert loaded == {m if m == "leftreal" else f"leftreal.{m}" for m in BASE}
+
+
 def test_bare_import_loads_no_submodule(tmp_path):
     assert fresh_python(tmp_path, "import sys, leftreal" + LOADED) == ["leftreal"]
 
