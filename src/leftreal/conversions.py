@@ -14,9 +14,9 @@ intervals could never contain the limit.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionRefuted, RateError
@@ -52,14 +52,10 @@ class StageInterval(NamedTuple):
     """One enumerated open interval ``]lo, lo + 2**-length_exp[``.
 
     The left end ``lo = lo_num * 2**-lo_exp`` is kept as its canonical
-    numerator and exponent, which the stage loop computes anyway; ``lo``
-    builds the ``Dyadic`` when read, so the loop builds none.
-
-    A named tuple, since every stage builds one and a class that guards
-    its fields against assignment takes about three times as long to
-    build.  The stage loop builds it with ``tuple.__new__`` on the field
-    tuple, which skips the Python frame of the named tuple's ``__new__``
-    and gives the same type and fields.
+    numerator and exponent; ``lo`` builds the ``Dyadic`` when read.
+    ``StageTrace.intervals`` builds these with ``tuple.__new__`` on the
+    field tuple, which skips the Python frame of the named tuple's
+    ``__new__`` and gives the same type and fields.
     """
 
     t: int
@@ -74,16 +70,43 @@ class StageInterval(NamedTuple):
 
 
 class StageTrace(NamedTuple):
-    """Replayable record of a staged interval enumeration.
+    """Replayable record of a staged interval enumeration, as columns.
 
-    Stage ``t+1`` resets the pointer of its interval's index ``m`` to
-    ``t+1``, so the intervals also record every pointer value.
+    Stage ``t+1`` resets the pointer of index ``m = resets[t]`` to ``t+1``
+    and emits ``]x_t, x_t + 2**-exps[m][``, where ``x_t`` is the sum of
+    ``2**-values[k]`` for ``k <= t``.  So the resets also record every
+    pointer value, and nothing else needs storing: each column holds one
+    small int per stage (``exps`` one per index), and the trace stays
+    linear in its stages.
     """
 
-    intervals: list[StageInterval]
+    resets: list[int]  # the index reset at each stage
+    exps: list[int]  # s(m) for every index m reset
+    values: list[int]  # f(0..stages-1), the terms the stages add
     stages: int
     name_label: str = ""
     rate_label: str = ""
+
+    @property
+    def intervals(self) -> list[StageInterval]:
+        """Every stage's interval, its left end rebuilt in one running sum."""
+        values, exps = self.values, self.exps
+        scale = max(values, default=0)
+        new = tuple.__new__  # the named tuple's own __new__ adds a Python frame
+        intervals = []
+        # x / 2**scale is kept as (x >> z, scale - z) in canonical form; z
+        # tracks the trailing zeros of x (at most scale, as x <= 2**scale)
+        x = 0
+        z = scale
+        for t, m in enumerate(self.resets):
+            e = scale - values[t]  # the term added at stage t is 2**e
+            x += 1 << e
+            if e < z:
+                z = e
+            elif e == z:  # a carry out of the lowest set bit
+                z = (x & -x).bit_length() - 1
+            intervals.append(new(StageInterval, (t, x >> z, scale - z, exps[m], m)))
+        return intervals
 
 
 def _cells_touching(lo: Dyadic, exp: int) -> list[int]:
@@ -129,6 +152,13 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     qualifies, and the indices reset so far are exactly those below a cursor;
     the least qualified index is the top of the heap, else the cursor.
     ``s(m)`` is read once per index, when the cursor first reaches it.
+
+    A stage records only the index it resets: the trace keeps the resets,
+    the per-index ``s(m)`` and the name's values, one small int each, and
+    ``StageTrace.intervals`` rebuilds the left ends when read.  A level's
+    intervals are those of its own index, as ``s`` strictly increases; the
+    family rebuilds their left ends from one running sum, read only as far
+    as the levels asked need.
 
     The gate reads the name once: ``f(0..stages-1)`` are the values the
     stage loop sums.  It checks the last partial sum (``InvalidName``; the
@@ -179,16 +209,12 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     # The cursor len(exps) bounds the indices reset so far.  An index reset
     # at stage t qualifies again at the first later stage whose sum passes
     # x + (one >> s(m)): ``due`` keeps it under that stage, then ``active``
-    # holds it until its next reset.  The left end x / 2**scale is kept as
-    # (x >> z, scale - z) in canonical form; z tracks the trailing zeros of x
-    # (at most scale, as x <= one).
+    # holds it until its next reset.  A stage records only its index.
     r_at = r.at
     exps: list[int] = []  # s(m) = r(m + 2) + m + 2, read when m is first reset
     due: dict[int, list[int]] = {}
     active: list[int] = []
-    intervals: list[StageInterval] = []
-    new = tuple.__new__  # the named tuple's own __new__ adds a Python frame
-    z = scale
+    resets: list[int] = []
     for t, x in enumerate(xs):
         if due:
             for m in due.pop(t, ()):
@@ -203,21 +229,26 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
         threshold = x + (one >> exp)
         if threshold < last:  # else m never comes due within ``stages``
             due.setdefault(bisect_right(xs, threshold, t + 1), []).append(m)
-        e = scale - values[t]  # the term added at stage t is 2**e
-        if e < z:
-            z = e
-        elif e == z:  # a carry out of the lowest set bit
-            z = (x & -x).bit_length() - 1
-        intervals.append(new(StageInterval, (t, x >> z, scale - z, exp, m)))
+        resets.append(m)
 
-    trace = StageTrace(intervals, stages, name_label=f.label, rate_label=r.label)
+    trace = StageTrace(resets, exps, values, stages, name_label=f.label, rate_label=r.label)
     levels: dict[int, list[str]] = {}  # level -> its strings, built on first read
+    # x_0, x_1, ...: one running sum per family, read as far as the levels need
+    run = accumulate(map(one.__rshift__, values))
+    sums: list[int] = []
 
     def level_fn(n: int) -> list[str]:
         if n not in levels:
             exp = rate.s(n)
-            left_ends = [iv.lo for iv in intervals if iv.length_exp == exp]
-            cells = {j for lo in left_ends for j in _cells_touching(lo, exp)}
+            # s strictly increases, so the intervals of length 2**-s(n) are
+            # those of index n
+            cells = set()
+            t = -1
+            for _ in range(resets.count(n)):  # both scans run in C
+                t = resets.index(n, t + 1)
+                if t >= len(sums):
+                    sums.extend(islice(run, t + 1 - len(sums)))
+                cells.update(_cells_touching(Dyadic.of(sums[t], scale), exp))
             levels[n] = [format(j, f"0{exp}b") for j in sorted(cells)]
         return levels[n]
 
@@ -237,9 +268,15 @@ class BoundCheck(NamedTuple):
 
 
 def count_bound_check(trace: StageTrace, rate: RateSpec, n: int) -> BoundCheck:
-    """Check the per-length stage-count bound ``2**(r(n+2)+1)``."""
+    """Check the per-length stage-count bound ``2**(r(n+2)+1)``.
+
+    The stages of length ``2**-s(n)`` are those resetting the index whose
+    ``s`` is ``s(n)``; ``s`` strictly increases, so at most one index has it.
+    """
     exp = rate.s(n)
-    count = sum(iv.length_exp == exp for iv in trace.intervals)
+    exps = trace.exps
+    m = bisect_left(exps, exp)
+    count = trace.resets.count(m) if m < len(exps) and exps[m] == exp else 0
     bound = 1 << (rate.r.at(n + 2) + 1)
     return BoundCheck(holds=count <= bound, count=count, bound=bound, level=n)
 

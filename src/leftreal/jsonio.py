@@ -311,10 +311,10 @@ def trace_to_json(trace: StageTrace) -> dict:
                 "length_exp": iv.length_exp,
                 "m": iv.m,
             }
-            for iv in trace.intervals
+            for iv in trace.intervals  # rebuilt once, in one running sum
         ],
         # (pointer index, stage, new value): each stage resets its index
-        "p_events": [[iv.m, iv.t + 1, iv.t + 1] for iv in trace.intervals],
+        "p_events": [[m, t, t] for t, m in enumerate(trace.resets, 1)],
     }
 
 

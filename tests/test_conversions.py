@@ -2,7 +2,10 @@
 certified approximation -> block name with computable rearrangement."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
+from math import floor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -134,12 +137,14 @@ def test_count_bound_violated_by_injected_intervals():
     _, rate, res = two_thirds_pipeline(stages=50)
     exp = rate.s(1)
     bound = 1 << (rate.r.at(3) + 1)
-    fake = res.trace.intervals + [
-        StageInterval(t=1000 + i, lo_num=0, lo_exp=0, length_exp=exp, m=1)
-        for i in range(bound + 1)
-    ]
-    doctored = StageTrace(fake, 2000)
+    trace = res.trace
+    assert trace.exps[1] == exp
+    # bound + 1 more stages that reset index 1, each adding a thin term
+    resets = trace.resets + [1] * (bound + 1)
+    values = trace.values + [200] * (bound + 1)
+    doctored = StageTrace(resets, trace.exps, values, len(resets))
     assert not count_bound_check(doctored, rate, 1).holds
+    assert count_bound_check(doctored, rate, 1).count == trace.resets.count(1) + bound + 1
 
 
 def test_roc_to_skt_rejects_bad_rate_start():
@@ -370,6 +375,19 @@ def test_roc_to_skt_inlined_s_matches_rate_s(name, rate_spec):
     assert all(iv.length_exp == rate.s(iv.m) for iv in intervals)
 
 
+def test_count_bound_counts_the_intervals_of_each_length():
+    # the count over the trace's columns equals the count over its intervals
+    for name in PINNED_NAMES:
+        for rate_spec in PINNED_RATES:
+            f = parse_name(name) if isinstance(name, str) else _stepped_name(*name)
+            rate = RateSpec(parse_rate(rate_spec))
+            trace = roc_to_skt(f, rate, 150).trace
+            intervals = trace.intervals
+            for n in range(13):
+                count = sum(iv.length_exp == rate.s(n) for iv in intervals)
+                assert count_bound_check(trace, rate, n).count == count
+
+
 def _greedy_head(exps, bound=1):
     """The terms of ``exps`` kept in order while the sum stays at most ``bound``."""
     head, total = [], Fraction(0)
@@ -547,6 +565,83 @@ def test_roc_to_skt_gate_matches_ten_scans(refute, stages, data):
         return _reference_stage_loop(*fresh(), stages)
 
     assert _outcome(lambda: _trace_of(*fresh(), stages)) == _outcome(old)
+
+
+def _reference_levels(intervals, rate, levels):
+    """Each level's strings from the reference intervals: the cells of
+    size ``2**-s(n)`` whose closed interval meets an interval of that
+    length, in exact fractions."""
+    out = []
+    for n in levels:
+        exp = rate.s(n)
+        cells = set()
+        for iv in intervals:
+            if iv.length_exp == exp:
+                at = frac(iv.lo) * 2**exp  # the cell [j, j + 1] meets ]at, at + 1[
+                cells.update(j for j in (floor(at), floor(at) + 1)
+                             if j - 1 < at < j + 1 and j < 1 << exp)
+        out.append([format(j, f"0{exp}b") for j in sorted(cells)])
+    return out
+
+
+# every head of up to four terms from 2**-1, 2**-2, 2**-3 summing to at most
+# 1, each followed by every tail a*k + b
+GRID_HEADS = [
+    head
+    for size in range(5)
+    for head in combinations_with_replacement(range(1, 4), size)
+    if sum(Fraction(1, 1 << e) for e in head) <= 1
+]
+GRID_TAILS = [(a, b) for a in range(4) for b in range(9)]
+GRID_RATES = ["shift:2", "affine:2,3", "pow2:1", "values:" + ",".join(map(str, range(2, 11)))]
+GRID_STAGES = [2, 9, 30]
+
+
+def test_roc_to_skt_matches_reference_on_a_bounded_grid():
+    outcomes = Counter()
+    for head, (a, b), spec, stages in product(GRID_HEADS, GRID_TAILS, GRID_RATES, GRID_STAGES):
+        def fresh():
+            f = NameStream(lambda k: head[k] if k < len(head) else a * k + b, label="head")
+            return f, RateSpec(parse_rate(spec))
+
+        def new():
+            f, rate = fresh()
+            res = roc_to_skt(f, rate, stages)
+            levels = _outcome(lambda: [res.family.level_list(n) for n in range(4)])
+            return _trace_of(f, rate, stages), levels
+
+        def old():
+            f, rate = fresh()
+            _ten_scan_gate(f, rate, stages)
+            intervals, events = _reference_stage_loop(f, rate, stages)
+            levels = _outcome(lambda: _reference_levels(intervals, rate, range(4)))
+            return (intervals, events), levels
+
+        got = _outcome(new)
+        assert got == _outcome(old), (head, a, b, spec, stages)
+        outcomes[got[0].__name__ if isinstance(got[0], type) else "trace"] += 1
+    classes = ["trace", "RateError", "PreconditionRefuted", "InvalidName", "HorizonExceeded"]
+    assert sorted(outcomes) == sorted(classes) and all(outcomes.values())
+
+
+def test_roc_to_skt_builds_no_record(monkeypatch):
+    for f, rate, limit in (
+        (parse_name("ap:2,1"), RateSpec(Modulus.shift(2)), BitStream.periodic("10")),
+        (_stepped_name(2, 2), RateSpec(Modulus.shift(3)), None),  # reuses indices
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(conversions, "StageInterval", None)  # so building one fails
+            res = roc_to_skt(f, rate, 300)
+            assert validate_family(res.family, 3).consistent
+            if limit is not None:
+                assert all(covers(res.family, limit, n).covered for n in range(4))
+            with pytest.raises(TypeError):
+                res.trace.intervals
+        assert len(res.trace.intervals) == 300
+    # one small int per stage (and per index): the trace is linear in its stages
+    trace = roc_to_skt(parse_name("ap:2,1"), RateSpec(Modulus.shift(2)), 2000).trace
+    assert len(trace.resets) == len(trace.values) == 2000 >= len(trace.exps)
+    assert all(v.bit_length() < 64 for col in trace[:3] for v in col)
 
 
 def test_roc_to_skt_reads_the_name_once(monkeypatch):
