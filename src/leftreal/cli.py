@@ -462,7 +462,9 @@ def _budget_flags(l_default: int = 16) -> list[tuple[str, dict]]:
     return [
         _arg("--budget-l", type=natural, default=l_default, metavar="L"),
         _arg("--budget-t", type=natural, default=10**4, metavar="T"),
-        _arg("--force", action="store_true", help="lift the census and listing size guards"),
+        _arg(
+            "--force", action="store_true", help="lift the census, cut-walk and listing size guards"
+        ),
     ]
 
 

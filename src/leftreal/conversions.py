@@ -20,7 +20,7 @@ from itertools import accumulate, islice
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionRefuted, RateError
-from .foundations import Dyadic, ZERO, floor_scale
+from .foundations import Dyadic, ZERO
 from .machines import Budget, PrefixMachine, complexity
 from .names import (
     IncreasingDyadicStream,
@@ -109,21 +109,6 @@ class StageTrace(NamedTuple):
         return intervals
 
 
-def _cells_touching(lo: Dyadic, exp: int) -> list[int]:
-    """Grid cells of size ``2**-exp`` meeting the open interval at ``lo``.
-
-    At most two: the cell containing ``lo`` and, when ``lo`` is not on
-    the grid, the next one (cells beyond [0, 1] are clipped).
-    """
-    j0 = floor_scale(lo, exp)
-    cells = []
-    if j0 < (1 << exp):
-        cells.append(j0)
-    if lo.exp > exp and j0 + 1 < (1 << exp):  # lo strictly inside its cell
-        cells.append(j0 + 1)
-    return cells
-
-
 class RocToSktResult(NamedTuple):
     trace: Optional[StageTrace]
     family: Optional[TestFamily]
@@ -157,8 +142,8 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     the per-index ``s(m)`` and the name's values, one small int each, and
     ``StageTrace.intervals`` rebuilds the left ends when read.  A level's
     intervals are those of its own index, as ``s`` strictly increases; the
-    family rebuilds their left ends from one running sum, read only as far
-    as the levels asked need.
+    family reads their left ends as integer sums from one running sum,
+    read only as far as the levels asked need, and builds no ``Dyadic``.
 
     The gate reads the name once: ``f(0..stages-1)`` are the values the
     stage loop sums.  It checks the last partial sum (``InvalidName``; the
@@ -200,10 +185,9 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     finally:  # a rate failing at level n still lets a lower level refute first
         for n, tail in enumerate(tail_sums(values + [fs], whole, top, thresholds)):
             if tail << n > 1 << top:
-                tail = Dyadic.of(tail, top)
                 raise PreconditionRefuted(
                     f"tail certificate refuted at level {n}: "
-                    f"tail {tail.num}/2^{tail.exp} > 2^-{n}"
+                    f"tail {Dyadic.of(tail, top)} > 2^-{n}"
                 )
 
     # The cursor len(exps) bounds the indices reset so far.  An index reset
@@ -241,14 +225,20 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
         if n not in levels:
             exp = rate.s(n)
             # s strictly increases, so the intervals of length 2**-s(n) are
-            # those of index n
+            # those of index n.  The one at x / 2**scale meets the cell of
+            # size 2**-exp holding it, and the next when x is off that grid
             cells = set()
             t = -1
+            z = scale - exp
             for _ in range(resets.count(n)):  # both scans run in C
                 t = resets.index(n, t + 1)
                 if t >= len(sums):
                     sums.extend(islice(run, t + 1 - len(sums)))
-                cells.update(_cells_touching(Dyadic.of(sums[t], scale), exp))
+                x = sums[t]
+                cells.add(j := x >> z if z > 0 else x << -z)
+                if z > 0 and x & ((1 << z) - 1):
+                    cells.add(j + 1)
+            cells.discard(1 << exp)  # past [0, 1]; the sums are at most 1
             levels[n] = [format(j, f"0{exp}b") for j in sorted(cells)]
         return levels[n]
 

@@ -176,8 +176,11 @@ class Dyadic:
             return ""
         return format(floor_scale(self, n), f"0{n}b")
 
+    def __str__(self) -> str:
+        return f"{self.num}/2^{self.exp}"
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Dyadic({self.num}/2^{self.exp})"
+        return f"Dyadic({self})"
 
 
 ZERO = Dyadic(0, 0)

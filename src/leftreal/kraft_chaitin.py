@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import BudgetGuard, WeightExceeded
+from .errors import WeightExceeded
 from .foundations import Dyadic, ONE, dyadic_weight
-from .machines import MAX_BUILT, TableMachine, validate_table
+from .machines import TableMachine, guard, validate_table
 
 if TYPE_CHECKING:
     from typing import Iterable
@@ -38,10 +38,7 @@ class KCAllocator:
         """
         if length < 0:
             raise ValueError("codeword length must be a natural number")
-        if length > MAX_BUILT:
-            raise BudgetGuard(
-                f"a codeword of length {length} is above the {MAX_BUILT}-bit guard"
-            )
+        guard(length, "a codeword of {size} bits")
         # free weight < 2^-length exactly when no free block is large enough
         level = max((lvl for lvl in self._free if lvl <= length), default=None)
         if level is None:

@@ -77,6 +77,17 @@ INFINITE = float("inf")  # order sentinel for "no program"; never used in arithm
 MAX_BUILT = 1 << 20  # census classes, listed pairs, level strings or codeword bits built at once
 
 
+def guard(size: int, what: str, budget: Optional[Budget] = None, **fields: int) -> None:
+    """Refuse to build ``size > MAX_BUILT`` things: raise ``BudgetGuard``
+    unless ``budget`` allows large runs.  A guard given no budget cannot be
+    lifted.  ``what`` is a template over ``size`` and ``fields``, filled in
+    only when refusing."""
+    if size > MAX_BUILT and (budget is None or not budget.allow_large):
+        lift = "nothing lifts it" if budget is None else "--force lifts it"
+        what = what.format(size=size, **fields)
+        raise BudgetGuard(f"{what}, above the {MAX_BUILT} guard; {lift}")
+
+
 # ---------------------------------------------------------------------------
 # Elias gamma code
 # ---------------------------------------------------------------------------
@@ -159,7 +170,8 @@ _NOT_BITS = str.maketrans("", "", "01")  # ``s.translate(_NOT_BITS)`` is empty i
 
 
 class Budget(Record):
-    """Max program length ``L`` and step bound ``t``; ``allow_large`` lifts the size guards."""
+    """Max program length ``L`` and step bound ``t``; ``allow_large`` lifts the
+    size guards given a budget (census, cut walk, listing)."""
 
     __slots__ = _fields = ("L", "t", "allow_large")
 
@@ -332,11 +344,7 @@ def domain_census(
         lengths = machine.output_lengths.items()
         return {l: len(olens) for l, olens in lengths if l <= budget.L}, frozenset()
     L, t = budget.L, budget.t
-    if L * L > MAX_BUILT and not budget.allow_large:
-        raise BudgetGuard(
-            f"the census at L={L} would walk up to L*L header classes, above "
-            f"the {MAX_BUILT}-class guard; pass allow_large=True (--force) to override"
-        )
+    guard(L * L, "the census at L={L} would walk up to {size} header classes", budget, L=L)
     counts: dict[int, int] = defaultdict(int)
     cut = set()
     # the literal of header number n outputs its n - 1 body bits; the next
@@ -392,12 +400,8 @@ def _first_cut_length(machine: Interpreter, budget: Budget) -> Union[int, float]
     inlines ``literal_length`` and ``repeat_length`` in bit-length
     arithmetic, ``|gamma(k)| = 2 * k.bit_length() - 1``.
     """
-    if budget.L > MAX_BUILT and not budget.allow_large:
-        raise BudgetGuard(
-            f"the cut walk at L={budget.L} would walk up to L header classes per "
-            f"tag, above the {MAX_BUILT}-class guard; pass allow_large=True "
-            "(--force) to override"
-        )
+    what = "the cut walk at L={size} would walk up to {size} header classes per tag"
+    guard(budget.L, what, budget)
     t = budget.t
     best = budget.L + 1  # the cut length to beat
     # a literal's length and its steps both grow with its header number, so
@@ -498,12 +502,8 @@ def enumerate_domain(machine: PrefixMachine, budget: Budget) -> DomainEnumeratio
     """
     counts, truncated = domain_census(machine, budget)
     size = sum(counts.values())
-    if size > MAX_BUILT and not budget.allow_large:
-        raise BudgetGuard(
-            f"listing the domain at L={budget.L}, t={budget.t} would hold {size} "
-            f"pairs, above the {MAX_BUILT}-pair guard; pass allow_large=True "
-            "(--force) to override"
-        )
+    what = "listing the domain at L={L}, t={t} would hold {size} pairs"
+    guard(size, what, budget, L=budget.L, t=budget.t)
     if isinstance(machine, TableMachine):
         pairs = _list_table(machine, budget)
         covers = machine.max_program_length <= budget.L
@@ -527,11 +527,8 @@ def outputs_of_length(machine: PrefixMachine, out_len: int, max_len: int, t: int
     for plen in plens:  # program length grows with the pattern length
         if (length := repeat_length(out_len, plen)) > fit:
             break
-        if (size := size + (1 << plen)) > MAX_BUILT:
-            raise BudgetGuard(
-                f"a level of {out_len}-bit strings would hold over {MAX_BUILT}; "
-                "no budget lifts this guard"
-            )
+        size += 1 << plen
+        guard(size, "a level of {n}-bit strings would hold {size} or more", n=out_len)
         found.append((length, header(REPEAT, out_len, plen), plen))
     for head, shortest in calls:
         for out, key in shortest.items():

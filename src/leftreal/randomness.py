@@ -125,7 +125,7 @@ def validate_family(
             return FamilyVerdict(
                 FamilyStatus.REFUTED,
                 n,
-                reason=f"level {n} weight {w.num}/2^{w.exp} exceeds 2^-{n}",
+                reason=f"level {n} weight {w} exceeds 2^-{n}",
             )
     return FamilyVerdict(FamilyStatus.CONSISTENT)
 
@@ -308,9 +308,7 @@ def kurtz_witness_check(
     check_prefix_free(collected)
     total = weight_of(collected)
     if total != ONE:
-        raise PreconditionRefuted(
-            f"total weight {total.num}/2^{total.exp} differs from 1"
-        )
+        raise PreconditionRefuted(f"total weight {total} differs from 1")
     witness = next((s for s in collected if x.prefix(len(s)) == s), None)
     if witness is None:
         return KurtzReport(KurtzStatus.NOT_FOUND_AT_STAGE)

@@ -109,6 +109,24 @@ EXACT = {
         "not a dyadic literal: 'x' (want 'num' or 'num/2^exp')",
     "omega-s ref --s 1 --budget-l 12": "s must lie strictly between 0 and 1",
     "dim {profile} --n0 2 --n1 1": "window must satisfy 1 <= n0 <= n1",
+    # a dyadic in a message reads num/2^exp
+    "convert roc-to-skt --name ap:0,1 --rate shift:2 --stages 5":
+        "partial sum of 0k+1 exceeds 1 at stage 4: 5/2^1",
+    "construct regular --component elements:0:4 --component elements:0:4"
+    " --component elements:0:4":
+        "stream x(elements:0:4)+x(elements:0:4)+x(elements:0:4) left [0,1] at 1: 3/2^1",
+    # the five build-size guards: --force lifts the census, cut-walk and
+    # listing guards, and nothing lifts the level and codeword guards
+    "omega ref --budget-l 2100": "the census at L=2100 would walk up to 4410000 header"
+        " classes, above the 1048576 guard; --force lifts it",
+    "machine k ref --target 0101 --budget-l 1048577": "the cut walk at L=1048577 would"
+        " walk up to 1048577 header classes per tag, above the 1048576 guard; --force lifts it",
+    "machine enumerate ref --budget-l 30": "listing the domain at L=30, t=10000 would hold"
+        " 3751937 pairs, above the 1048576 guard; --force lifts it",
+    "skt from-rate ref --rate pow2:4 --nmax 5 --force": "a level of 64-bit strings would"
+        " hold 2097150 or more, above the 1048576 guard; nothing lifts it",
+    "kc alloc {overlong}": "a codeword of 1048577 bits, above the 1048576 guard;"
+        " nothing lifts it",
 }
 
 # inputs that cannot be read, each with the file its error line names
@@ -140,8 +158,6 @@ UNREADABLE = {
         "machine validate {missing}",
         "kc build {int_payload}",
         "skt validate {bad_levels} --nmax 1",
-        "skt from-rate ref --rate pow2:4 --nmax 5 --force",
-        "machine enumerate ref --budget-l 30",  # 3,751,937 pairs, refused before listing
         "convert lc-to-roc --stream prefix-sums:01:-1 --rate shift:2 --stages 10 --nmax 2",
         "construct join --a column:-1:5 --b evens:3",
         "construct join --a evens:-3 --b evens:4",
@@ -149,9 +165,6 @@ UNREADABLE = {
         # a listed stream that decreases, and one above 1
         "convert lc-to-roc --stream dyadics:1/2^1,1/2^2 --rate shift:2 --stages 10 --nmax 2",
         "convert lc-to-roc --stream dyadics:3/2^1 --rate shift:2 --stages 10 --nmax 2",
-        "machine k ref --target 0101 --budget-l 1048577",  # past the cut walk's guard
-        "omega ref --budget-l 2100",  # past the census guard
-        "kc alloc {overlong}",  # a codeword past the 2^20-bit guard
         # a horizon or threshold of 0 would refute on no elements at all
         "immunity hyperimmune --set evens:1000 --rate affine:0,0 --horizon 0",
         "immunity cohesive --set evens:100 --witness evens:100 --horizon 0",
@@ -378,8 +391,8 @@ def test_skt_from_rate_force_reaches_the_raised_length(capsys, monkeypatch):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == (
-        "error: a level of 64-bit strings would hold over 1048576; "
-        "no budget lifts this guard\n"
+        "error: a level of 64-bit strings would hold 2097150 or more, "
+        "above the 1048576 guard; nothing lifts it\n"
     )
 
 
@@ -477,6 +490,14 @@ def test_convert_roc_to_skt_shortcut(capsys):
         (  # pointer indices come due again: 98 distinct indices over 200 stages
             "--name ap:1,2 --rate shift:3 --stages 200 --nmax 3",
             "a0e074caf7d7defa60ae01f7e01d0658adb95f96d9421493c151469c9e3a4a7a",
+        ),
+        (
+            "--name ap:1,3 --rate affine:2,4 --stages 600 --nmax 8",
+            "b995139412dfb632ff98fa63ea70832b8d014e50570c1db16aa0ce397f9ffb75",
+        ),
+        (
+            "--name ap:3,1 --rate shift:2 --stages 440 --nmax 6",
+            "5b3deb89da7bd528479a254b6e146a7af3aa336d61be358461c5c401c6bfcde8",
         ),
     ],
 )

@@ -32,7 +32,7 @@ from leftreal.foundations import (
     floor_scale,
     half_power,
 )
-from leftreal.jsonio import parse_name, parse_rate, trace_to_json
+from leftreal.jsonio import parse_increasing, parse_name, parse_rate, trace_to_json
 from leftreal.kraft_chaitin import kc_build_machine
 from leftreal.machines import Budget, Interpreter
 from leftreal.names import (
@@ -174,23 +174,15 @@ def test_roc_to_skt_dyadic_shortcut_for_finite_names():
 
 def test_roc_to_skt_level_cells_computed_once(monkeypatch):
     _, rate, res = two_thirds_pipeline(stages=120)
-    expected = []
-    for n in range(125):  # s(n) for n >= 118 is past every interval: empty levels
-        exp = rate.s(n)
-        cells = set()
-        for iv in res.trace.intervals:
-            if iv.length_exp == exp:
-                cells.update(conversions._cells_touching(iv.lo, exp))
-        expected.append([format(j, f"0{exp}b") for j in sorted(cells)])
+    # s(n) for n >= 118 is past every interval: empty levels
+    expected = _reference_levels(res.trace.intervals, rate, range(125))
     assert expected[-1] == [] and expected[0]
-    touched = []
-    real = conversions._cells_touching
-    monkeypatch.setattr(
-        conversions, "_cells_touching", lambda lo, exp: touched.append(lo) or real(lo, exp)
-    )
+    built = []
+    real = RateSpec.s
+    monkeypatch.setattr(RateSpec, "s", lambda self, n: built.append(n) or real(self, n))
     for _ in range(2):
         assert [res.family.level_list(n) for n in range(125)] == expected
-    assert len(touched) == len(res.trace.intervals)  # each interval's cells once
+    assert built == list(range(125))  # each level built once, over two passes
 
 
 def _reference_stage_loop(f, rate, stages):
@@ -350,9 +342,12 @@ def test_roc_to_skt_builds_no_dyadic(monkeypatch):
     ):
         with monkeypatch.context() as patch:
             patch.setattr(conversions, "Dyadic", refuse)
-            intervals = roc_to_skt(f, rate, 200).trace.intervals
+            res = roc_to_skt(f, rate, 200)
+            intervals = res.trace.intervals
+            levels = [res.family.level_list(n) for n in range(4)]
         # ``lo`` builds the canonical partial sum once Dyadic is back
         assert [iv.lo for iv in intervals] == [partial_sum(f, t) for t in range(200)]
+        assert levels == _reference_levels(intervals, rate, range(4))
 
 
 # one name per stage pattern, then the resetting names of _stepped_name
@@ -584,6 +579,64 @@ def _reference_levels(intervals, rate, levels):
     return out
 
 
+def _canonical(x, scale):
+    """``(num, exp)`` of ``x / 2**scale`` in lowest terms, ``(0, 0)`` for 0."""
+    z = min(scale, (x & -x).bit_length() - 1) if x else scale
+    return x >> z, scale - z
+
+
+def _integer_reference(f, rate, stages):
+    """``_ten_scan_gate`` then ``_reference_stage_loop`` in integers.
+
+    Each sum is an integer at the scale ``2**-scale`` of its smallest
+    term, each tail is a fresh scan of the name, and each stage still
+    rescans the pointer indices from 0, comparing ``window * 2**s(m)``
+    with ``2**scale``.
+    """
+    values = f.values(stages + 1)
+    scale = max(values[:stages])
+    total = sum(1 << (scale - v) for v in values[:stages])
+    if total > 1 << scale:
+        num, exp = _canonical(total, scale)
+        raise InvalidName(
+            f"partial sum of {f.label or '?'} exceeds 1 at stage {stages - 1}: {num}/2^{exp}"
+        )
+    r = rate.r
+    if r.at(0) <= f.at(0):
+        raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
+    top = max(values)
+    for n in range(9):
+        m0 = r.at(n)
+        tail = sum(1 << (top - v) for v in values if v >= m0)
+        if tail << n > 1 << top:
+            num, exp = _canonical(tail, top)
+            raise PreconditionRefuted(
+                f"tail certificate refuted at level {n}: tail {num}/2^{exp} > 2^-{n}"
+            )
+    one = 1 << scale
+    sums = [0]
+    pointers = {}
+    exps = []  # s(m), read when the scan first reaches m
+    events = []
+    intervals = []
+    for t in range(stages):
+        x = sums[-1] + (1 << (scale - values[t]))
+        sums.append(x)
+        m = 0
+        while True:
+            if m == len(exps):
+                exps.append(rate.s(m))
+            if (x - sums[pointers.get(m, 0)]) << exps[m] > one:
+                break
+            m += 1
+            if m > t:
+                raise AssertionError(f"no pointer index qualified at stage {t + 1}")
+        pointers[m] = t + 1
+        events.append((m, t + 1, t + 1))
+        intervals.append(StageInterval(t, *_canonical(x, scale), exps[m], m))
+    return intervals, events
+
+
 # every head of up to four terms from 2**-1, 2**-2, 2**-3 summing to at most
 # 1, each followed by every tail a*k + b
 GRID_HEADS = [
@@ -594,7 +647,7 @@ GRID_HEADS = [
 ]
 GRID_TAILS = [(a, b) for a in range(4) for b in range(9)]
 GRID_RATES = ["shift:2", "affine:2,3", "pow2:1", "values:" + ",".join(map(str, range(2, 11)))]
-GRID_STAGES = [2, 9, 30]
+GRID_STAGES = [2, 9, 30, 40]
 
 
 def test_roc_to_skt_matches_reference_on_a_bounded_grid():
@@ -612,8 +665,7 @@ def test_roc_to_skt_matches_reference_on_a_bounded_grid():
 
         def old():
             f, rate = fresh()
-            _ten_scan_gate(f, rate, stages)
-            intervals, events = _reference_stage_loop(f, rate, stages)
+            intervals, events = _integer_reference(f, rate, stages)
             levels = _outcome(lambda: _reference_levels(intervals, rate, range(4)))
             return (intervals, events), levels
 
@@ -913,6 +965,60 @@ def test_lc_to_roc_matches_reference_search(
         return _lc_summary(*run(_reference_lc_to_roc, _memo_prefix_sums))
 
     assert _outcome(fast) == _outcome(reference)
+
+
+# every periodic pattern of 1-3 bits, then finite heads followed by zeros
+LC_GRID_STREAMS = [
+    *(BitStream.periodic("".join(p)) for size in (1, 2, 3) for p in product("01", repeat=size)),
+    *map(BitStream.from_bits, ("", "1", "01", "0110")),
+]
+LC_GRID_BUDGETS = [Budget(12, 10**4), Budget(22, 30)]
+
+
+def test_lc_to_roc_matches_reference_on_a_bounded_grid():
+    machine = Interpreter()  # one machine, so its queries are cached across cases
+    outcomes = Counter()
+    for stream, step, rate, budget, n_max, stages in product(
+        LC_GRID_STREAMS, range(4), sorted(LC_RATES), LC_GRID_BUDGETS, (0, 2, 4), (0, 7, 40)
+    ):
+        def fast():
+            xs = IncreasingDyadicStream.from_prefix_sums(stream, step)
+            res = lc_to_roc(xs, LC_RATES[rate](), machine, budget, stages, n_max)
+            return _lc_summary(res.s_values, res.exhausted_at, res.name)
+
+        def reference():
+            xs = _memo_prefix_sums(stream, step)
+            return _lc_summary(
+                *_reference_lc_to_roc(xs, LC_RATES[rate](), machine, budget, stages, n_max)
+            )
+
+        got = _outcome(fast)
+        assert got == _outcome(reference), (stream.label, step, rate, budget, n_max, stages)
+        if isinstance(got[0], type):
+            outcomes[got[0].__name__] += 1
+        else:
+            outcomes["exhausted" if got[1] else "complete"] += 1
+    # listed dyadics: eventually constant ones take the shortcut, and a
+    # finite list must start at 0
+    for rate, stages in product(sorted(LC_RATES), (0, 7, 40)):
+        res = lc_to_roc(
+            parse_increasing("dyadics:0,1/2^1,3/2^2"), LC_RATES[rate](), machine,
+            Budget(12, 10**4), stages, 2,
+        )
+        assert res.dyadic_shortcut and res.s_values == [] and res.name is None
+        outcomes["shortcut"] += 1
+        listed = [Dyadic.of(1, 1), Dyadic.of(3, 2)]
+
+        def search(run):
+            xs = IncreasingDyadicStream.from_list(listed)
+            return run(xs, LC_RATES[rate](), machine, Budget(12, 10**4), stages, 2)
+
+        got = _outcome(lambda: search(lc_to_roc))
+        assert got == _outcome(lambda: search(_reference_lc_to_roc))
+        assert got == (ValueError, "approximation must start at 0")
+        outcomes["ValueError"] += 1
+    classes = ["complete", "exhausted", "RateError", "HorizonExceeded", "shortcut", "ValueError"]
+    assert sorted(outcomes) == sorted(classes) and all(outcomes.values()), outcomes
 
 
 def test_lc_to_roc_asks_complexity_once_per_distinct_prefix(monkeypatch):

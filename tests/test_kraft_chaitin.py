@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leftreal import kraft_chaitin
+from leftreal import machines
 from leftreal.errors import BudgetGuard, WeightExceeded
 from leftreal.foundations import ONE, ZERO, Dyadic, half_power
 from leftreal.kraft_chaitin import KCAllocator, kc_allocate, kc_build_machine
@@ -130,11 +130,11 @@ def test_allocator_matches_list_ledger_oracle(lengths):
 
 
 def test_overlong_request_is_refused_before_anything_is_built(monkeypatch):
-    monkeypatch.setattr(kraft_chaitin, "MAX_BUILT", 8)
+    monkeypatch.setattr(machines, "MAX_BUILT", 8)  # the guard reads it at each call
     alloc = KCAllocator()
     assert alloc.request(3) == "000"
     before = alloc.free_weight()
-    with pytest.raises(BudgetGuard):
+    with pytest.raises(BudgetGuard, match="^a codeword of 9 bits, above the 8 guard; nothing"):
         alloc.request(9)
     assert alloc.free_weight() == before
     assert alloc.request(8) == "00100000"
