@@ -44,6 +44,7 @@ from .jsonio import (
     machine_to_json,
     parse_fraction,
     parse_increasing,
+    parse_int,
     parse_name,
     parse_rate,
     parse_stream,
@@ -173,7 +174,10 @@ def _nests_too_deep(data: bytes) -> bool:
 def _load_json(out: _Output, path: str) -> Any:
     data = out.record_input(path)
     try:
-        doc = json.loads(data)
+        try:
+            doc = json.loads(data)
+        except ValueError:  # read it again, only to name the digit limit if that is the cause
+            doc = json.loads(data, parse_int=parse_int)
         if not _nests_too_deep(data):
             return doc
     except RecursionError:
@@ -448,7 +452,10 @@ def _cmd_construct_regular(out: _Output, args) -> int:
 
 def natural(text: str) -> int:
     """argparse type of every count flag: a non-negative integer."""
-    n = int(text)
+    try:
+        n = parse_int(text)
+    except SpecError as e:  # argparse would quote the whole value
+        raise argparse.ArgumentTypeError(str(e)) from None
     if n < 0:
         raise ValueError(text)
     return n

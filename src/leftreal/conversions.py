@@ -49,24 +49,12 @@ class RateSpec(NamedTuple):
 
 
 class StageInterval(NamedTuple):
-    """One enumerated open interval ``]lo, lo + 2**-length_exp[``.
-
-    The left end ``lo = lo_num * 2**-lo_exp`` is kept as its canonical
-    numerator and exponent; ``lo`` builds the ``Dyadic`` when read.
-    ``StageTrace.intervals`` builds these with ``tuple.__new__`` on the
-    field tuple, which skips the Python frame of the named tuple's
-    ``__new__`` and gives the same type and fields.
-    """
+    """One enumerated open interval ``]lo, lo + 2**-length_exp[``."""
 
     t: int
-    lo_num: int
-    lo_exp: int
+    lo: Dyadic
     length_exp: int
     m: int
-
-    @property
-    def lo(self) -> Dyadic:
-        return Dyadic(self.lo_num, self.lo_exp)  # both fields are canonical
 
 
 class StageTrace(NamedTuple):
@@ -89,24 +77,14 @@ class StageTrace(NamedTuple):
 
     @property
     def intervals(self) -> list[StageInterval]:
-        """Every stage's interval, its left end rebuilt in one running sum."""
+        """Every stage's interval, its left end read from one running sum."""
         values, exps = self.values, self.exps
         scale = max(values, default=0)
-        new = tuple.__new__  # the named tuple's own __new__ adds a Python frame
-        intervals = []
-        # x / 2**scale is kept as (x >> z, scale - z) in canonical form; z
-        # tracks the trailing zeros of x (at most scale, as x <= 2**scale)
-        x = 0
-        z = scale
-        for t, m in enumerate(self.resets):
-            e = scale - values[t]  # the term added at stage t is 2**e
-            x += 1 << e
-            if e < z:
-                z = e
-            elif e == z:  # a carry out of the lowest set bit
-                z = (x & -x).bit_length() - 1
-            intervals.append(new(StageInterval, (t, x >> z, scale - z, exps[m], m)))
-        return intervals
+        sums = accumulate(map((1 << scale).__rshift__, values))  # x_t * 2**scale
+        return [
+            StageInterval(t, Dyadic.of(x, scale), exps[m], m)
+            for t, (x, m) in enumerate(zip(sums, self.resets))
+        ]
 
 
 class RocToSktResult(NamedTuple):

@@ -545,11 +545,7 @@ def set_value_prefix(view: NatSetView, n: int) -> Dyadic:
         raise HorizonExceeded(
             f"prefix {n} of {view.label or '?'} exceeds horizon {view.horizon}"
         )
-    acc = 0
-    for j in range(n):
-        if view.member(j):
-            acc += 1 << (n - 1 - j)
-    return Dyadic.of(acc, n)
+    return Dyadic.from_bits(charseq(view).prefix(n))
 
 
 def join(a: NatSetView, b: NatSetView) -> NatSetView:

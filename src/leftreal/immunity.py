@@ -10,6 +10,7 @@ a transparent witness-count threshold, reported in every verdict.
 from __future__ import annotations
 
 import enum
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import DisjointnessViolation, InsufficientElements
@@ -82,14 +83,15 @@ def _threshold(horizon: int, threshold: Optional[int]) -> int:
 
 
 def principal_function(view: NatSetView, count: int) -> list[int]:
-    """First ``count`` elements in increasing order (the principal values)."""
-    elems = view.elements()
-    if len(elems) < count:
+    """First ``count`` elements in increasing order (the principal values).
+    Membership is read only up to the ``count``-th element."""
+    elems = list(islice(filter(view.member, range(view.horizon)), count))
+    if len(elems) < count:  # so every member below the horizon was read
         raise InsufficientElements(
             f"{view.label or 'view'} has only {len(elems)} elements below "
             f"{view.horizon}, need {count}"
         )
-    return elems[:count]
+    return elems
 
 
 def check_immune(
@@ -121,11 +123,14 @@ def check_hyperimmune(
 ) -> ImmunityVerdict:
     """Refute hyperimmunity by a majorizer: ``p_a(n) <= f(n)`` below the horizon."""
     thr = _threshold(horizon, horizon)  # every principal value below the horizon counts
-    p = principal_function(a, horizon)
-    failures = [n for n in range(horizon) if p[n] > f.at(n)]
+    first_failure = None
+    for n, p_n in enumerate(principal_function(a, horizon)):
+        # f(n) is read at every n, so a rate failing past the first failure raises
+        if p_n > f.at(n) and first_failure is None:
+            first_failure = n
     return _verdict(
-        Property.HYPERIMMUNE, not failures, horizon, thr,
-        majorizer=getattr(f, "label", "?"), first_failure=failures[0] if failures else None,
+        Property.HYPERIMMUNE, first_failure is None, horizon, thr,
+        majorizer=getattr(f, "label", "?"), first_failure=first_failure,
     )
 
 

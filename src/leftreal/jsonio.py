@@ -40,6 +40,21 @@ class SpecError(ValueError):
     """An input spec string or JSON document is malformed."""
 
 
+MAX_INT_DIGITS = 4300  # CPython's default limit on int(str), checked here on every version
+
+
+def parse_int(text: str) -> int:
+    """``int(text)``, but an integer of more than ``MAX_INT_DIGITS`` digits
+    is a ``SpecError`` that names the limit, in the same words on every
+    Python version."""
+    if len(text) > MAX_INT_DIGITS:
+        digits = text.strip().lstrip("+-")
+        if len(digits) > MAX_INT_DIGITS and digits.isdigit():
+            n = len(digits)
+            raise SpecError(f"an integer of {n} digits is above the {MAX_INT_DIGITS}-digit limit")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # dyadics
 # ---------------------------------------------------------------------------
@@ -58,7 +73,7 @@ def parse_dyadic(text: str) -> Dyadic:
     m = _DYADIC_RE.match(text.strip())
     if not m:
         raise SpecError(f"not a dyadic literal: {text!r} (want 'num' or 'num/2^exp')")
-    return Dyadic.of(int(m.group(1)), int(m.group(2) or 0))
+    return Dyadic.of(parse_int(m.group(1)), parse_int(m.group(2) or "0"))
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -158,7 +173,9 @@ def _ints(csv: str, spec: str, count: Optional[int] = None) -> list[int]:
     ``SpecError`` quoting ``spec`` if one is not an integer or, when
     ``count`` is given, if there are not ``count`` of them."""
     try:
-        vals = [int(x) for x in csv.split(",") if x != ""]
+        vals = [parse_int(x) for x in csv.split(",") if x != ""]
+    except SpecError:  # past the digit limit: too long to quote
+        raise
     except ValueError:
         raise SpecError(f"spec {spec!r} has a non-integer field {csv!r}") from None
     if count is not None and len(vals) != count:

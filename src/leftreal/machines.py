@@ -23,8 +23,9 @@ Two machine flavors:
 Complexity values are machine-relative and budget-stamped.  A value is
 *exact* only when no program of its length or shorter was cut by the step
 budget; a cut downgrades affected queries to upper bounds, never silently.
-``complexity``, the halting-probability sums and ``outputs_of_length`` read
-the instruction set directly; only ``enumerate_domain`` lists programs.
+``complexity`` and the halting-probability sums read the instruction set
+directly; ``enumerate_domain`` and ``outputs_of_length`` list programs, both
+through one expander, ``_programs``, the only caller of ``strings_of_length``.
 ``complexity`` learns the shortest cut length from a walk that counts
 nothing; the sums and the listing read ``domain_census``.  Each table
 builds its query summary once, when it is validated: the shortest key per
@@ -53,7 +54,7 @@ import enum
 from bisect import bisect_right
 from collections import defaultdict
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import BudgetGuard
@@ -70,7 +71,7 @@ from .foundations import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
-    from typing import Iterable, Optional
+    from typing import Iterable, Iterator, Optional, Sequence
 
 INFINITE = float("inf")  # order sentinel for "no program"; never used in arithmetic
 
@@ -449,48 +450,23 @@ class DomainEnumeration(NamedTuple):
     covers_whole_domain: bool
 
 
-def _list_table(m: TableMachine, b: Budget) -> list[tuple[str, str]]:
-    fits = (kv for kv in m.entries if len(kv[0]) <= b.L)
-    return sorted(fits, key=lambda kv: (len(kv[0]), kv[0]))
+def _programs(rows: list) -> Iterator[tuple[str, Sequence[str], Sequence[str]]]:
+    """Each row's block of programs, in length-lex order: its header, its
+    bodies (each program is the header and one body) and their outputs.
 
-
-def _list_interpreter(m: Interpreter, b: Budget) -> list[tuple[str, str]]:
-    # Headers are prefix-free, so at one program length the order of the
-    # headers is the order of their programs, and a header's bodies come
-    # out in lexicographic order: only the headers need sorting.
-    # length -> (header, body length, repeat count or None for a literal),
-    # or (table call program, None, its output)
-    by_length: dict[int, list] = defaultdict(list)
-    n = 1
-    while (length := literal_length(n)) <= b.L:
-        if length + n - 1 <= b.t:
-            by_length[length].append((header(LITERAL, n), n - 1, None))
-        n += 1
-    plen = 1
-    while repeat_length(1, plen) <= b.L:
-        count = 1
-        while (length := repeat_length(count, plen)) <= b.L:
-            if length + count <= b.t:
-                by_length[length].append((header(REPEAT, count, plen), plen, count))
-            count += 1
-        plen += 1
-    for i, aux in enumerate(m.aux, start=1):
-        head = header(CALL, i)
-        for key, val in aux.entries:
-            length = len(head) + len(key)
-            if length <= b.L and length + len(val) <= b.t:
-                by_length[length].append((head + key, None, val))
-
-    pairs: list[tuple[str, str]] = []
-    for length in sorted(by_length):
-        for head, blen, x in sorted(by_length[length]):  # headers are distinct
-            if blen is None:  # a table call, whole, with its output
-                pairs.append((head, x))
-                continue
-            bodies = strings_of_length(blen)
-            outs = bodies if x is None else [repeat_output(p, x) for p in bodies]
-            pairs += zip([head + p for p in bodies], outs)
-    return pairs
+    A row is (program length, header, body length, repeat count or None for
+    a literal), or (program length, whole program, None, its output) for a
+    table entry or call, whose one body is empty.  Headers are prefix-free,
+    so at one program length the order of the headers is the order of their
+    programs, and a header's bodies come out in lexicographic order: only
+    the rows need sorting.
+    """
+    for _, head, blen, x in sorted(rows):  # no two rows share a header, so None meets no int
+        if blen is None:
+            yield head, ("",), (x,)
+            continue
+        bodies = strings_of_length(blen)
+        yield head, bodies, bodies if x is None else [repeat_output(p, x) for p in bodies]
 
 
 def enumerate_domain(machine: PrefixMachine, budget: Budget) -> DomainEnumeration:
@@ -502,14 +478,35 @@ def enumerate_domain(machine: PrefixMachine, budget: Budget) -> DomainEnumeratio
     """
     counts, truncated = domain_census(machine, budget)
     size = sum(counts.values())
-    what = "listing the domain at L={L}, t={t} would hold {size} pairs"
-    guard(size, what, budget, L=budget.L, t=budget.t)
+    L, t = budget.L, budget.t
+    guard(size, "listing the domain at L={L}, t={t} would hold {size} pairs", budget, L=L, t=t)
     if isinstance(machine, TableMachine):
-        pairs = _list_table(machine, budget)
-        covers = machine.max_program_length <= budget.L
+        rows = [(len(k), k, None, v) for k, v in machine.entries if len(k) <= L]
     else:
-        pairs = _list_interpreter(machine, budget)
-        covers = False
+        rows = []
+        n = 1
+        while (length := literal_length(n)) <= L:
+            if length + n - 1 <= t:
+                rows.append((length, header(LITERAL, n), n - 1, None))
+            n += 1
+        plen = 1
+        while repeat_length(1, plen) <= L:
+            count = 1
+            while (length := repeat_length(count, plen)) <= L:
+                if length + count <= t:
+                    rows.append((length, header(REPEAT, count, plen), plen, count))
+                count += 1
+            plen += 1
+        for i, aux in enumerate(machine.aux, start=1):
+            head = header(CALL, i)
+            for key, val in aux.entries:
+                length = len(head) + len(key)
+                if length <= L and length + len(val) <= t:
+                    rows.append((length, head + key, None, val))
+    pairs: list[tuple[str, str]] = []
+    for head, bodies, outs in _programs(rows):
+        pairs += zip(map(head.__add__, bodies), outs)
+    covers = isinstance(machine, TableMachine) and machine.max_program_length <= L
     return DomainEnumeration(pairs, truncated, covers)
 
 
@@ -523,24 +520,18 @@ def outputs_of_length(machine: PrefixMachine, out_len: int, max_len: int, t: int
         calls, fit, plens = (("", machine.shortest),), max_len, ()
     else:
         calls, fit, plens = machine._calls, min(max_len, t - out_len), range(1, max_len)
-    found, size = [], 0  # (program length, repeat header or call program, plen or output)
+    rows, size = [], 0  # rows as ``_programs`` reads them
     for plen in plens:  # program length grows with the pattern length
         if (length := repeat_length(out_len, plen)) > fit:
             break
         size += 1 << plen
         guard(size, "a level of {n}-bit strings would hold {size} or more", n=out_len)
-        found.append((length, header(REPEAT, out_len, plen), plen))
+        rows.append((length, header(REPEAT, out_len, plen), plen, out_len))
     for head, shortest in calls:
         for out, key in shortest.items():
             if len(out) == out_len and len(head) + len(key) <= fit:
-                found.append((len(head) + len(key), head + key, out))
-    outs: list[str] = []
-    for _, _, x in sorted(found):  # programs are distinct; a repeat's tag sorts first
-        if isinstance(x, str):
-            outs.append(x)
-        else:
-            outs += [repeat_output(p, out_len) for p in strings_of_length(x)]
-    return list(dict.fromkeys(outs))
+                rows.append((len(head) + len(key), head + key, None, out))
+    return list(dict.fromkeys(chain.from_iterable(outs for _, _, outs in _programs(rows))))
 
 
 # ---------------------------------------------------------------------------

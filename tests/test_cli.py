@@ -16,7 +16,13 @@ from hypothesis import given, settings, strategies as st
 import leftreal
 from leftreal import cli, machines, randomness
 from leftreal.cli import COMMANDS, build_parser, main, natural
-from leftreal.jsonio import canonical_dumps, machine_from_json, machine_to_json
+from leftreal.jsonio import (
+    SpecError,
+    canonical_dumps,
+    machine_from_json,
+    machine_to_json,
+    parse_int,
+)
 
 
 def run(capsys, *argv):
@@ -127,6 +133,16 @@ EXACT = {
         " hold 2097150 or more, above the 1048576 guard; nothing lifts it",
     "kc alloc {overlong}": "a codeword of 1048577 bits, above the 1048576 guard;"
         " nothing lifts it",
+    # an integer input past CPython's default digit limit, named alike on every version
+    "kc alloc {long_length}": "{long_length}: an integer of 5000 digits is above the"
+        " 4300-digit limit",
+    "kc alloc {long_str_length}": "an integer of 5000 digits is above the 4300-digit limit",
+    "convert roc-to-skt --name ap:{digits},1 --rate shift:2 --stages 5":
+        "an integer of 5000 digits is above the 4300-digit limit",
+    "convert lc-to-roc --stream dyadics:{digits} --rate shift:2 --stages 5 --nmax 1":
+        "an integer of 5000 digits is above the 4300-digit limit",
+    "convert roc-to-skt --name ap:2,1 --rate shift:2 --stages {digits}": "leftreal convert"
+        " roc-to-skt: argument --stages: an integer of 5000 digits is above the 4300-digit limit",
 }
 
 # inputs that cannot be read, each with the file its error line names
@@ -206,12 +222,14 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
         "float_length": [[1.5, "01"]],
         "profile": "1,2,exact,3,4\n",  # a valid row: only the window is bad
         "empty": "",
+        "long_length": f'[[{"1" * 5000}, "0"]]',
+        "long_str_length": [["1" * 5000, "0"]],
     }
     paths = {key: write(tmp_path, key + ".json", doc) for key, doc in docs.items()}
     paths["not_utf8"] = str(tmp_path / "not_utf8.json")
     Path(paths["not_utf8"]).write_bytes(b"\xff")  # no UTF-8 text starts with 0xff
     out, missing = tmp_path / "out.json", tmp_path / "missing.json"
-    code = main(argv.format(**paths, out=out, missing=missing).split())
+    code = main(argv.format(**paths, out=out, missing=missing, digits="1" * 5000).split())
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
@@ -219,7 +237,7 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, argv):
     if argv in QUOTED:
         assert repr(QUOTED[argv]) in err
     if argv in EXACT:
-        assert err == f"error: {EXACT[argv]}\n"
+        assert err == f"error: {EXACT[argv].format(**paths)}\n"
     if argv in UNREADABLE:
         assert err.startswith(f"error: {paths[UNREADABLE[argv]]}: ")
 
@@ -242,6 +260,14 @@ def test_malformed_spec_error_quotes_the_spec(capsys, name, rate):
     bad = name if rate == "shift:2" else rate
     assert code == 1 and err.count("\n") == 1
     assert err.startswith(f"error: spec {bad!r} ")
+
+
+def test_digit_limit_counts_digits_alone():
+    # a sign and spaces do not count; the limit is 4300 digits on every version
+    assert parse_int(" -" + "9" * 4300) == 1 - 10**4300
+    line = "^an integer of 4301 digits is above the 4300-digit limit$"
+    with pytest.raises(SpecError, match=line):
+        parse_int("+" + "1" * 4301)
 
 
 def test_kc_alloc_reads_integer_string_lengths(tmp_path, capsys):
@@ -504,6 +530,47 @@ def test_convert_roc_to_skt_shortcut(capsys):
 def test_convert_roc_to_skt_golden_bytes(capsys, argv, sha):
     code, out = run(capsys, "convert", "roc-to-skt", *argv.split())
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize(
+    "argv, code, sha",
+    [
+        (  # 373 pairs, truncated at lengths 11, 13 and 14
+            "machine enumerate ref --budget-l 14 --budget-t 20",
+            0,
+            "b56b6daa7893722e18cc724b9dab66414337830f14adce69f53b197d53bdf08f",
+        ),
+        (
+            "skt from-rate ref --rate affine:3,8 --nmax 5",
+            0,
+            "70a410acc4d01c0d399ada4569cd1acb40355b974b787d9d0b09c940e44d63ad",
+        ),
+        (  # complete: false
+            "skt from-rate ref --rate affine:3,8 --nmax 5 --budget-t 40",
+            0,
+            "0ae1fb9ccabc7481959cb477611fd6341be86c7f9af3a1157e11a4908ca91555",
+        ),
+        (
+            "immunity hyperimmune --set evens:1000 --rate affine:2,0 --horizon 400",
+            2,
+            "97729414a6a678e90d514d4592bb39833b1a194e80d97dc5279fd1d0dd9a34f5",
+        ),
+        (
+            "immunity hyperimmune --set evens:1000 --rate affine:1,0 --horizon 10",
+            0,
+            "e4f1d3acbd67bdb0ae91f4250503b3d6f5d28713eb7c3421970440ef0e942015",
+        ),
+        (  # the README's command
+            "convert roc-to-skt --name ap:2,1 --rate shift:2 --stages 2000 --nmax 3",
+            0,
+            "72615b98572fb1f7a9028683917a6c8d6c9a3080164aae290a95bb729d09c9e9",
+        ),
+    ],
+)
+def test_listing_level_immunity_and_readme_golden_bytes(capsys, argv, code, sha):
+    got, out = run(capsys, *argv.split())
+    assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 

@@ -221,9 +221,7 @@ def _reference_stage_loop(f, rate, stages):
                 )
         pointers[m] = t + 1
         events.append((m, t + 1, t + 1))
-        intervals.append(
-            StageInterval(t=t, lo_num=x_t.num, lo_exp=x_t.exp, length_exp=rate.s(m), m=m)
-        )
+        intervals.append(StageInterval(t=t, lo=x_t, length_exp=rate.s(m), m=m))
     return intervals, events
 
 
@@ -343,9 +341,9 @@ def test_roc_to_skt_builds_no_dyadic(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(conversions, "Dyadic", refuse)
             res = roc_to_skt(f, rate, 200)
-            intervals = res.trace.intervals
             levels = [res.family.level_list(n) for n in range(4)]
-        # ``lo`` builds the canonical partial sum once Dyadic is back
+        # the trace builds each canonical partial sum when read, once Dyadic is back
+        intervals = res.trace.intervals
         assert [iv.lo for iv in intervals] == [partial_sum(f, t) for t in range(200)]
         assert levels == _reference_levels(intervals, rate, range(4))
 
@@ -633,7 +631,7 @@ def _integer_reference(f, rate, stages):
                 raise AssertionError(f"no pointer index qualified at stage {t + 1}")
         pointers[m] = t + 1
         events.append((m, t + 1, t + 1))
-        intervals.append(StageInterval(t, *_canonical(x, scale), exps[m], m))
+        intervals.append(StageInterval(t, Dyadic(*_canonical(x, scale)), exps[m], m))
     return intervals, events
 
 
@@ -711,7 +709,6 @@ def test_roc_to_skt_reads_the_name_once(monkeypatch):
     )
     _, _, res = two_thirds_pipeline(stages=300)
     assert len(res.trace.intervals) == 300
-    # built without the named tuple's __new__, yet of its type
     assert all(type(iv) is StageInterval for iv in res.trace.intervals)
     assert len(calls) == 1  # the nine tails in one call
     # the sum check reads the loop's integer sums, with partial_sum's message

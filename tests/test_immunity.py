@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from leftreal.errors import DisjointnessViolation, InsufficientElements
+from leftreal.errors import DisjointnessViolation, HorizonExceeded, InsufficientElements
 from leftreal.foundations import NatSetView, column, evens, join, multiples
 from leftreal.immunity import (
     Property,
@@ -90,6 +90,59 @@ def test_hyperimmune_needs_enough_elements():
     a = NatSetView.from_elements([1, 2], horizon=100)
     with pytest.raises(InsufficientElements):
         check_hyperimmune(a, Modulus.affine(2, 0), horizon=50)
+
+
+def _recording_view(member, horizon):
+    reads = []
+    return NatSetView(lambda n: reads.append(n) or member(n), horizon), reads
+
+
+class _RecordingRate:
+    """A rate read off a list, recording each index it is read at."""
+
+    label = "recording"
+
+    def __init__(self, values):
+        self.values = values
+        self.reads = []
+
+    def at(self, n):
+        self.reads.append(n)
+        return self.values[n]
+
+
+def test_principal_function_reads_members_up_to_the_count_th_element():
+    view, reads = _recording_view(lambda n: n % 3 == 0, 1000)
+    assert principal_function(view, 10) == list(range(0, 30, 3))
+    assert reads == list(range(28))  # 27 is the tenth element
+    # stopping short, it has read every member below the horizon
+    view, reads = _recording_view(lambda n: n in (1, 2), 100)
+    short = "^view has only 2 elements below 100, need 50$"
+    with pytest.raises(InsufficientElements, match=short):
+        principal_function(view, 50)
+    assert reads == list(range(100))
+
+
+def test_hyperimmune_reads_each_rate_value_once_in_order():
+    rng = random.Random(14)
+    for _ in range(200):
+        horizon = rng.randint(1, 40)
+        elems = sorted(rng.sample(range(120), rng.randint(horizon, 100)))
+        view, reads = _recording_view(set(elems).__contains__, 120)
+        rate = _RecordingRate([rng.randint(0, 130) for _ in range(horizon)])
+        v = check_hyperimmune(view, rate, horizon)
+        p = elems[:horizon]
+        failures = [n for n in range(horizon) if p[n] > rate.values[n]]  # the oracle
+        assert v.refuted == (not failures)
+        assert v.witness["first_failure"] == (failures[0] if failures else None)
+        assert rate.reads == list(range(horizon))
+        assert reads == list(range(p[-1] + 1))
+
+
+def test_hyperimmune_rate_failing_past_the_first_failure_still_raises():
+    # p(1) = 2 > f(1) = 0 fails first, then reading f(3) fails
+    with pytest.raises(HorizonExceeded):
+        check_hyperimmune(evens(100), Modulus.from_values([0, 0, 0]), 10)
 
 
 # ---------------------------------------------------------------------------

@@ -506,7 +506,7 @@ def test_listing_guard_trips_before_building_pairs(monkeypatch):
     size = len(enumerate_domain(Interpreter(), budget).pairs)
     monkeypatch.setattr(machines, "MAX_BUILT", size - 1)
     with monkeypatch.context() as patch:
-        patch.setattr(machines, "_list_interpreter", None)  # the guard trips first
+        patch.setattr(machines, "_programs", None)  # the guard trips first
         with pytest.raises(BudgetGuard, match=f"{size} pairs"):
             enumerate_domain(Interpreter(), budget)
     forced = Budget(12, 10**4, allow_large=True)
@@ -813,7 +813,7 @@ def test_complexity_never_lists_the_domain(monkeypatch):
     def refuse(*args):
         raise AssertionError("complexity listed the domain")
 
-    for name in ("enumerate_domain", "_list_interpreter", "_list_table"):
+    for name in ("enumerate_domain", "_programs"):
         monkeypatch.setattr(machines, name, refuse)
     interp = Interpreter(aux=(THREE_ENTRY,))
     assert complexity(interp, "0101010101", Budget(30, 10**4)).status is KStatus.EXACT
