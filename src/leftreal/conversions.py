@@ -14,9 +14,10 @@ intervals could never contain the limit.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from heapq import heappop, heappush
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice, repeat
+from operator import add, rshift
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionRefuted, RateError
@@ -80,7 +81,7 @@ class StageTrace(NamedTuple):
         """Every stage's interval, its left end read from one running sum."""
         values, exps = self.values, self.exps
         scale = max(values, default=0)
-        sums = accumulate(map((1 << scale).__rshift__, values))  # x_t * 2**scale
+        sums = accumulate(map(rshift, repeat(1 << scale), values))  # x_t * 2**scale
         return [
             StageInterval(t, Dyadic.of(x, scale), exps[m], m)
             for t, (x, m) in enumerate(zip(sums, self.resets))
@@ -104,17 +105,25 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     ``s(n)`` whose closed interval meets some emitted interval of length
     ``2**-s(n)``.
 
-    No stage rescans the indices.  The partial sums are integers at the
-    scale ``2**-max f``, computed once.  Since ``x_t`` only grows, a reset
-    index qualifies from the first stage where ``x_t`` passes its threshold
-    ``x_{p(m)} + 2**-s(m)`` until its next reset; that due stage is found by
-    bisection over the sums when the index is reset, and the index waits in
-    the due stage's bucket (if the due stage is below ``stages``), then in a
-    heap of qualified indices.  An index never reset has window
+    No stage rescans the indices.  The name is read as integers at the scale
+    ``2**-max f``: one ascending list of suffix sums ``after``, where
+    ``after[j]`` is the weight of the last ``j`` terms, so the weight still
+    to come after stage ``t`` is ``w = after[stages - 1 - t]``.  Since
+    ``x_t`` only grows, a reset index qualifies from the first stage where
+    ``x_t`` passes its threshold ``x_{p(m)} + 2**-s(m)`` until its next
+    reset, and such a stage comes before ``stages`` iff ``w > 2**-s(m)`` at
+    the reset.  Almost every stage is ruled out by bit lengths alone,
+    building no integer (``w > one >> s(m)`` needs
+    ``w.bit_length() + s(m) >= max f + 1``); only a stage that passes that
+    filter makes the exact test, and only one that passes both bisects
+    ``after`` for the due stage.  The index waits in the due stage's bucket,
+    then in a heap of qualified indices.  An index never reset has window
     ``x_t >= x_0 > 2**-s(0) >= 2**-s(m)`` (as ``r(0) > f(0)``), so it always
-    qualifies, and the indices reset so far are exactly those below a cursor;
-    the least qualified index is the top of the heap, else the cursor.
-    ``s(m)`` is read once per index, when the cursor first reaches it.
+    qualifies, and the indices reset so far are exactly those below a
+    cursor; the least qualified index is the top of the heap, else the
+    cursor.  ``s(m) = r(m + 2) + m + 2`` is drawn from ``r.iter_from(2)``
+    once per index, when the cursor first reaches it: a memo-backed rate
+    reads ``r.at`` there, and a formula rate answers from a C iterator.
 
     A stage records only the index it resets: the trace keeps the resets,
     the per-index ``s(m)`` and the name's values, one small int each, and
@@ -125,7 +134,8 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
 
     The gate reads the name once: ``f(0..stages-1)`` are the values the
     stage loop sums.  It checks the last partial sum (``InvalidName``; the
-    sums increase, so this checks them all), then ``r(0) > f(0)``
+    sums increase, so this checks them all, and one bisection of ``after``
+    names the first stage past 1), then ``r(0) > f(0)``
     (``RateError``), then the tail certificate ``tail(r(n)) <= 2**-n`` at
     levels ``0..CERTIFY_LEVELS`` (``PreconditionRefuted`` at the least
     refuted level).  ``names.tail_sums`` answers the nine tails in
@@ -141,14 +151,16 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
             "cannot contain it",
         )
     # x_t = x / 2**scale exactly, and for integers x - x_p > 2**(scale - s)
-    # iff x - x_p > (1 << scale) >> s.
+    # iff x - x_p > (1 << scale) >> s.  after[j] is the weight of the last
+    # j terms, so x_t = last - after[stages - 1 - t].
     values = f.values(stages)
     scale = max(values, default=0)
     one = 1 << scale
-    xs = list(accumulate(map(one.__rshift__, values)))
-    last = xs[-1] if xs else 0
-    if last > one:
-        raise sum_exceeds_one(f.label, stages - 1, Dyadic.of(last, scale))
+    after = list(accumulate(map(rshift, repeat(one), reversed(values)), initial=0))
+    last = after[-1]
+    if last > one:  # the first stage past 1 leaves less than last - one to come
+        t = stages - bisect_left(after, last - one)
+        raise sum_exceeds_one(f.label, t, Dyadic.of(last - after[stages - 1 - t], scale))
     r = rate.r
     if r.at(0) <= f.at(0):
         raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
@@ -170,14 +182,16 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
 
     # The cursor len(exps) bounds the indices reset so far.  An index reset
     # at stage t qualifies again at the first later stage whose sum passes
-    # x + (one >> s(m)): ``due`` keeps it under that stage, then ``active``
-    # holds it until its next reset.  A stage records only its index.
-    r_at = r.at
-    exps: list[int] = []  # s(m) = r(m + 2) + m + 2, read when m is first reset
+    # x_t + 2**-s(m), which exists iff the weight still to come, w, passes
+    # 2**-s(m): ``due`` keeps it under that stage, then ``active`` holds it
+    # until its next reset.  A stage records only its index.
+    s_of = map(add, r.iter_from(2), count(2))  # s(m) = r(m + 2) + m + 2
+    edge = scale + 1  # w > one >> exp needs w.bit_length() + exp >= edge
+    exps: list[int] = []  # s(m), drawn when m is first reset
     due: dict[int, list[int]] = {}
     active: list[int] = []
     resets: list[int] = []
-    for t, x in enumerate(xs):
+    for t, w in enumerate(islice(reversed(after), 1, None)):
         if due:
             for m in due.pop(t, ()):
                 heappush(active, m)
@@ -186,17 +200,17 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
             exp = exps[m]
         else:
             m = len(exps)
-            exp = r_at(m + 2) + m + 2  # RateSpec.s(m), inlined
+            exp = next(s_of)
             exps.append(exp)
-        threshold = x + (one >> exp)
-        if threshold < last:  # else m never comes due within ``stages``
-            due.setdefault(bisect_right(xs, threshold, t + 1), []).append(m)
+        if w.bit_length() + exp >= edge and w > one >> exp:
+            # the due stage t' is the first with after[stages - 1 - t'] < w - (one >> exp)
+            due.setdefault(stages - bisect_left(after, w - (one >> exp)), []).append(m)
         resets.append(m)
 
     trace = StageTrace(resets, exps, values, stages, name_label=f.label, rate_label=r.label)
     levels: dict[int, list[str]] = {}  # level -> its strings, built on first read
     # x_0, x_1, ...: one running sum per family, read as far as the levels need
-    run = accumulate(map(one.__rshift__, values))
+    run = accumulate(map(rshift, repeat(one), values))
     sums: list[int] = []
 
     def level_fn(n: int) -> list[str]:

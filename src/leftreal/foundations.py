@@ -10,7 +10,7 @@ arithmetic; nothing in this module touches floating point.
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
+from itertools import count, zip_longest
 from typing import TYPE_CHECKING
 
 from .errors import HorizonExceeded, PrefixViolation, RangeViolation
@@ -314,6 +314,10 @@ class Replayable:
         if count > 0:
             self.at(count - 1)
         return self._memo[: max(count, 0)]
+
+    def iter_from(self, k: int) -> Iterator:
+        """The values from index ``k`` on, each read through ``at`` when drawn."""
+        return map(self.at, count(k))
 
     def _check(self, k: int, v: Any) -> None:
         """Reject a bad value ``v`` at index ``k``."""

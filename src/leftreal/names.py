@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, count, repeat
+from operator import lshift, rshift
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -32,7 +33,7 @@ from .foundations import (
 )
 
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Optional, Sequence
+    from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +125,9 @@ def _natural_fields(kind: str, label: str, *fields: int) -> None:
 
 class _Affine:
     """Mixin for ``k -> a*k + b`` with natural ``a`` and ``b``.  Such a
-    sequence is natural and monotone, so ``at`` and ``values`` answer by
-    the formula and store nothing; the fields are checked when it is built.
+    sequence is natural and monotone, so ``at``, ``values`` and
+    ``iter_from`` answer by the formula and store nothing; the fields are
+    checked when it is built.
     """
 
     _kind: str
@@ -143,6 +145,11 @@ class _Affine:
     def values(self, count: int) -> list[int]:
         a, b = self._a, self._b
         return list(range(b, b + a * count, a)) if a else [b] * count
+
+    def iter_from(self, k: int) -> Iterator[int]:
+        if k < 0:
+            raise ValueError("sequence index must be a natural number")
+        return count(self._a * k + self._b, self._a)
 
 
 class _AffineName(_Affine, NameStream):
@@ -170,6 +177,11 @@ class _Power2Rate(Modulus):
 
     def values(self, count: int) -> list[int]:
         return [1 << e for e in range(self._offset, self._offset + count)]
+
+    def iter_from(self, k: int) -> Iterator[int]:
+        if k < 0:
+            raise ValueError("sequence index must be a natural number")
+        return map(lshift, repeat(1), count(k + self._offset))
 
 
 class IncreasingDyadicStream(Replayable):
@@ -292,11 +304,12 @@ def tail_sums(
 
     ``whole`` is the sum of all the terms at that scale, and no value
     exceeds ``top``.  Each tail is ``whole`` less the head terms below
-    ``m0``: the terms below the largest threshold are sorted and summed
-    as prefixes once, and each threshold bisects them.
+    ``m0``: the terms below the largest threshold are summed as prefixes
+    of the sorted values once, and each threshold bisects them.
     """
-    head = sorted(filter(max(thresholds, default=0).__gt__, values))
-    heads = list(accumulate((1 << (top - h) for h in head), initial=0))
+    ordered = sorted(values)
+    head = ordered[: bisect_left(ordered, max(thresholds, default=0))]
+    heads = list(accumulate(map(rshift, repeat(1 << top), head), initial=0))
     return [whole - heads[bisect_left(head, m0)] for m0 in thresholds]
 
 
@@ -315,7 +328,7 @@ def tail_weight(f: NameStream, m0: int, upto: int) -> Dyadic:
     """
     values = f.values(upto + 1)
     top = max(values, default=0)
-    whole = sum(map((1 << top).__rshift__, values))
+    whole = sum(map(rshift, repeat(1 << top), values))
     return Dyadic.of(tail_sums(values, whole, top, [m0])[0], top)
 
 

@@ -117,7 +117,10 @@ EXACT = {
     "dim {profile} --n0 2 --n1 1": "window must satisfy 1 <= n0 <= n1",
     # a dyadic in a message reads num/2^exp
     "convert roc-to-skt --name ap:0,1 --rate shift:2 --stages 5":
-        "partial sum of 0k+1 exceeds 1 at stage 4: 5/2^1",
+        "partial sum of 0k+1 exceeds 1 at stage 2: 3/2^1",
+    # the first sum past 1 is named, however long the name read
+    "convert roc-to-skt --name ap:2,0 --rate shift:2 --stages 20000":
+        "partial sum of 2k+0 exceeds 1 at stage 1: 5/2^2",
     "construct regular --component elements:0:4 --component elements:0:4"
     " --component elements:0:4":
         "stream x(elements:0:4)+x(elements:0:4)+x(elements:0:4) left [0,1] at 1: 3/2^1",
@@ -524,6 +527,27 @@ def test_convert_roc_to_skt_shortcut(capsys):
         (
             "--name ap:3,1 --rate shift:2 --stages 440 --nmax 6",
             "5b3deb89da7bd528479a254b6e146a7af3aa336d61be358461c5c401c6bfcde8",
+        ),
+        # rates read through the default iterator over ``at``; 8 indices
+        # over 300 stages under pow2, 148 under values
+        (
+            "--name ap:2,1 --rate pow2:1 --stages 300 --nmax 3",
+            "431514eec11bbaf3b0ccc714fe2bed783c1f7a9d4124eebaa6e190963aa5fd4b",
+        ),
+        pytest.param(
+            "--name ap:1,2 --rate values:"
+            + ",".join(str(n + 3) for n in range(400))
+            + " --stages 300 --nmax 3",
+            "8f739f44352c5816fa75d8380d824b4146800c5f5052247749ae64bbc10a373f",
+            id="--name ap:1,2 --rate values:3..402 --stages 300 --nmax 3",
+        ),
+        (
+            "--name ap:2,1 --rate gap:0>>1 --stages 300 --nmax 3",
+            "8ee44eca9b236696e2b2add8c86acd0e4f9dfdde64a30530be4e432bfb135b4a",
+        ),
+        (
+            "--name ap:3,1 --rate shift:1>>1 --stages 300 --nmax 3",
+            "6bf978d04d64400b9f2fcfca55c5a44f6f5c7071880315655ea2adfcf1898782",
         ),
     ],
 )

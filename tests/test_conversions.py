@@ -1,7 +1,9 @@
 """Both staged conversions: certified name -> covering family, and
 certified approximation -> block name with computable rearrangement."""
 
+import gc
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -190,7 +192,11 @@ def _reference_stage_loop(f, rate, stages):
 
     Each stage rescans pointer indices from 0 in ``Dyadic`` arithmetic.
     """
-    partial_sum(f, stages - 1)
+    sums = [ZERO]
+    for v in f.values(stages):
+        sums.append(sums[-1] + half_power(v))
+    if sums[-1] > ONE:  # the sums increase: name the first past 1
+        partial_sum(f, next(t for t, x in enumerate(sums[1:]) if x > ONE))
     r = rate.r
     if r.at(0) <= f.at(0):
         raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
@@ -201,13 +207,11 @@ def _reference_stage_loop(f, rate, stages):
                 f"tail certificate refuted at level {n}: "
                 f"tail {chk.tail.num}/2^{chk.tail.exp} > 2^-{n}"
             )
-    sums = [ZERO]
     pointers = {}
     events = []
     intervals = []
     for t in range(stages):
-        sums.append(sums[-1] + half_power(f.at(t)))
-        x_t = sums[-1]
+        x_t = sums[t + 1]
         m = 0
         while True:
             window = x_t - sums[pointers.get(m, 0)]
@@ -262,6 +266,16 @@ def _outcome(run):
     ),
     stages=st.integers(1, 300),
 )
+# f(k) = k + 1, so max f = stages.  At stage 6 the weight to come, 2**-8,
+# equals 2**-s(0): index 0 must not come due again
+@example(name="ap:1,1", rate="shift:4", stages=8)
+# s(0) = 6 > max f = 5: 2**-s(0) is 0 at the scale, and index 0 comes due
+# at every next stage
+@example(name="ap:1,1", rate="shift:2", stages=5)
+# at stage 4 the weight to come, 3 * 2**-7, passes 2**-s(0) = 2 * 2**-7 on
+# the filter's edge, w.bit_length() + s(0) == max f + 1: index 0 comes due
+# at stage 6
+@example(name="ap:1,1", rate="shift:2", stages=7)
 def test_roc_to_skt_matches_quadratic_reference(name, rate, stages):
     def fresh():
         f = _swapped_name() if name == "swapped" else parse_name(name)
@@ -317,17 +331,32 @@ def test_roc_to_skt_reads_the_rate_lazily(monkeypatch):
     with pytest.raises(HorizonExceeded, match=r" queried at 49 beyond horizon 49$"):
         run(49)
 
-    # the loop reads s(m) = r(m + 2) + m + 2 inline, after the gate's reads
-    # of r(0) and r(0..8)
+    # the loop draws s(m) = r(m + 2) + m + 2 from r.iter_from(2), once per
+    # index, after the gate's reads of r(0) and r(0..8)
     for f, stages in ((parse_name("ap:2,1"), 50), (_stepped_name(2, 2), 60)):
+        # a memo-backed rate is read through its own ``at``
         calls = []
-        r = Modulus.shift(3)
+        r = Modulus(lambda n: n + 3, label="n+3")
         real = r.at
         monkeypatch.setattr(r, "at", lambda n: calls.append(n) or real(n))
         res = roc_to_skt(f, RateSpec(r), stages)
         used = sorted({iv.m for iv in res.trace.intervals})
         # once per index, in the order first reached
         assert calls == [0, *range(CERTIFY_LEVELS + 1), *(m + 2 for m in used)]
+
+        # a formula rate's iterator is asked for once and drawn once per index
+        asked, drawn = [], []
+        r = Modulus.shift(3)
+        real_iter = r.iter_from
+
+        def counted(k):
+            asked.append(k)
+            return map(lambda v: drawn.append(v) or v, real_iter(k))
+
+        monkeypatch.setattr(r, "iter_from", counted)
+        res = roc_to_skt(f, RateSpec(r), stages)
+        assert asked == [2]
+        assert drawn == [r.at(m + 2) for m in range(len(res.trace.exps))]
 
 
 def test_roc_to_skt_builds_no_dyadic(monkeypatch):
@@ -414,11 +443,9 @@ def _ten_scan_gate(f, rate, stages):
     def scan(m0, upto):
         return sum((half_power(v) for v in f.values(upto + 1) if v >= m0), ZERO)
 
-    total = scan(0, stages - 1)
-    if total > ONE:
-        raise InvalidName(
-            f"partial sum of {f.label or '?'} exceeds 1 at stage {stages - 1}: {total}"
-        )
+    if scan(0, stages - 1) > ONE:  # the sums increase: name the first past 1
+        t = next(t for t in range(stages) if scan(0, t) > ONE)
+        raise InvalidName(f"partial sum of {f.label or '?'} exceeds 1 at stage {t}: {scan(0, t)}")
     r = rate.r
     if r.at(0) <= f.at(0):
         raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
@@ -593,12 +620,14 @@ def _integer_reference(f, rate, stages):
     """
     values = f.values(stages + 1)
     scale = max(values[:stages])
-    total = sum(1 << (scale - v) for v in values[:stages])
-    if total > 1 << scale:
-        num, exp = _canonical(total, scale)
-        raise InvalidName(
-            f"partial sum of {f.label or '?'} exceeds 1 at stage {stages - 1}: {num}/2^{exp}"
-        )
+    total = 0
+    for t, v in enumerate(values[:stages]):  # the sums increase: name the first past 1
+        total += 1 << (scale - v)
+        if total > 1 << scale:
+            num, exp = _canonical(total, scale)
+            raise InvalidName(
+                f"partial sum of {f.label or '?'} exceeds 1 at stage {t}: {num}/2^{exp}"
+            )
     r = rate.r
     if r.at(0) <= f.at(0):
         raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
@@ -694,6 +723,20 @@ def test_roc_to_skt_builds_no_record(monkeypatch):
     assert all(v.bit_length() < 64 for col in trace[:3] for v in col)
 
 
+def test_roc_to_skt_memory_at_20000_stages():
+    # the stage loop holds one list of suffix sums, of about 2 * (stages - t)
+    # bits each, and drops it on return; the family keeps its own running sum
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = roc_to_skt(parse_name("ap:2,1"), RateSpec(Modulus.shift(2)), 20000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.trace.resets) == 20000
+    assert peak < 70e6 and kept < 5e6, (peak, kept)
+
+
 def test_roc_to_skt_reads_the_name_once(monkeypatch):
     def refuse(*args):
         raise AssertionError("roc_to_skt summed the name outside tail_sums")
@@ -711,8 +754,9 @@ def test_roc_to_skt_reads_the_name_once(monkeypatch):
     assert len(res.trace.intervals) == 300
     assert all(type(iv) is StageInterval for iv in res.trace.intervals)
     assert len(calls) == 1  # the nine tails in one call
-    # the sum check reads the loop's integer sums, with partial_sum's message
-    with pytest.raises(InvalidName, match=r"^partial sum of 0k\+1 exceeds 1 at stage 49: "):
+    # the sum check reads the loop's integer sums and names the first sum
+    # past 1, with partial_sum's message
+    with pytest.raises(InvalidName, match=r"^partial sum of 0k\+1 exceeds 1 at stage 2: 3/2\^1$"):
         roc_to_skt(NameStream.affine(0, 1), RateSpec(Modulus.shift(2)), 50)
 
 

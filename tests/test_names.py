@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -605,6 +606,15 @@ def _reads(seq):
     return read
 
 
+def _drawn(seq, k, n=20):
+    """The first ``n`` values of ``seq.iter_from(k)``, or the type and
+    message of the error asking for or drawing them raises."""
+    try:
+        return list(islice(seq.iter_from(k), n))
+    except ValueError as e:
+        return type(e), str(e)
+
+
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(sorted(FORMULAS)), data=st.data())
 def test_formula_sequences_match_the_memo(kind, data):
@@ -619,6 +629,8 @@ def test_formula_sequences_match_the_memo(kind, data):
         assert got("at", k) == want("at", k)
     for count in range(-2, 61):
         assert got("values", count) == want("values", count)
+    for k in (-1, *data.draw(st.lists(st.integers(0, 60), max_size=5))):
+        assert _drawn(seq, k) == _drawn(oracle, k)
     if kind != "ap":
         n_max, k = data.draw(st.integers(0, 20)), data.draw(st.integers(0, 20))
         assert seq.strictly_increasing_on(n_max) == oracle.strictly_increasing_on(n_max)
