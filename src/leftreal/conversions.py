@@ -81,7 +81,7 @@ class StageTrace(NamedTuple):
         """Every stage's interval, its left end read from one running sum."""
         values, exps = self.values, self.exps
         scale = max(values, default=0)
-        sums = accumulate(map(rshift, repeat(1 << scale), values))  # x_t * 2**scale
+        sums = accumulate(map((1 << scale).__rshift__, values))  # x_t * 2**scale
         return [
             StageInterval(t, Dyadic.of(x, scale), exps[m], m)
             for t, (x, m) in enumerate(zip(sums, self.resets))
@@ -159,8 +159,8 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     after = list(accumulate(map(rshift, repeat(one), reversed(values)), initial=0))
     last = after[-1]
     if last > one:  # the first stage past 1 leaves less than last - one to come
-        t = stages - bisect_left(after, last - one)
-        raise sum_exceeds_one(f.label, t, Dyadic.of(last - after[stages - 1 - t], scale))
+        j = bisect_left(after, last - one)
+        raise sum_exceeds_one(f.label, stages - j, Dyadic.of(last - after[j - 1], scale))
     r = rate.r
     if r.at(0) <= f.at(0):
         raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")

@@ -328,7 +328,7 @@ def tail_weight(f: NameStream, m0: int, upto: int) -> Dyadic:
     """
     values = f.values(upto + 1)
     top = max(values, default=0)
-    whole = sum(map(rshift, repeat(1 << top), values))
+    whole = sum(map((1 << top).__rshift__, values))
     return Dyadic.of(tail_sums(values, whole, top, [m0])[0], top)
 
 
