@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
-from itertools import accumulate, count, islice, repeat
-from operator import add, rshift
+from itertools import accumulate, compress, count, islice, repeat, tee
+from operator import add, le, rshift
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionRefuted, RateError
@@ -35,7 +35,7 @@ from .names import (
 from .randomness import TestFamily, TestKind
 
 if TYPE_CHECKING:
-    from typing import Optional
+    from typing import Iterator, Optional
 
 CERTIFY_LEVELS = 8  # roc_to_skt checks the tail certificate at levels 0..8
 
@@ -95,97 +95,16 @@ class RocToSktResult(NamedTuple):
     reason: str = ""
 
 
-def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
-    """Run the staged interval enumeration for a certified name.
-
-    At stage ``t+1`` the smallest pointer index ``m`` whose window weight
-    ``sum(2**-f(k), p(m) <= k <= t)`` exceeds ``2**-s(m)`` is reset to
-    ``t+1`` and the open interval ``]x_t, x_t + 2**-s(m)[`` is emitted.
-    The returned family's level ``n`` collects all strings of length
-    ``s(n)`` whose closed interval meets some emitted interval of length
-    ``2**-s(n)``.
-
-    No stage rescans the indices.  The name is read as integers at the scale
-    ``2**-max f``: one ascending list of suffix sums ``after``, where
-    ``after[j]`` is the weight of the last ``j`` terms, so the weight still
-    to come after stage ``t`` is ``w = after[stages - 1 - t]``.  Since
-    ``x_t`` only grows, a reset index qualifies from the first stage where
-    ``x_t`` passes its threshold ``x_{p(m)} + 2**-s(m)`` until its next
-    reset, and such a stage comes before ``stages`` iff ``w > 2**-s(m)`` at
-    the reset.  Almost every stage is ruled out by bit lengths alone,
-    building no integer (``w > one >> s(m)`` needs
-    ``w.bit_length() + s(m) >= max f + 1``); only a stage that passes that
-    filter makes the exact test, and only one that passes both bisects
-    ``after`` for the due stage.  The index waits in the due stage's bucket,
-    then in a heap of qualified indices.  An index never reset has window
-    ``x_t >= x_0 > 2**-s(0) >= 2**-s(m)`` (as ``r(0) > f(0)``), so it always
-    qualifies, and the indices reset so far are exactly those below a
-    cursor; the least qualified index is the top of the heap, else the
-    cursor.  ``s(m) = r(m + 2) + m + 2`` is drawn from ``r.iter_from(2)``
-    once per index, when the cursor first reaches it: a memo-backed rate
-    reads ``r.at`` there, and a formula rate answers from a C iterator.
-
-    A stage records only the index it resets: the trace keeps the resets,
-    the per-index ``s(m)`` and the name's values, one small int each, and
-    ``StageTrace.intervals`` rebuilds the left ends when read.  A level's
-    intervals are those of its own index, as ``s`` strictly increases; the
-    family reads their left ends as integer sums from one running sum,
-    read only as far as the levels asked need, and builds no ``Dyadic``.
-
-    The gate reads the name once: ``f(0..stages-1)`` are the values the
-    stage loop sums.  It checks the last partial sum (``InvalidName``; the
-    sums increase, so this checks them all, and one bisection of ``after``
-    names the first stage past 1), then ``r(0) > f(0)``
-    (``RateError``), then the tail certificate ``tail(r(n)) <= 2**-n`` at
-    levels ``0..CERTIFY_LEVELS`` (``PreconditionRefuted`` at the least
-    refuted level).  ``names.tail_sums`` answers the nine tails in
-    integers at the scale ``2**-top``, from the whole sum of those values
-    and ``f(stages)``, which the last partial sum gives.
+def _suffix_sum_stages(
+    after: list[int], scale: int, s_of: Iterator[int]
+) -> tuple[list[int], list[int]]:
+    """The index each stage resets, and ``s(m)`` for each index, read from
+    the name's suffix sums ``after`` at the scale ``2**-scale`` (see
+    ``roc_to_skt``).  ``due`` keeps an index under its due stage, then
+    ``active`` holds it until its next reset; ``len(exps)`` is the cursor.
     """
-    if f.finite:
-        return RocToSktResult(
-            None,
-            None,
-            dyadic_shortcut=True,
-            reason="finite name denotes a dyadic value; open intervals "
-            "cannot contain it",
-        )
-    # x_t = x / 2**scale exactly, and for integers x - x_p > 2**(scale - s)
-    # iff x - x_p > (1 << scale) >> s.  after[j] is the weight of the last
-    # j terms, so x_t = last - after[stages - 1 - t].
-    values = f.values(stages)
-    scale = max(values, default=0)
+    stages = len(after) - 1
     one = 1 << scale
-    after = list(accumulate(map(rshift, repeat(one), reversed(values)), initial=0))
-    last = after[-1]
-    if last > one:  # the first stage past 1 leaves less than last - one to come
-        j = bisect_left(after, last - one)
-        raise sum_exceeds_one(f.label, stages - j, Dyadic.of(last - after[j - 1], scale))
-    r = rate.r
-    if r.at(0) <= f.at(0):
-        raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
-    # tail(m0) = whole - (the terms below m0), all at the scale 2**-top
-    fs = f.at(stages)
-    top = max(scale, fs)
-    whole = (last << (top - scale)) + (1 << (top - fs))
-    thresholds: list[int] = []
-    try:
-        for n in range(CERTIFY_LEVELS + 1):
-            thresholds.append(r.at(n))
-    finally:  # a rate failing at level n still lets a lower level refute first
-        for n, tail in enumerate(tail_sums(values + [fs], whole, top, thresholds)):
-            if tail << n > 1 << top:
-                raise PreconditionRefuted(
-                    f"tail certificate refuted at level {n}: "
-                    f"tail {Dyadic.of(tail, top)} > 2^-{n}"
-                )
-
-    # The cursor len(exps) bounds the indices reset so far.  An index reset
-    # at stage t qualifies again at the first later stage whose sum passes
-    # x_t + 2**-s(m), which exists iff the weight still to come, w, passes
-    # 2**-s(m): ``due`` keeps it under that stage, then ``active`` holds it
-    # until its next reset.  A stage records only its index.
-    s_of = map(add, r.iter_from(2), count(2))  # s(m) = r(m + 2) + m + 2
     edge = scale + 1  # w > one >> exp needs w.bit_length() + exp >= edge
     exps: list[int] = []  # s(m), drawn when m is first reset
     due: dict[int, list[int]] = {}
@@ -206,6 +125,174 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
             # the due stage t' is the first with after[stages - 1 - t'] < w - (one >> exp)
             due.setdefault(stages - bisect_left(after, w - (one >> exp)), []).append(m)
         resets.append(m)
+    return resets, exps
+
+
+def _exponent_stages(values: list[int], s_of: Iterator[int]) -> tuple[list[int], list[int]]:
+    """The index each stage resets, and ``s(m)`` for each index, for a name
+    whose exponents ``values`` strictly increase (see ``roc_to_skt``).  An
+    index due at the next stage goes into ``active`` at once, one due at
+    the stage after into ``due``; ``len(exps)`` is the cursor.
+    """
+    stages = len(values)
+    exps: list[int] = []
+    resets: list[int] = []
+    active: list[int] = []
+    due: dict[int, int] = {}
+    t = 0
+    while t < stages:
+        if t in due:
+            heappush(active, due.pop(t))
+        fresh = not active
+        if fresh:
+            m = len(exps)
+            exp = next(s_of)
+            exps.append(exp)
+        else:
+            m = heappop(active)
+            exp = exps[m]
+        resets.append(m)
+        t += 1  # the next stage, which adds the term f(t)
+        if t == stages:
+            break
+        g = values[t]
+        if g < exp:
+            heappush(active, m)
+        elif g == exp:
+            due[t + 1] = m
+        elif fresh and not due:
+            # stage u schedules iff f(u+1) <= s(its fresh index); the scan
+            # draws s through a copy, so each is still drawn once, in order
+            ahead = iter(values)
+            ahead.__setstate__(t + 1)  # at f(t+1) at once, where islice would step there
+            scan, s_of = tee(s_of)
+            u = next(compress(count(t), map(le, ahead, scan)), stages)
+            m = len(exps)
+            exps.extend(islice(s_of, u - t))
+            resets.extend(range(m, len(exps)))
+            t = u
+    return resets, exps
+
+
+def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
+    """Run the staged interval enumeration for a certified name.
+
+    At stage ``t+1`` the smallest pointer index ``m`` whose window weight
+    ``sum(2**-f(k), p(m) <= k <= t)`` exceeds ``2**-s(m)`` is reset to
+    ``t+1`` and the open interval ``]x_t, x_t + 2**-s(m)[`` is emitted.
+    The returned family's level ``n`` collects all strings of length
+    ``s(n)`` whose closed interval meets some emitted interval of length
+    ``2**-s(n)``.
+
+    No stage rescans the indices.  Since ``x_t`` only grows, a reset index
+    qualifies from the first stage where ``x_t`` passes its threshold
+    ``x_{p(m)} + 2**-s(m)`` until its next reset, and such a stage comes
+    before ``stages`` iff the weight still to come after the reset,
+    ``w_t = sum(2**-f(k), t < k < stages)``, passes ``2**-s(m)``.  The index
+    waits for its due stage, then in a heap of qualified indices.  An index
+    never reset has window ``x_t >= x_0 > 2**-s(0) >= 2**-s(m)`` (as
+    ``r(0) > f(0)``), so it always qualifies, and the indices reset so far
+    are exactly those below a cursor; the least qualified index is the top
+    of the heap, else the cursor.  ``s(m) = r(m + 2) + m + 2`` is drawn
+    from ``r.iter_from(2)`` once per index, in index order: a memo-backed
+    rate reads ``r.at`` there, and a formula rate answers from a C iterator.
+
+    When ``f(0..stages-1)`` strictly increase, the stages run on exponents
+    (``_exponent_stages``).  Distinct exponents carry nothing, so
+    ``2**-f(t+1) <= w_t < 2**-(f(t+1) - 1)``, with equality on the left iff
+    no term follows ``f(t+1)``.  Hence the index reset at stage ``t`` is
+    due at stage ``t+1`` if ``f(t+1) < s(m)``, at stage ``t+2`` (if there
+    is one) if ``f(t+1) = s(m)``, and never otherwise: a comparison of
+    small ints, and no suffix sum is built.  After a fresh stage that
+    schedules nothing, every stage takes a fresh index until one has
+    ``f(t+1) <= s(m)``; one chain of C iterators finds that stage, reading
+    ``s`` through a ``tee`` copy that the stages then take their ``s(m)``
+    from, so each ``s(m)`` is still drawn once.  Any other name runs on
+    suffix sums at the scale ``2**-max f`` (``_suffix_sum_stages``): one
+    ascending list ``after``, where ``after[j]`` is the weight of the last
+    ``j`` terms, so ``w_t = after[stages - 1 - t]``.  Almost every stage is
+    ruled out by bit lengths alone (``w > one >> s(m)`` needs
+    ``w.bit_length() + s(m) >= max f + 1``); only a stage that passes that
+    filter makes the exact test, and only one that passes both bisects
+    ``after`` for the due stage.
+
+    A stage records only the index it resets: the trace keeps the resets,
+    the per-index ``s(m)`` and the name's values, one small int each, and
+    ``StageTrace.intervals`` rebuilds the left ends when read.  A level's
+    intervals are those of its own index, as ``s`` strictly increases; the
+    family reads their left ends as integer sums from one running sum,
+    read only as far as the levels asked need, and builds no ``Dyadic``.
+
+    The gate reads the name once: ``f(0..stages-1)`` are the values the
+    stage loop sums.  It checks the last partial sum (``InvalidName``; the
+    sums increase, so this checks them all, and one bisection of ``after``
+    names the first stage past 1).  The values strictly increase iff they
+    equal their sorted copy and set ``stages`` distinct digits of a
+    ``bytearray`` with a ``1`` at each ``f(k)`` (a span under ``stages - 1``
+    rules a name out first); then the last partial sum is those binary
+    digits, read by one ``int(…, 2)``, as distinct exponents carry nothing.
+    It passes 1 only when ``f(0) = 0`` and a term follows, and such a name
+    takes the suffix sums.  Then the gate checks ``r(0) > f(0)``
+    (``RateError``), then the tail certificate ``tail(r(n)) <= 2**-n`` at
+    levels ``0..CERTIFY_LEVELS`` (``PreconditionRefuted`` at the least
+    refuted level).  ``names.tail_sums`` answers the nine tails in
+    integers at the scale ``2**-top``, from the whole sum of those values
+    and ``f(stages)``, which the last partial sum gives.
+    """
+    if f.finite:
+        return RocToSktResult(
+            None,
+            None,
+            dyadic_shortcut=True,
+            reason="finite name denotes a dyadic value; open intervals "
+            "cannot contain it",
+        )
+    # x_t = x / 2**scale exactly, and for integers x - x_p > 2**(scale - s)
+    # iff x - x_p > (1 << scale) >> s.  last is x_{stages - 1}.
+    values = f.values(stages)
+    ordered = sorted(values)  # in C, one pass over a name already in order; reused by tail_sums
+    scale = ordered[-1] if ordered else 0
+    one = 1 << scale
+    # Strictly increasing values are in order and span at least stages - 1.
+    # f(0) = 0 with a second term sums past 1, which the suffix sums name.
+    increasing = values == ordered and (stages < 2 or 0 < values[0] <= scale - stages + 1)
+    if increasing:  # and strictly so iff no two terms share a binary digit
+        digits = bytearray(b"0") * (scale + 1)  # digit i weighs 2**(scale - i)
+        for v in values:
+            digits[v] = 49  # ord("1")
+        increasing = digits.count(49) == stages
+    if increasing:
+        last = int(digits, 2)  # no carry: one digit at each f(k)
+    else:
+        after = list(accumulate(map(rshift, repeat(one), reversed(values)), initial=0))
+        last = after[-1]
+        if last > one:  # the first stage past 1 leaves less than last - one to come
+            j = bisect_left(after, last - one)
+            raise sum_exceeds_one(f.label, stages - j, Dyadic.of(last - after[j - 1], scale))
+    r = rate.r
+    if r.at(0) <= f.at(0):
+        raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
+    # tail(m0) = whole - (the terms below m0), all at the scale 2**-top
+    fs = f.at(stages)
+    top = max(scale, fs)
+    whole = (last << (top - scale)) + (1 << (top - fs))
+    thresholds: list[int] = []
+    try:
+        for n in range(CERTIFY_LEVELS + 1):
+            thresholds.append(r.at(n))
+    finally:  # a rate failing at level n still lets a lower level refute first
+        for n, tail in enumerate(tail_sums(ordered + [fs], whole, top, thresholds)):
+            if tail << n > 1 << top:
+                raise PreconditionRefuted(
+                    f"tail certificate refuted at level {n}: "
+                    f"tail {Dyadic.of(tail, top)} > 2^-{n}"
+                )
+
+    s_of = map(add, r.iter_from(2), count(2))  # s(m) = r(m + 2) + m + 2
+    if increasing:
+        resets, exps = _exponent_stages(values, s_of)
+    else:
+        resets, exps = _suffix_sum_stages(after, scale, s_of)
 
     trace = StageTrace(resets, exps, values, stages, name_label=f.label, rate_label=r.label)
     levels: dict[int, list[str]] = {}  # level -> its strings, built on first read

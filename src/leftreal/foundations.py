@@ -70,6 +70,8 @@ class Record:
 # Dyadic numbers
 # ---------------------------------------------------------------------------
 
+MAX_INT_DIGITS = 4300  # CPython's default limit on int <-> str, held on every version
+
 
 class Dyadic:
     """Exact dyadic rational ``num * 2**-exp``.
@@ -177,7 +179,14 @@ class Dyadic:
         return format(floor_scale(self, n), f"0{n}b")
 
     def __str__(self) -> str:
-        return f"{self.num}/2^{self.exp}"
+        num = self.num
+        # a numerator of more than MAX_INT_DIGITS digits (so of more than
+        # 3 * MAX_INT_DIGITS bits) has no decimal form on CPython >= 3.11:
+        # name it by its bit length, on every version
+        if num.bit_length() > 3 * MAX_INT_DIGITS and abs(num) >= 10**MAX_INT_DIGITS:
+            sign = "-" if num < 0 else ""
+            return f"{sign}(a {num.bit_length()}-bit numerator)/2^{self.exp}"
+        return f"{num}/2^{self.exp}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dyadic({self})"

@@ -14,7 +14,8 @@ never as floats.  Spec strings keep pipelines one-liners:
   | ``squares-1:H`` | ``elements:1,2,3:H``
 
 Each function imports the library modules it uses, so a command loads
-only what its inputs and outputs need.
+only what its inputs and outputs need; only ``foundations``, which every
+command loads, is imported here at the top, for its digit limit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import json
 import re
 from typing import TYPE_CHECKING
+
+from .foundations import MAX_INT_DIGITS
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -38,9 +41,6 @@ if TYPE_CHECKING:
 
 class SpecError(ValueError):
     """An input spec string or JSON document is malformed."""
-
-
-MAX_INT_DIGITS = 4300  # CPython's default limit on int(str), checked here on every version
 
 
 def parse_int(text: str) -> int:

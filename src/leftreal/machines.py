@@ -504,8 +504,14 @@ def enumerate_domain(machine: PrefixMachine, budget: Budget) -> DomainEnumeratio
                 if length <= L and length + len(val) <= t:
                     rows.append((length, head + key, None, val))
     pairs: list[tuple[str, str]] = []
-    for head, bodies, outs in _programs(rows):
-        pairs += zip(map(head.__add__, bodies), outs)
+    programs = _programs(rows)
+    try:
+        for head, bodies, outs in programs:
+            pairs += zip(map(head.__add__, bodies), outs)
+    except MemoryError:  # free the pairs first: closing the generator allocates
+        del pairs
+        programs.close()
+        raise
     covers = isinstance(machine, TableMachine) and machine.max_program_length <= L
     return DomainEnumeration(pairs, truncated, covers)
 

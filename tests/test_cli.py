@@ -121,6 +121,9 @@ EXACT = {
     # the first sum past 1 is named, however long the name read
     "convert roc-to-skt --name ap:2,0 --rate shift:2 --stages 20000":
         "partial sum of 2k+0 exceeds 1 at stage 1: 5/2^2",
+    # a sum whose numerator is past the 4,300-digit limit is named by its bits
+    "convert roc-to-skt --name ap:20000,0 --rate shift:2 --stages 5":
+        "partial sum of 20000k+0 exceeds 1 at stage 1: (a 20001-bit numerator)/2^20000",
     "construct regular --component elements:0:4 --component elements:0:4"
     " --component elements:0:4":
         "stream x(elements:0:4)+x(elements:0:4)+x(elements:0:4) left [0,1] at 1: 3/2^1",
@@ -548,6 +551,33 @@ def test_convert_roc_to_skt_shortcut(capsys):
         (
             "--name ap:3,1 --rate shift:1>>1 --stages 300 --nmax 3",
             "6bf978d04d64400b9f2fcfca55c5a44f6f5c7071880315655ea2adfcf1898782",
+        ),
+        # names whose exponents strictly increase, under an affine rate
+        # that reuses indices at most stages and a shift rate that reuses
+        # almost none; recorded on the suffix-sum loop
+        (  # 226 of 300 stages reuse an index
+            "--name ap:1,1 --rate affine:3,2 --stages 300 --nmax 3",
+            "5a90279b5239c870c19cda08c180e636679dd6bb7f78a3c9568d0bd29a8a91da",
+        ),
+        (  # 152 of 300
+            "--name ap:1,1 --rate shift:2 --stages 300 --nmax 3",
+            "5fca273f6f2d21aafe738f21806ca9a779b276ad208e38a80093e670b71be089",
+        ),
+        (  # 201 of 400
+            "--name ap:2,2 --rate affine:3,3 --stages 400 --nmax 3",
+            "785c0c9d85143367c828c66cbb581f3054f31b5e62b0694e2f365a255907a80e",
+        ),
+        (  # 2 of 400
+            "--name ap:2,2 --rate shift:3 --stages 400 --nmax 3",
+            "361502efb7f0af1012168eb1d89b0aec975c0cdc47413258908977cac458d8ce",
+        ),
+        (  # 126 of 500
+            "--name ap:3,1 --rate affine:3,2 --stages 500 --nmax 3",
+            "ebb2f79fc571ab60855537abf4c00fafc882681bcb9ee04c8751285d87a63b5d",
+        ),
+        (  # 1 of 500
+            "--name ap:3,1 --rate shift:2 --stages 500 --nmax 3",
+            "92954448aa5696ec721f46cd0c76523da975b890c562ae3f476d9fc942c09bc0",
         ),
     ],
 )

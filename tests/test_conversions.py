@@ -6,7 +6,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from math import floor
 
 import pytest
@@ -241,6 +241,12 @@ def _swapped_name():
     return NameStream(lambda k: (k ^ 1) + 2, label="swapped")
 
 
+def _sorted_name():
+    # strictly increasing but no formula: gaps of 1, 3, 2, 1, 4 in turn
+    values = list(accumulate(((1, 3, 2, 1, 4)[k % 5] for k in range(400)), initial=2))
+    return NameStream(lambda k: values[k], label="sorted")
+
+
 def _outcome(run):
     try:
         return run()
@@ -253,6 +259,7 @@ def _outcome(run):
     name=st.one_of(
         st.builds("ap:{},{}".format, st.integers(1, 4), st.integers(1, 3)),
         st.just("swapped"),
+        st.just("sorted"),
     ),
     rate=st.one_of(
         st.builds("shift:{}".format, st.integers(0, 4)),
@@ -276,9 +283,16 @@ def _outcome(run):
 # the filter's edge, w.bit_length() + s(0) == max f + 1: index 0 comes due
 # at stage 6
 @example(name="ap:1,1", rate="shift:2", stages=7)
+# f(0) = 0 and a second term: the sum passes 1 at stage 1, named from the
+# suffix sums although the exponents increase
+@example(name="ap:1,0", rate="shift:2", stages=5)
+@example(name="ap:2,1", rate="shift:2", stages=0)
+@example(name="ap:2,1", rate="shift:2", stages=1)
+# an increasing name read from a list, under a memo-backed rate
+@example(name="sorted", rate="values:" + ",".join(str(2 * n + 3) for n in range(300)), stages=200)
 def test_roc_to_skt_matches_quadratic_reference(name, rate, stages):
     def fresh():
-        f = _swapped_name() if name == "swapped" else parse_name(name)
+        f = {"swapped": _swapped_name, "sorted": _sorted_name}.get(name, lambda: parse_name(name))()
         return f, RateSpec(parse_rate(rate))
 
     new = lambda: _trace_of(*fresh(), stages)
@@ -319,6 +333,41 @@ def test_roc_to_skt_reuses_pointer_indices():
     assert ms[:14] == [0] * 10 + [1, 0, 1, 1]
     assert len(set(ms)) < len(ms) // 3
     assert (intervals, events) == _reference_stage_loop(_stepped_name(2, 2), rate, 60)
+
+
+# (label, rate) for the exponent rule's grid: formula rates and memo-backed ones
+EXPONENT_RATES = [
+    *((f"shift:{c}", lambda c=c: Modulus.shift(c)) for c in range(1, 5)),
+    *((f"affine:{a},{b}", lambda a=a, b=b: Modulus.affine(a, b)) for a, b in ((2, 3), (3, 2))),
+    ("n+3 (memo)", lambda: Modulus(lambda n: n + 3, label="n+3")),
+    ("3n+2 (memo)", lambda: Modulus(lambda n: 3 * n + 2, label="3n+2")),
+]
+
+
+def test_roc_to_skt_exponent_rule_matches_reference():
+    # ap:a,b with a >= 1 strictly increases, so the index reset at stage t
+    # is due again at t+1 when f(t+1) < s(m), at t+2 when they are equal
+    # and a term follows, and never otherwise; the grid reaches every case
+    rules = Counter()
+    for (a, b), (label, rate), stages in product(
+        product(range(1, 4), range(1, 4)), EXPONENT_RATES, range(1, 25)
+    ):
+        def run(loop):
+            return _outcome(lambda: loop(NameStream.affine(a, b), RateSpec(rate()), stages))
+
+        got = run(_trace_of)
+        assert got == run(_reference_stage_loop), (a, b, label, stages)
+        if isinstance(got[0], type):
+            continue
+        for iv in got[0][:-1]:
+            g = a * (iv.t + 1) + b
+            if g < iv.length_exp:
+                rules["due at t+1"] += 1
+            elif g > iv.length_exp:
+                rules["never"] += 1
+            else:
+                rules["due at t+2" if iv.t + 2 < stages else "equal, no term follows"] += 1
+    assert sorted(rules) == ["due at t+1", "due at t+2", "equal, no term follows", "never"], rules
 
 
 def test_roc_to_skt_reads_the_rate_lazily(monkeypatch):
@@ -724,17 +773,23 @@ def test_roc_to_skt_builds_no_record(monkeypatch):
 
 
 def test_roc_to_skt_memory_at_20000_stages():
-    # the stage loop holds one list of suffix sums, of about 2 * (stages - t)
-    # bits each, and drops it on return; the family keeps its own running sum
-    gc.collect()
-    tracemalloc.start()
-    try:
-        res = roc_to_skt(parse_name("ap:2,1"), RateSpec(Modulus.shift(2)), 20000)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(res.trace.resets) == 20000
-    assert peak < 70e6 and kept < 5e6, (peak, kept)
+    # the family keeps its own running sum, read only when a level is
+    for f, rate, peak_bound in (
+        # exponents that strictly increase: the loop holds small ints only
+        (parse_name("ap:2,1"), Modulus.shift(2), 10e6),
+        # any other name: one list of suffix sums, of about 2 * (stages - t)
+        # bits each, dropped on return
+        (_stepped_name(2, 2), Modulus.shift(3), 70e6),
+    ):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = roc_to_skt(f, RateSpec(rate), 20000)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.trace.resets) == 20000
+        assert peak < peak_bound and kept < 5e6, (f.label, peak, kept)
 
 
 def test_roc_to_skt_reads_the_name_once(monkeypatch):

@@ -11,6 +11,7 @@ from leftreal.errors import HorizonExceeded, RangeViolation
 from leftreal.foundations import (
     BitStream,
     Dyadic,
+    MAX_INT_DIGITS,
     NatSetView,
     ONE,
     ZERO,
@@ -128,6 +129,17 @@ def test_dyadic_canonical_is_unique(a, ea):
     y = Dyadic.of(a * 4, ea + 2)
     assert x == y and (x.num, x.exp) == (y.num, y.exp)
     assert x.num == 0 or x.num % 2 == 1 or x.exp == 0
+
+
+def test_dyadic_str_names_a_numerator_past_the_digit_limit_by_its_bits():
+    # the largest numerator of MAX_INT_DIGITS digits prints in full, on
+    # every version; one more and its decimal form is past CPython's limit
+    top = 10**MAX_INT_DIGITS
+    assert str(Dyadic(top - 1, 3)) == "9" * MAX_INT_DIGITS + "/2^3"
+    assert str(Dyadic(top + 1, 3)) == "(a 14285-bit numerator)/2^3"
+    assert str(Dyadic(-top - 1, 3)) == "-(a 14285-bit numerator)/2^3"
+    assert str(Dyadic.of((1 << 20000) + 1, 20000)) == "(a 20001-bit numerator)/2^20000"
+    assert str(Dyadic(-5, 2)) == "-5/2^2" and str(ZERO) == "0/2^0"
 
 
 def test_floor_scale_examples():
