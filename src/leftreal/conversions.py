@@ -227,17 +227,21 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     stage loop sums.  It checks the last partial sum (``InvalidName``; the
     sums increase, so this checks them all, and one bisection of ``after``
     names the first stage past 1).  The values strictly increase iff they
-    equal their sorted copy and set ``stages`` distinct digits of a
-    ``bytearray`` with a ``1`` at each ``f(k)`` (a span under ``stages - 1``
-    rules a name out first); then the last partial sum is those binary
-    digits, read by one ``int(…, 2)``, as distinct exponents carry nothing.
-    It passes 1 only when ``f(0) = 0`` and a term follows, and such a name
-    takes the suffix sums.  Then the gate checks ``r(0) > f(0)``
-    (``RateError``), then the tail certificate ``tail(r(n)) <= 2**-n`` at
-    levels ``0..CERTIFY_LEVELS`` (``PreconditionRefuted`` at the least
-    refuted level).  ``names.tail_sums`` answers the nine tails in
-    integers at the scale ``2**-top``, from the whole sum of those values
-    and ``f(stages)``, which the last partial sum gives.
+    equal their sorted copy and their sum has ``stages`` binary digits set
+    (a span under ``stages - 1`` rules a name out first), as distinct
+    exponents carry nothing.  That sum is read off a ``bytearray`` holding
+    a ``1`` at each ``f(k)`` by one ``int(…, 2)`` when those ``max f + 1``
+    bytes are fewer bits than the terms, ``stages * max f - sum(f)``, which
+    the suffix sums held at once; else the terms are summed in C, smallest
+    first, so each addition costs the bits of its new term.  So the gate
+    never holds more than the suffix sums did.  The sum passes 1 only when
+    ``f(0) = 0`` and a term follows, and such a name takes the suffix sums.
+    Then the gate checks ``r(0) > f(0)`` (``RateError``), then the tail
+    certificate ``tail(r(n)) <= 2**-n`` at levels ``0..CERTIFY_LEVELS``
+    (``PreconditionRefuted`` at the least refuted level).
+    ``names.tail_sums`` answers the nine tails in integers at the scale
+    ``2**-top``, from the whole sum of those values and ``f(stages)``,
+    which the last partial sum gives.
     """
     if f.finite:
         return RocToSktResult(
@@ -256,14 +260,18 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     # Strictly increasing values are in order and span at least stages - 1.
     # f(0) = 0 with a second term sums past 1, which the suffix sums name.
     increasing = values == ordered and (stages < 2 or 0 < values[0] <= scale - stages + 1)
-    if increasing:  # and strictly so iff no two terms share a binary digit
-        digits = bytearray(b"0") * (scale + 1)  # digit i weighs 2**(scale - i)
-        for v in values:
-            digits[v] = 49  # ord("1")
-        increasing = digits.count(49) == stages
     if increasing:
-        last = int(digits, 2)  # no carry: one digit at each f(k)
-    else:
+        # the digits take max f + 1 bytes; the terms, summed smallest first,
+        # stages * max f - sum(f) bits: write whichever is fewer bits
+        if 8 * (scale + 1) < stages * scale - sum(values):
+            digits = bytearray(b"0") * (scale + 1)  # digit i weighs 2**(scale - i)
+            for v in values:
+                digits[v] = 49  # ord("1"): the sum, when no two terms share a digit
+            last = int(digits, 2)
+        else:
+            last = sum(map(rshift, repeat(one), reversed(values)))
+        increasing = last.bit_count() == stages  # a repeated term carries, or shares a digit
+    if not increasing:
         after = list(accumulate(map(rshift, repeat(one), reversed(values)), initial=0))
         last = after[-1]
         if last > one:  # the first stage past 1 leaves less than last - one to come
