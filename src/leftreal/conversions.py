@@ -227,15 +227,12 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     stage loop sums.  It checks the last partial sum (``InvalidName``; the
     sums increase, so this checks them all, and one bisection of ``after``
     names the first stage past 1).  The values strictly increase iff they
-    equal their sorted copy and their sum has ``stages`` binary digits set
-    (a span under ``stages - 1`` rules a name out first), as distinct
-    exponents carry nothing.  That sum is read off a ``bytearray`` holding
-    a ``1`` at each ``f(k)`` by one ``int(…, 2)`` when those ``max f + 1``
-    bytes are fewer bits than the terms, ``stages * max f - sum(f)``, which
-    the suffix sums held at once; else the terms are summed in C, smallest
-    first, so each addition costs the bits of its new term.  So the gate
-    never holds more than the suffix sums did.  The sum passes 1 only when
-    ``f(0) = 0`` and a term follows, and such a name takes the suffix sums.
+    are in order and no two share a binary digit of their sum, which is then
+    read off a ``bytearray`` holding a ``1`` at each ``f(k)`` by one
+    ``int(…, 2)``, in time linear in ``max f``, where summing the terms
+    costs their bits, about ``stages * max f / 2``.  Such a sum passes 1
+    only when ``f(0) = 0`` and a term follows, and such a name takes the
+    suffix sums.
     Then the gate checks ``r(0) > f(0)`` (``RateError``), then the tail
     certificate ``tail(r(n)) <= 2**-n`` at levels ``0..CERTIFY_LEVELS``
     (``PreconditionRefuted`` at the least refuted level).
@@ -254,23 +251,16 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     # x_t = x / 2**scale exactly, and for integers x - x_p > 2**(scale - s)
     # iff x - x_p > (1 << scale) >> s.  last is x_{stages - 1}.
     values = f.values(stages)
-    ordered = sorted(values)  # in C, one pass over a name already in order; reused by tail_sums
-    scale = ordered[-1] if ordered else 0
+    scale = max(values, default=0)
     one = 1 << scale
-    # Strictly increasing values are in order and span at least stages - 1.
-    # f(0) = 0 with a second term sums past 1, which the suffix sums name.
-    increasing = values == ordered and (stages < 2 or 0 < values[0] <= scale - stages + 1)
+    # f(0) = 0 with a second term sums past 1, which the suffix sums name
+    increasing = values == sorted(values) and (stages < 2 or values[0] > 0)
     if increasing:
-        # the digits take max f + 1 bytes; the terms, summed smallest first,
-        # stages * max f - sum(f) bits: write whichever is fewer bits
-        if 8 * (scale + 1) < stages * scale - sum(values):
-            digits = bytearray(b"0") * (scale + 1)  # digit i weighs 2**(scale - i)
-            for v in values:
-                digits[v] = 49  # ord("1"): the sum, when no two terms share a digit
-            last = int(digits, 2)
-        else:
-            last = sum(map(rshift, repeat(one), reversed(values)))
-        increasing = last.bit_count() == stages  # a repeated term carries, or shares a digit
+        digits = bytearray(b"0") * (scale + 1)  # digit i weighs 2**(scale - i)
+        for v in values:
+            digits[v] = 49  # ord("1")
+        last = int(digits, 2)
+        increasing = last.bit_count() == stages  # a repeated term shares a digit
     if not increasing:
         after = list(accumulate(map(rshift, repeat(one), reversed(values)), initial=0))
         last = after[-1]
@@ -289,7 +279,7 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
         for n in range(CERTIFY_LEVELS + 1):
             thresholds.append(r.at(n))
     finally:  # a rate failing at level n still lets a lower level refute first
-        for n, tail in enumerate(tail_sums(ordered + [fs], whole, top, thresholds)):
+        for n, tail in enumerate(tail_sums(values + [fs], whole, top, thresholds)):
             if tail << n > 1 << top:
                 raise PreconditionRefuted(
                     f"tail certificate refuted at level {n}: "
