@@ -228,11 +228,12 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     sums increase, so this checks them all, and one bisection of ``after``
     names the first stage past 1).  The values strictly increase iff they
     are in order and no two share a binary digit of their sum, which is then
-    read off a ``bytearray`` holding a ``1`` at each ``f(k)`` by one
-    ``int(…, 2)``, in time linear in ``max f``, where summing the terms
-    costs their bits, about ``stages * max f / 2``.  Such a sum passes 1
-    only when ``f(0) = 0`` and a term follows, and such a name takes the
-    suffix sums.
+    read off a ``bytearray`` holding a ``1`` at each ``f(k)``, from ``f(0)``
+    to ``max f``, by one ``int(…, 2)``: time linear in that span, where
+    summing the terms costs their bits, about ``stages * max f / 2``, and
+    at most a byte for each bit of the largest suffix sum.  Such a sum
+    passes 1 only when ``f(0) = 0`` and a term follows, and such a name
+    takes the suffix sums.
     Then the gate checks ``r(0) > f(0)`` (``RateError``), then the tail
     certificate ``tail(r(n)) <= 2**-n`` at levels ``0..CERTIFY_LEVELS``
     (``PreconditionRefuted`` at the least refuted level).
@@ -256,9 +257,10 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     # f(0) = 0 with a second term sums past 1, which the suffix sums name
     increasing = values == sorted(values) and (stages < 2 or values[0] > 0)
     if increasing:
-        digits = bytearray(b"0") * (scale + 1)  # digit i weighs 2**(scale - i)
+        low = values[0] if stages else 0
+        digits = bytearray(b"0") * (scale + 1 - low)  # digit i weighs 2**(scale - low - i)
         for v in values:
-            digits[v] = 49  # ord("1")
+            digits[v - low] = 49  # ord("1")
         last = int(digits, 2)
         increasing = last.bit_count() == stages  # a repeated term shares a digit
     if not increasing:

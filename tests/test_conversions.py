@@ -792,6 +792,22 @@ def test_roc_to_skt_memory_at_20000_stages():
         assert peak < peak_bound and kept < 5e6, (f.label, peak, kept)
 
 
+def test_roc_to_skt_gate_memory_on_a_sparse_name():
+    # ap:1,20000000 strictly increases: the gate's digit string runs from
+    # f(0) to max f, a few bytes, not 20,000,001 (a 20 MB bytearray);
+    # 1 << max f alone is 2.5 MB
+    for stages in (1, 4, 64):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = roc_to_skt(NameStream.affine(1, 20000000), RateSpec(Modulus.shift(20000001)), stages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.trace.resets) == stages
+        assert peak < 10e6, (stages, peak)
+
+
 def test_roc_to_skt_reads_the_name_once(monkeypatch):
     def refuse(*args):
         raise AssertionError("roc_to_skt summed the name outside tail_sums")
