@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
-from itertools import accumulate, count, islice, repeat
-from operator import add, rshift
+from itertools import accumulate, compress, count, islice, repeat, tee
+from operator import add, le, rshift
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionRefuted, RateError
@@ -143,13 +143,14 @@ def _exponent_stages(values: list[int], s_of: Iterator[int]) -> tuple[list[int],
     while t < stages:
         if t in due:
             heappush(active, due.pop(t))
-        if active:
-            m = heappop(active)
-            exp = exps[m]
-        else:
+        fresh = not active
+        if fresh:
             m = len(exps)
             exp = next(s_of)
             exps.append(exp)
+        else:
+            m = heappop(active)
+            exp = exps[m]
         resets.append(m)
         t += 1  # the next stage, which adds the term f(t)
         if t == stages:
@@ -159,6 +160,17 @@ def _exponent_stages(values: list[int], s_of: Iterator[int]) -> tuple[list[int],
             heappush(active, m)
         elif g == exp:
             due[t + 1] = m
+        elif fresh and not due:
+            # stage u schedules iff f(u+1) <= s(its fresh index); the scan
+            # draws s through a copy, so each is still drawn once, in order
+            ahead = iter(values)
+            ahead.__setstate__(t + 1)  # at f(t+1) at once, where islice would step there
+            scan, s_of = tee(s_of)
+            u = next(compress(count(t), map(le, ahead, scan)), stages)
+            m = len(exps)
+            exps.extend(islice(s_of, u - t))
+            resets.extend(range(m, len(exps)))
+            t = u
     return resets, exps
 
 
@@ -191,7 +203,11 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     no term follows ``f(t+1)``.  Hence the index reset at stage ``t`` is
     due at stage ``t+1`` if ``f(t+1) < s(m)``, at stage ``t+2`` (if there
     is one) if ``f(t+1) = s(m)``, and never otherwise: a comparison of
-    small ints, and no suffix sum is built.  Any other name runs on
+    small ints, and no suffix sum is built.  After a fresh stage that
+    schedules nothing, every stage takes a fresh index until one has
+    ``f(t+1) <= s(m)``; one chain of C iterators finds that stage, reading
+    ``s`` through a ``tee`` copy that the stages then take their ``s(m)``
+    from, so each ``s(m)`` is still drawn once.  Any other name runs on
     suffix sums at the scale ``2**-max f`` (``_suffix_sum_stages``): one
     ascending list ``after``, where ``after[j]`` is the weight of the last
     ``j`` terms, so ``w_t = after[stages - 1 - t]``.  Almost every stage is
@@ -210,14 +226,14 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     The gate reads the name once: ``f(0..stages-1)`` are the values the
     stage loop sums.  It checks the last partial sum (``InvalidName``; the
     sums increase, so this checks them all, and one bisection of ``after``
-    names the first stage past 1).  Values in order strictly increase iff
-    a ``bytearray`` of binary digits from ``f(0)`` to ``max f``, with a
-    ``1`` at each ``f(k)``, holds ``stages`` ones, and one ``int(…, 2)``
-    then reads their sum off it: time linear in that span, where summing
-    the terms costs their bits, about ``stages * max f / 2``, and at most
-    a byte for each bit of the largest suffix sum.  Such a sum passes 1
-    only when ``f(0) = 0`` and a term follows, and such a name takes the
-    suffix sums.
+    names the first stage past 1).  The values strictly increase iff they
+    are in order and no two share a binary digit of their sum, which is then
+    read off a ``bytearray`` holding a ``1`` at each ``f(k)``, from ``f(0)``
+    to ``max f``, by one ``int(…, 2)``: time linear in that span, where
+    summing the terms costs their bits, about ``stages * max f / 2``, and
+    at most a byte for each bit of the largest suffix sum.  Such a sum
+    passes 1 only when ``f(0) = 0`` and a term follows, and such a name
+    takes the suffix sums.
     Then the gate checks ``r(0) > f(0)`` (``RateError``), then the tail
     certificate ``tail(r(n)) <= 2**-n`` at levels ``0..CERTIFY_LEVELS``
     (``PreconditionRefuted`` at the least refuted level).
