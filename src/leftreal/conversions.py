@@ -226,14 +226,14 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     The gate reads the name once: ``f(0..stages-1)`` are the values the
     stage loop sums.  It checks the last partial sum (``InvalidName``; the
     sums increase, so this checks them all, and one bisection of ``after``
-    names the first stage past 1).  The values strictly increase iff they
-    are in order and no two share a binary digit of their sum, which is then
-    read off a ``bytearray`` holding a ``1`` at each ``f(k)``, from ``f(0)``
-    to ``max f``, by one ``int(…, 2)``: time linear in that span, where
-    summing the terms costs their bits, about ``stages * max f / 2``, and
-    at most a byte for each bit of the largest suffix sum.  Such a sum
-    passes 1 only when ``f(0) = 0`` and a term follows, and such a name
-    takes the suffix sums.
+    names the first stage past 1).  Values in order strictly increase iff
+    a ``bytearray`` of binary digits from ``f(0)`` to ``max f``, with a
+    ``1`` at each ``f(k)``, holds ``stages`` ones, and one ``int(…, 2)``
+    then reads their sum off it: time linear in that span, where summing
+    the terms costs their bits, about ``stages * max f / 2``, and at most
+    a byte for each bit of the largest suffix sum.  Such a sum passes 1
+    only when ``f(0) = 0`` and a term follows, and such a name takes the
+    suffix sums.
     Then the gate checks ``r(0) > f(0)`` (``RateError``), then the tail
     certificate ``tail(r(n)) <= 2**-n`` at levels ``0..CERTIFY_LEVELS``
     (``PreconditionRefuted`` at the least refuted level).
