@@ -226,14 +226,17 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     The gate reads the name once: ``f(0..stages-1)`` are the values the
     stage loop sums.  It checks the last partial sum (``InvalidName``; the
     sums increase, so this checks them all, and one bisection of ``after``
-    names the first stage past 1).  Values in order strictly increase iff
-    a ``bytearray`` of binary digits from ``f(0)`` to ``max f``, with a
+    names the first stage past 1).  The values are sorted once: the sorted
+    copy gives ``max f`` and is what ``tail_sums`` sorts again, in one
+    pass.  Values equal to their sorted copy strictly increase iff a
+    ``bytearray`` of binary digits from ``f(0)`` to ``max f``, with a
     ``1`` at each ``f(k)``, holds ``stages`` ones, and one ``int(…, 2)``
     then reads their sum off it: time linear in that span, where summing
     the terms costs their bits, about ``stages * max f / 2``, and at most
-    a byte for each bit of the largest suffix sum.  Such a sum passes 1
-    only when ``f(0) = 0`` and a term follows, and such a name takes the
-    suffix sums.
+    a byte for each bit of the largest suffix sum.  A span under
+    ``stages - 1`` rules a name out before any digit is written.  Such a
+    sum passes 1 only when ``f(0) = 0`` and a term follows, and such a
+    name takes the suffix sums.
     Then the gate checks ``r(0) > f(0)`` (``RateError``), then the tail
     certificate ``tail(r(n)) <= 2**-n`` at levels ``0..CERTIFY_LEVELS``
     (``PreconditionRefuted`` at the least refuted level).
@@ -252,10 +255,12 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     # x_t = x / 2**scale exactly, and for integers x - x_p > 2**(scale - s)
     # iff x - x_p > (1 << scale) >> s.  last is x_{stages - 1}.
     values = f.values(stages)
-    scale = max(values, default=0)
+    ordered = sorted(values)
+    scale = ordered[-1] if ordered else 0
     one = 1 << scale
-    # f(0) = 0 with a second term sums past 1, which the suffix sums name
-    increasing = values == sorted(values) and (stages < 2 or values[0] > 0)
+    # Strictly increasing values are in order and span at least stages - 1.
+    # f(0) = 0 with a second term sums past 1, which the suffix sums name.
+    increasing = values == ordered and (stages < 2 or 0 < values[0] <= scale - stages + 1)
     if increasing:
         low = values[0] if stages else 0
         digits = bytearray(b"0") * (scale + 1 - low)  # digit i weighs 2**(scale - low - i)
@@ -281,7 +286,7 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
         for n in range(CERTIFY_LEVELS + 1):
             thresholds.append(r.at(n))
     finally:  # a rate failing at level n still lets a lower level refute first
-        for n, tail in enumerate(tail_sums(values + [fs], whole, top, thresholds)):
+        for n, tail in enumerate(tail_sums(ordered + [fs], whole, top, thresholds)):
             if tail << n > 1 << top:
                 raise PreconditionRefuted(
                     f"tail certificate refuted at level {n}: "
