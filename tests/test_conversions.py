@@ -241,6 +241,12 @@ def _swapped_name():
     return NameStream(lambda k: (k ^ 1) + 2, label="swapped")
 
 
+def _swapped_after_first_name():
+    # 1, 4, 3, 6, 5, ...: f(0) is the least term and no two are equal, so
+    # only their order keeps the name off the exponent loop
+    return NameStream(lambda k: ((k + 1) ^ 1) + 1, label="swapped1")
+
+
 def _sorted_name():
     # strictly increasing but no formula: gaps of 1, 3, 2, 1, 4 in turn
     values = list(accumulate(((1, 3, 2, 1, 4)[k % 5] for k in range(400)), initial=2))
@@ -290,9 +296,12 @@ def _outcome(run):
 @example(name="ap:2,1", rate="shift:2", stages=1)
 # an increasing name read from a list, under a memo-backed rate
 @example(name="sorted", rate="values:" + ",".join(str(2 * n + 3) for n in range(300)), stages=200)
+@example(name="swapped1", rate="shift:3", stages=40)
 def test_roc_to_skt_matches_quadratic_reference(name, rate, stages):
     def fresh():
-        f = {"swapped": _swapped_name, "sorted": _sorted_name}.get(name, lambda: parse_name(name))()
+        f = {"swapped": _swapped_name, "swapped1": _swapped_after_first_name, "sorted": _sorted_name}.get(
+            name, lambda: parse_name(name)
+        )()
         return f, RateSpec(parse_rate(rate))
 
     new = lambda: _trace_of(*fresh(), stages)
