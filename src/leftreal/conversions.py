@@ -95,25 +95,26 @@ class RocToSktResult(NamedTuple):
     reason: str = ""
 
 
-def _suffix_sum_stages(
-    after: list[int], scale: int, s_of: Iterator[int]
+def _weight_stages(
+    values: list[int], w: int, scale: int, s_of: Iterator[int]
 ) -> tuple[list[int], list[int]]:
     """The index each stage resets, and ``s(m)`` for each index, read from
-    the name's suffix sums ``after`` at the scale ``2**-scale`` (see
-    ``roc_to_skt``).  ``due`` keeps an index under its due stage, then
-    ``active`` holds it until its next reset; ``len(exps)`` is the cursor.
+    one running weight ``w`` at the scale ``2**-scale``, which starts at the
+    total of the terms (see ``roc_to_skt``).  ``due`` keeps an index under the
+    key ``-(w - 2**-s(m))`` taken at its reset until ``w`` drops below
+    ``-key``, then ``active`` holds it until its next reset; ``len(exps)``
+    is the cursor.
     """
-    stages = len(after) - 1
     one = 1 << scale
     edge = scale + 1  # w > one >> exp needs w.bit_length() + exp >= edge
     exps: list[int] = []  # s(m), drawn when m is first reset
-    due: dict[int, list[int]] = {}
+    due: list[tuple[int, int]] = []
     active: list[int] = []
     resets: list[int] = []
-    for t, w in enumerate(islice(reversed(after), 1, None)):
-        if due:
-            for m in due.pop(t, ()):
-                heappush(active, m)
+    for v in values:
+        w -= one >> v  # the weight still to come after this stage
+        while due and w < -due[0][0]:
+            heappush(active, heappop(due)[1])
         if active:
             m = heappop(active)
             exp = exps[m]
@@ -122,8 +123,7 @@ def _suffix_sum_stages(
             exp = next(s_of)
             exps.append(exp)
         if w.bit_length() + exp >= edge and w > one >> exp:
-            # the due stage t' is the first with after[stages - 1 - t'] < w - (one >> exp)
-            due.setdefault(stages - bisect_left(after, w - (one >> exp)), []).append(m)
+            heappush(due, ((one >> exp) - w, m))
         resets.append(m)
     return resets, exps
 
@@ -207,14 +207,15 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     schedules nothing, every stage takes a fresh index until one has
     ``f(t+1) <= s(m)``; one chain of C iterators finds that stage, reading
     ``s`` through a ``tee`` copy that the stages then take their ``s(m)``
-    from, so each ``s(m)`` is still drawn once.  Any other name runs on
-    suffix sums at the scale ``2**-max f`` (``_suffix_sum_stages``): one
-    ascending list ``after``, where ``after[j]`` is the weight of the last
-    ``j`` terms, so ``w_t = after[stages - 1 - t]``.  Almost every stage is
-    ruled out by bit lengths alone (``w > one >> s(m)`` needs
-    ``w.bit_length() + s(m) >= max f + 1``); only a stage that passes that
-    filter makes the exact test, and only one that passes both bisects
-    ``after`` for the due stage.
+    from, so each ``s(m)`` is still drawn once.  Any other name runs on one
+    running weight at the scale ``2**-max f`` (``_weight_stages``): ``w``
+    starts at the total and each stage takes its term off, so stage ``t``
+    leaves ``w = w_t``.  Almost every stage is ruled out by bit lengths
+    alone (``w > one >> s(m)`` needs ``w.bit_length() + s(m) >= max f + 1``);
+    only a stage that passes that filter makes the exact test, and only one
+    that passes both files its index in a heap keyed by
+    ``-(w_t - 2**-s(m))``, due at the first stage whose ``w`` drops below
+    ``w_t - 2**-s(m)``.  No suffix sum is stored.
 
     A stage records only the index it resets: the trace keeps the resets,
     the per-index ``s(m)`` and the name's values, one small int each, and
@@ -224,20 +225,20 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     read only as far as the levels asked need, and builds no ``Dyadic``.
 
     The gate reads the name once: ``f(0..stages-1)`` are the values the
-    stage loop sums.  It checks the last partial sum (``InvalidName``; the
-    sums increase, so this checks them all, and one bisection of ``after``
-    names the first stage past 1).  The values are sorted once: the sorted
-    copy gives ``max f`` and is what ``tail_sums`` sorts again, in one
-    pass.  Values equal to their sorted copy strictly increase iff a
-    ``bytearray`` of binary digits from ``f(0)`` to ``max f``, with a
-    ``1`` at each ``f(k)``, holds ``stages`` ones, and one ``int(…, 2)``
-    then reads their sum off it: time linear in that span, where summing
-    the terms costs their bits, about ``stages * max f / 2``, and at most
-    a byte for each bit of the largest suffix sum.  A span under
-    ``stages - 1`` rules a name out before any digit is written.  Such a
-    sum passes 1 only when ``f(0) = 0`` and a term follows, and such a
-    name takes the suffix sums.
-    Then the gate checks ``r(0) > f(0)`` (``RateError``), then the tail
+    stage loop sums.  The values are sorted once: the sorted copy gives
+    ``min f`` and ``max f`` and is what ``tail_sums`` sorts again, in one
+    pass.  The values are distinct iff a ``bytearray`` of binary digits
+    from ``min f`` to ``max f``, with a ``1`` at each ``f(k)``, holds
+    ``stages`` ones, and one ``int(…, 2)`` then reads their sum off it,
+    whatever their order: time linear in that span, where summing the
+    terms costs their bits, about ``stages * max f / 2``, and at most a
+    byte for each bit of the sum.  A span under ``stages - 1`` rules a
+    name out before any digit is written; a name whose values are not
+    distinct sums its terms.  Distinct values equal to their sorted copy
+    strictly increase, and only they take the exponent loop.  The gate
+    checks the last partial sum (``InvalidName``; the sums increase, so
+    this checks them all, and a running sum names the first stage past 1).
+    Then it checks ``r(0) > f(0)`` (``RateError``), then the tail
     certificate ``tail(r(n)) <= 2**-n`` at levels ``0..CERTIFY_LEVELS``
     (``PreconditionRefuted`` at the least refuted level).
     ``names.tail_sums`` answers the nine tails in integers at the scale
@@ -256,24 +257,23 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
     # iff x - x_p > (1 << scale) >> s.  last is x_{stages - 1}.
     values = f.values(stages)
     ordered = sorted(values)
-    scale = ordered[-1] if ordered else 0
+    low, scale = (ordered[0], ordered[-1]) if ordered else (0, 0)
     one = 1 << scale
-    # Strictly increasing values are in order and span at least stages - 1.
-    # f(0) = 0 with a second term sums past 1, which the suffix sums name.
-    increasing = values == ordered and (stages < 2 or 0 < values[0] <= scale - stages + 1)
-    if increasing:
-        low = values[0] if stages else 0
+    distinct = low <= scale - stages + 1  # distinct values span at least stages - 1
+    if distinct:
         digits = bytearray(b"0") * (scale + 1 - low)  # digit i weighs 2**(scale - low - i)
         for v in values:
             digits[v - low] = 49  # ord("1")
         last = int(digits, 2)
-        increasing = last.bit_count() == stages  # a repeated term shares a digit
-    if not increasing:
-        after = list(accumulate(map(rshift, repeat(one), reversed(values)), initial=0))
-        last = after[-1]
-        if last > one:  # the first stage past 1 leaves less than last - one to come
-            j = bisect_left(after, last - one)
-            raise sum_exceeds_one(f.label, stages - j, Dyadic.of(last - after[j - 1], scale))
+        distinct = last.bit_count() == stages  # a repeated term shares a digit
+    if not distinct:
+        last = sum(map(rshift, repeat(one), values))
+    # x_0, x_1, ...: one running sum, which names the first past 1 or else
+    # serves the family, read as far as its levels need
+    run = accumulate(map(rshift, repeat(one), values))
+    if last > one:  # the sums increase: name the first past 1
+        t, x = next((t, x) for t, x in enumerate(run) if x > one)
+        raise sum_exceeds_one(f.label, t, Dyadic.of(x, scale))
     r = rate.r
     if r.at(0) <= f.at(0):
         raise RateError(f"need r(0) > f(0): r(0)={r.at(0)}, f(0)={f.at(0)}")
@@ -294,16 +294,14 @@ def roc_to_skt(f: NameStream, rate: RateSpec, stages: int) -> RocToSktResult:
                 )
 
     s_of = map(add, r.iter_from(2), count(2))  # s(m) = r(m + 2) + m + 2
-    if increasing:
+    if distinct and values == ordered:  # strictly increasing
         resets, exps = _exponent_stages(values, s_of)
     else:
-        resets, exps = _suffix_sum_stages(after, scale, s_of)
+        resets, exps = _weight_stages(values, last, scale, s_of)
 
     trace = StageTrace(resets, exps, values, stages, name_label=f.label, rate_label=r.label)
     levels: dict[int, list[str]] = {}  # level -> its strings, built on first read
-    # x_0, x_1, ...: one running sum per family, read as far as the levels need
-    run = accumulate(map(rshift, repeat(one), values))
-    sums: list[int] = []
+    sums: list[int] = []  # what the family has read of run
 
     def level_fn(n: int) -> list[str]:
         if n not in levels:

@@ -257,11 +257,17 @@ def parse_increasing(text: str) -> IncreasingDyadicStream:
     raise SpecError(f"unknown increasing-stream spec {text!r}")
 
 
+# the ':'-separated fields each set spec kind takes after its name
+_VIEW_FIELDS = {"evens": 1, "odds": 1, "multiples": 2, "column": 2, "squares-1": 1, "elements": 2}
+
+
 def parse_view(text: str) -> NatSetView:
     from . import foundations as fd
 
     parts = text.split(":")
     kind = parts[0]
+    if kind in _VIEW_FIELDS and len(parts) > _VIEW_FIELDS[kind] + 1:
+        raise SpecError(f"set spec {text!r} has an extra ':'-separated field")
 
     def num(i: int) -> int:
         return _ints(parts[i], text, 1)[0]

@@ -149,6 +149,19 @@ EXACT = {
         "an integer of 5000 digits is above the 4300-digit limit",
     "convert roc-to-skt --name ap:2,1 --rate shift:2 --stages {digits}": "leftreal convert"
         " roc-to-skt: argument --stages: an integer of 5000 digits is above the 4300-digit limit",
+    # a spec of an unknown kind, and a set spec with too few or too many fields
+    "convert roc-to-skt --name foo:1 --rate shift:2 --stages 5": "unknown name spec 'foo:1'",
+    "convert roc-to-skt --name ap:2,1 --rate foo:1 --stages 5": "unknown rate spec 'foo:1'",
+    "profile --stream foo:1 --nmax 4 --budget-l 12": "unknown stream spec 'foo:1'",
+    "convert lc-to-roc --stream foo:1 --rate shift:2 --stages 5 --nmax 1":
+        "unknown increasing-stream spec 'foo:1'",
+    "construct join --a foo:3 --b evens:4": "unknown set spec 'foo:3'",
+    "construct join --a multiples:2 --b evens:4":
+        "set spec 'multiples:2' is missing a ':'-separated field",
+    "construct join --a evens:4:junk --b evens:4":
+        "set spec 'evens:4:junk' has an extra ':'-separated field",
+    "construct join --a elements:0,1:4:9 --b evens:4":
+        "set spec 'elements:0,1:4:9' has an extra ':'-separated field",
 }
 
 # inputs that cannot be read, each with the file its error line names

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, product
 from math import floor
+from operator import lt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -756,9 +757,21 @@ def test_roc_to_skt_matches_reference_on_a_bounded_grid():
 
         got = _outcome(new)
         assert got == _outcome(old), (head, a, b, spec, stages)
-        outcomes[got[0].__name__ if isinstance(got[0], type) else "trace"] += 1
-    classes = ["trace", "RateError", "PreconditionRefuted", "InvalidName", "HorizonExceeded"]
-    assert sorted(outcomes) == sorted(classes) and all(outcomes.values())
+        if isinstance(got[0], type):
+            outcomes[got[0].__name__] += 1
+        else:  # a trace, from the exponent loop or the running-weight loop
+            values = fresh()[0].values(stages)
+            increasing = all(map(lt, values, values[1:]))
+            outcomes["trace, increasing" if increasing else "trace, not increasing"] += 1
+    classes = [
+        "trace, increasing",
+        "trace, not increasing",
+        "RateError",
+        "PreconditionRefuted",
+        "InvalidName",
+        "HorizonExceeded",
+    ]
+    assert sorted(outcomes) == sorted(classes) and all(outcomes.values()), outcomes
 
 
 def test_roc_to_skt_builds_no_record(monkeypatch):
@@ -782,13 +795,14 @@ def test_roc_to_skt_builds_no_record(monkeypatch):
 
 
 def test_roc_to_skt_memory_at_20000_stages():
-    # the family keeps its own running sum, read only when a level is
+    # the family keeps its own running sum, read only when a level is read
     for f, rate, peak_bound in (
         # exponents that strictly increase: the loop holds small ints only
         (parse_name("ap:2,1"), Modulus.shift(2), 10e6),
-        # any other name: one list of suffix sums, of about 2 * (stages - t)
-        # bits each, dropped on return
-        (_stepped_name(2, 2), Modulus.shift(3), 70e6),
+        # any other name: one running weight, and a heap holding a key only
+        # for each index that will come due, no list of suffix sums
+        (_stepped_name(2, 2), Modulus.shift(3), 5e6),
+        (_swapped_name(), Modulus.shift(4), 5e6),
     ):
         gc.collect()
         tracemalloc.start()
